@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from scipy import stats
+import numpy as np
 
 from .classify import (
     INCONCLUSIVE_CLASS,
@@ -249,6 +249,23 @@ def lamperti_kappa(gamma_arg: float, beta: float) -> float:
                     - math.lgamma(1.0 - beta) - math.lgamma(gamma_arg))
 
 
+def least_squares_line(xs: Sequence[float],
+                       ys: Sequence[float]) -> Tuple[float, float, float]:
+    """(slope, intercept, slope stderr) of the OLS line, computed as
+    ``scipy.stats.linregress`` computes them; x values must not all agree,
+    and a flat y gives stderr 0."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    if x.size == 2 or ssym == 0.0:
+        return slope, intercept, 0.0
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return slope, intercept, np.sqrt((1 - r ** 2) * ssym / ssxm
+                                     / (x.size - 2))
+
+
 def subordinator_summary(psi, phi,
                          q_values: Sequence[float] = DEFAULT_L_GRID,
                          drift_probe: float = DRIFT_PROBE) -> SubordinatorSummary:
@@ -266,8 +283,8 @@ def subordinator_summary(psi, phi,
 
     logs_q = [math.log(q) for q, _ in samples]
     logs_l = [math.log(l) for _, l in samples]
-    fit = stats.linregress(logs_q, logs_l)
-    residual = max(abs(ll - (fit.slope * lq + fit.intercept))
+    slope, intercept, _ = least_squares_line(logs_q, logs_l)
+    residual = max(abs(ll - (slope * lq + intercept))
                    for lq, ll in zip(logs_q, logs_l))
 
     drift = laplace_exponent(psi, phi, drift_probe) / drift_probe
@@ -285,5 +302,5 @@ def subordinator_summary(psi, phi,
         killed = Verdict.yes({"l_zero": l_zero})
 
     return SubordinatorSummary(
-        l_samples=samples, gamma_fit=fit.slope, gamma_residual=residual,
+        l_samples=samples, gamma_fit=slope, gamma_residual=residual,
         drift_estimate=drift, killed=killed, l_zero=l_zero)

@@ -1,5 +1,6 @@
 """Cutout simulation: duration law, coverage sweep, statistics, g_inf."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,14 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from cbizero.cutout import (
+    LADDER_MIN_MARKS,
     CutoutError,
     DurationSampler,
     UncoveredSet,
     _intersect_pair,
+    _ladder_sweep,
+    _mark_sweep,
+    _sweep,
     empirical_gzero,
     intersect,
     sample_cutout,
@@ -25,6 +30,9 @@ from cbizero.mechanisms import (
     StableImmigration,
     scale_immigration,
 )
+from cbizero.ou import ou_sampler
+from cbizero.quadrature import adaptive
+from cbizero.zeroset import least_squares_line
 
 FELLER = StableBranching(d=1.0, alpha=2.0)
 HALF_DRIFT = StableImmigration(dprime=0.5, beta=1.0)   # tail 0.5/t, Pareto(1)
@@ -165,20 +173,46 @@ class TestIntersect:
             intersect([a, c])
 
 
-def _intervals_from_sorted(xs):
+def _intervals_from_sorted(xs, singles=()):
+    # consecutive distinct points pair up; a True in singles collapses
+    # that pair to the singleton at its left end
     pts = sorted(set(xs))
-    pairs = [[pts[2 * i], pts[2 * i + 1]] for i in range(len(pts) // 2)]
-    return np.array(pairs) if pairs else np.empty((0, 2))
+    pairs = [[pts[2 * i], pts[2 * i] if i < len(singles) and singles[i]
+              else pts[2 * i + 1]] for i in range(len(pts) // 2)]
+    return np.array(pairs, dtype=float) if pairs else np.empty((0, 2))
 
 
-@given(st.lists(st.floats(0.0, 100.0), max_size=20),
-       st.lists(st.floats(0.0, 100.0), max_size=20))
-@settings(max_examples=60, deadline=None)
-def test_pair_intersection_properties(xs, ys):
-    a = _intervals_from_sorted(xs)
-    b = _intervals_from_sorted(ys)
+def _intersect_pair_merge(a, b):
+    """Two-pointer merge: the reference for the vectorised intersection."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i, 0], b[j, 0])
+        hi = min(a[i, 1], b[j, 1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i, 1] < b[j, 1]:
+            i += 1
+        else:
+            j += 1
+    return np.array(out) if out else np.empty((0, 2))
+
+
+# integer endpoints make shared and touching endpoints common
+_POINTS = st.lists(st.integers(0, 30).map(float), max_size=20)
+
+
+@given(_POINTS, _POINTS, st.lists(st.booleans(), max_size=10),
+       st.lists(st.booleans(), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_pair_intersection_properties(xs, ys, a_singles, b_singles):
+    a = _intervals_from_sorted(xs, a_singles)
+    b = _intervals_from_sorted(ys, b_singles)
     ab = _intersect_pair(a, b)
     ba = _intersect_pair(b, a)
+    reference = _intersect_pair_merge(a, b)
+    assert ab.shape == reference.shape
+    assert np.array_equal(ab, reference)
     assert np.array_equal(ab, ba)
     assert np.array_equal(_intersect_pair(a, a), a)
     # every output interval is contained in an interval of both inputs
@@ -271,3 +305,181 @@ class TestSuperposition:
             g_four.append(statistics(intersect(parts), [0.5, 0.25])["g_last"])
         ks = stats.ks_2samp(g_one, g_four)
         assert ks.statistic < 0.1
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _atom_sampler():
+    return DurationSampler.from_tail(lambda t: 0.25 + 1.0 / t, 0.1,
+                                     atom_mass=0.25)
+
+
+def _short_table_sampler():
+    # a table cut one decade above eps, so most offsets and durations
+    # fall beyond it and go through the exact tail
+    base = DurationSampler.from_tail(lambda t: t ** -0.5, 0.01)
+    return dataclasses.replace(base, log_tail_rev=base.log_tail_rev[-25:],
+                               log_time_rev=base.log_time_rev[-25:])
+
+
+SAMPLERS = {
+    "feller drift": lambda: DurationSampler.from_mechanisms(
+        FELLER, HALF_DRIFT, 1e-3),
+    "feller sqrt": lambda: DurationSampler.from_mechanisms(
+        FELLER, ROOT_HALF, 1e-4),
+    "atom": _atom_sampler,
+    "ou 1.8": lambda: ou_sampler(1.8, 1e-3),
+}
+# tails that are exact power laws make the log-log table exact; the
+# others carry its interpolation error, about 1e-4 of G at 24 knots
+# per decade
+G_TOLERANCE = {"feller drift": 1e-9, "feller sqrt": 1e-9, "atom": 1e-3,
+               "ou 1.8": 1e-3}
+
+
+class TestCumulativeTail:
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_table_matches_quadrature_of_tail(self, name):
+        s = SAMPLERS[name]()
+        table = s._cumulative_tail
+        knots = table.knots
+        S = lambda y: min(1.0, s.tail(y) / s.rate)
+        # G at every knot, then at eps/2 and every segment's midpoint
+        at_knots = s.eps + np.concatenate(([0.0], np.cumsum(
+            [adaptive(S, a, b, rel_tol=1e-12)
+             for a, b in zip(knots[:-1], knots[1:])])))
+        mids = np.sqrt(knots[:-1] * knots[1:])
+        at_mids = at_knots[:-1] + [adaptive(S, a, m, rel_tol=1e-12)
+                                   for a, m in zip(knots[:-1], mids)]
+        x = np.concatenate(([0.5 * s.eps], knots, mids))
+        ref = np.concatenate(([0.5 * s.eps], at_knots, at_mids))
+        np.testing.assert_allclose(table(x), ref, rtol=G_TOLERANCE[name])
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_inverse_round_trip_on_every_segment(self, name):
+        s = SAMPLERS[name]()
+        table = s._cumulative_tail
+        knots = table.knots
+        x = np.concatenate((s.eps * np.array([1e-3, 0.25, 0.5, 0.999]),
+                            knots, np.sqrt(knots[:-1] * knots[1:]),
+                            knots[:-1] + 0.01 * np.diff(knots)))
+        g = table(x)
+        back, tail = table.inverse(g)
+        # G flattens where S is small: allow the rounding of g over S
+        slack = 1e-12 * x + 8.0 * np.spacing(g) / tail
+        assert np.all(np.abs(back - x) <= slack)
+        expected_tail = np.where(
+            back <= s.eps, 1.0,
+            np.exp(np.interp(np.log(back), s.log_time_rev[::-1],
+                             s.log_tail_rev[::-1])))
+        np.testing.assert_allclose(tail, expected_tail, rtol=1e-12)
+        assert table(0.0) == 0.0
+        assert table(s.eps) == s.eps
+
+
+def _uncovered_measures(kernel, sampler, T, reps, seed):
+    return np.array([
+        np.diff(kernel(T, sampler, _rng([seed, i]))[0], axis=1).sum()
+        for i in range(reps)])
+
+
+Z_LEVEL_1E6 = 4.89      # two-sided normal quantile at level 1e-6
+
+
+class TestKernelsAgree:
+    """The ladder and the mark sweep against the coverage oracle and
+    against each other.  A point t is uncovered with probability
+    exp(-rate G(t)), so the mean uncovered measure of [0, T] is the
+    integral of that over [0, T]."""
+
+    @pytest.mark.parametrize("kernel, eps, reps", [
+        (_ladder_sweep, 1e-5, 200),
+        (_ladder_sweep, 1e-3, 400),
+        (_mark_sweep, 1e-3, 400),
+    ])
+    def test_mean_uncovered_measure_feller_drift(self, kernel, eps, reps):
+        # S = eps/t gives
+        # (1 - e^-1/2)/rate + 2 e^-1/2 sqrt(eps)(sqrt(T) - sqrt(eps))
+        T = 30.0
+        s = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, eps)
+        exact = ((1.0 - math.exp(-0.5)) / s.rate + 2.0 * math.exp(-0.5)
+                 * math.sqrt(eps) * (math.sqrt(T) - math.sqrt(eps)))
+        if eps == 1e-5:
+            assert exact == pytest.approx(0.0210, abs=5e-5)
+        values = _uncovered_measures(kernel, s, T, reps, 31)
+        se = values.std(ddof=1) / math.sqrt(reps)
+        assert abs(values.mean() - exact) < Z_LEVEL_1E6 * se
+
+    @pytest.mark.parametrize("kernel", [_ladder_sweep, _mark_sweep])
+    def test_mean_uncovered_measure_with_atom(self, kernel):
+        T, reps = 30.0, 2000
+        s = _atom_sampler()
+
+        def uncovered(t):  # exp(-rate G(t)) for the tail 0.25 + 1/t
+            if t <= s.eps:
+                return math.exp(-s.rate * t)
+            return math.exp(-s.rate * s.eps - 0.25 * (t - s.eps)) * s.eps / t
+
+        exact = (adaptive(uncovered, 0.0, s.eps)
+                 + adaptive(uncovered, s.eps, T))
+        values = _uncovered_measures(kernel, s, T, reps, 32)
+        se = values.std(ddof=1) / math.sqrt(reps)
+        assert abs(values.mean() - exact) < Z_LEVEL_1E6 * se
+
+    @pytest.mark.parametrize("name, T, reps", [
+        ("feller drift", 10.0, 400),
+        ("feller sqrt", 30.0, 400),
+        ("atom", 30.0, 1000),
+        ("ou 1.8", 30.0, 300),
+        ("short table", 20.0, 300),
+    ])
+    def test_two_sample_ks_between_kernels(self, name, T, reps):
+        s = (_short_table_sampler() if name == "short table"
+             else SAMPLERS[name]())
+        draws = {}
+        for kernel in (_ladder_sweep, _mark_sweep):
+            runs = [kernel(T, s, _rng([33, i])) for i in range(reps)]
+            draws[kernel] = (
+                [iv[-1, 1] for iv, _ in runs],
+                [iv.shape[0] for iv, _ in runs],
+                [frontier for _, frontier in runs])
+        # three tests per case at level 1e-4 each; interval counts are
+        # discrete, which only makes the KS test conservative
+        for ladder, mark in zip(draws[_ladder_sweep], draws[_mark_sweep]):
+            assert stats.ks_2samp(ladder, mark, method="asymp").pvalue > 1e-4
+
+    def test_sweep_selects_by_expected_marks(self):
+        s = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, 1e-3)
+        small = 0.5 * LADDER_MIN_MARKS / s.rate
+        large = 2.0 * LADDER_MIN_MARKS / s.rate
+        for T, kernel in ((small, _mark_sweep), (large, _ladder_sweep)):
+            got, frontier = _sweep(T, s, _rng(5))
+            want, want_frontier = kernel(T, s, _rng(5))
+            assert np.array_equal(got, want) and frontier == want_frontier
+
+    def test_ladder_deterministic_given_seed(self):
+        T, eps = 30.0, 1e-4
+        assert T * 0.5 / eps > LADDER_MIN_MARKS
+        a = sample_cutout(FELLER, HALF_DRIFT, T, eps, 2024)
+        b = sample_cutout(FELLER, HALF_DRIFT, T, eps, 2024)
+        c = sample_cutout(FELLER, HALF_DRIFT, T, eps, 2025)
+        assert np.array_equal(a.intervals, b.intervals)
+        assert not np.array_equal(a.intervals, c.intervals)
+        a.validate()
+        c.validate()
+
+
+def test_least_squares_line_matches_linregress():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 10, 40):
+        xs = np.sort(rng.normal(size=n)) * 5.0
+        ys = 0.7 * xs + rng.normal(size=n)
+        fit = stats.linregress(xs, ys)
+        slope, intercept, stderr = least_squares_line(xs, ys)
+        assert slope == pytest.approx(fit.slope, rel=1e-12, abs=1e-12)
+        assert intercept == pytest.approx(fit.intercept, rel=1e-12, abs=1e-12)
+        assert stderr == pytest.approx(fit.stderr, rel=1e-12, abs=1e-12)
+    flat = least_squares_line([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+    assert flat == (0.0, 4.0, 0.0)
