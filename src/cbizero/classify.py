@@ -27,15 +27,7 @@ from typing import Optional
 from .flow import solver
 from .mechanisms import (
     BranchingMechanism,
-    CompoundPoissonImmigration,
-    CustomBranching,
-    CustomImmigration,
-    GammaImmigration,
     ImmigrationMechanism,
-    LampertiImmigration,
-    QuadraticBranching,
-    StableBranching,
-    StableImmigration,
     Verdict,
     branching_derivative_at_zero,
     conservativity_check,
@@ -140,59 +132,36 @@ class ZeroSetReport:
         }
 
 
-# --- growth profiles ------------------------------------------------------
+# --- index arithmetic ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Profile:
-    idx_inf: Optional[float]     # exponent at infinity, None if ill-defined
-    coeff_inf: Optional[float]   # leading coefficient there, None if unknown
-    idx_0: Optional[float]
-    coeff_0: Optional[float]
-    exact: bool
-
-
-def _profile(mech) -> Optional[_Profile]:
-    if isinstance(mech, StableBranching):
-        return _Profile(mech.alpha, mech.d, mech.alpha, mech.d, True)
-    if isinstance(mech, QuadraticBranching):
-        if mech.sigma2 == 0.0:
-            return _Profile(1.0, mech.b, 1.0, mech.b, True)
-        half = 0.5 * mech.sigma2
-        if mech.b > 0:
-            return _Profile(2.0, half, 1.0, mech.b, True)
-        if mech.b == 0.0:
-            return _Profile(2.0, half, 2.0, half, True)
-        return _Profile(2.0, half, None, None, True)  # supercritical near 0
-    if isinstance(mech, StableImmigration):
-        return _Profile(mech.beta, mech.dprime, mech.beta, mech.dprime, True)
-    if isinstance(mech, GammaImmigration):
-        # slowly varying (log) at infinity: index 0, no power coefficient
-        return _Profile(0.0, None, 1.0, mech.a / mech.b, True)
-    if isinstance(mech, LampertiImmigration):
-        return _Profile(mech.beta, 1.0 / math.gamma(mech.beta), 1.0, 1.0, True)
-    if isinstance(mech, CompoundPoissonImmigration):
-        if mech.tail is None:
-            return _Profile(0.0, mech.mass, 1.0, mech.mass, True)
-        return _probed_profile(mech)
-    if isinstance(mech, (CustomBranching, CustomImmigration)):
-        return _probed_profile(mech)
-    return None
-
-
-def _collapse(lower: float, upper: float) -> Optional[float]:
+def _power_index(lower: float, upper: float, coeff: Optional[float]) -> Optional[float]:
+    """The one power index at an end of a profile, None when ill-defined."""
+    # a negative leading term (a supercritical psi near 0) makes R = Phi/Psi
+    # negative there, which no power law describes
+    if coeff is not None and coeff < 0:
+        return None
     # probe slopes carry float jitter; only a real spread means unequal indices
     if upper - lower <= 1e-6:
         return 0.5 * (lower + upper)
     return None
 
 
-def _probed_profile(mech) -> Optional[_Profile]:
-    idx = indices(mech)
-    if idx.inconclusive:
-        return None
-    idx_inf = _collapse(idx.ind_lower_inf, idx.ind_upper_inf)
-    idx_0 = _collapse(idx.ind_lower_0, idx.ind_upper_0)
-    return _Profile(idx_inf, None, idx_0, None, exact=False)
+def _ratio_end(psi_end, phi_end):
+    """(index, sR(s) bound) of R = Phi/Psi at one end, None where unknown.
+
+    Each argument is a profile's (lower index, upper index, coefficient)
+    at that end.
+    """
+    psi_idx, phi_idx = _power_index(*psi_end), _power_index(*phi_end)
+    if psi_idx is None or phi_idx is None:
+        return None, None
+    index = phi_idx - psi_idx
+    if index != -1.0:
+        return index, math.inf if index > -1.0 else 0.0
+    psi_coeff, phi_coeff = psi_end[2], phi_end[2]
+    if psi_coeff is None or phi_coeff is None:
+        return index, None
+    return index, phi_coeff / psi_coeff
 
 
 def is_supercritical(psi: BranchingMechanism) -> bool:
@@ -200,42 +169,19 @@ def is_supercritical(psi: BranchingMechanism) -> bool:
 
 
 def regvar_summary(psi, phi) -> Optional[RegVarSummary]:
-    """Index data of R = Phi/Psi; None when a profile is unavailable."""
-    pp, fp = _profile(psi), _profile(phi)
-    if pp is None or fp is None:
+    """Index data of R = Phi/Psi; None when a profile is inconclusive."""
+    pp, fp = indices(psi), indices(phi)
+    if pp.inconclusive or fp.inconclusive:
         return None
-    exact = pp.exact and fp.exact
-
-    rho = None
-    r_upper = r_lower = None
-    if pp.idx_inf is not None and fp.idx_inf is not None:
-        rho = fp.idx_inf - pp.idx_inf
-        if rho > -1.0:
-            r_upper = r_lower = math.inf
-        elif rho < -1.0:
-            r_upper = r_lower = 0.0
-        elif fp.coeff_inf is not None and pp.coeff_inf is not None:
-            r_upper = r_lower = fp.coeff_inf / pp.coeff_inf
-
-    kappa = None
-    k_upper = k_lower = None
-    if pp.idx_0 is not None and fp.idx_0 is not None:
-        kappa = fp.idx_0 - pp.idx_0
-        if kappa > -1.0:
-            k_upper = k_lower = math.inf
-        elif kappa < -1.0:
-            k_upper = k_lower = 0.0
-        elif fp.coeff_0 is not None and pp.coeff_0 is not None and pp.coeff_0 > 0:
-            k_upper = k_lower = fp.coeff_0 / pp.coeff_0
-
-    psi_idx = indices(psi)
+    rho, r_bound = _ratio_end(pp.at_inf, fp.at_inf)
+    kappa, k_bound = _ratio_end(pp.at_0, fp.at_0)
     return RegVarSummary(
         rho=rho, kappa=kappa,
-        r_upper=r_upper, r_lower=r_lower,
-        k_upper=k_upper, k_lower=k_lower,
-        ind_upper_inf=psi_idx.ind_upper_inf, ind_lower_inf=psi_idx.ind_lower_inf,
-        ind_upper_0=psi_idx.ind_upper_0, ind_lower_0=psi_idx.ind_lower_0,
-        exact=exact,
+        r_upper=r_bound, r_lower=r_bound,
+        k_upper=k_bound, k_lower=k_bound,
+        ind_upper_inf=pp.ind_upper_inf, ind_lower_inf=pp.ind_lower_inf,
+        ind_upper_0=pp.ind_upper_0, ind_lower_0=pp.ind_lower_0,
+        exact=pp.closed_form and fp.closed_form,
     )
 
 

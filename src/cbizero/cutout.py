@@ -39,7 +39,7 @@ import numpy as np
 from scipy import optimize
 
 from .flow import solver
-from .mechanisms import evaluate, largest_root
+from .mechanisms import largest_root
 from .quadrature import adaptive
 from .zeroset import gzero_density, least_squares_line
 
@@ -131,10 +131,10 @@ class DurationSampler:
         flow = solver(psi)
 
         def tail(t: float) -> float:
-            return evaluate(phi, flow.v_from_infinity(t))
+            return phi(flow.v_from_infinity(t))
 
         return cls.from_tail(tail, eps,
-                             atom_mass=evaluate(phi, largest_root(psi)))
+                             atom_mass=phi(largest_root(psi)))
 
     @classmethod
     def from_tail(cls, tail: Callable[[float], float], eps: float,

@@ -6,7 +6,9 @@ Both are computed by inverting the time integral t = int_v^lam dq/psi(q)
 rather than by stepping the ODE, which sidesteps the stiffness near
 t -> 0 where the boundary solution blows up.
 
-Stable and quadratic mechanisms use closed forms; everything else falls
+Each solve first asks the mechanism's closed-form flow hook
+(``closed_tail_time``, ``closed_v_from_lambda``,
+``closed_v_from_infinity``); when the family has none, the solver falls
 back to an octave-walk accumulation of the time integral followed by
 root refinement inside the crossing octave.
 """
@@ -23,8 +25,6 @@ from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
     MechanismDomainError,
-    QuadraticBranching,
-    StableBranching,
     grey_check,
     largest_root,
 )
@@ -73,17 +73,10 @@ class FlowSolver:
         """Time for the boundary flow to descend to level a."""
         if not a > 0:
             raise MechanismDomainError(f"tail_time needs a > 0, got {a}")
+        closed = self.psi.closed_tail_time(a)
+        if closed is not None:
+            return closed
         psi = self.psi
-        if isinstance(psi, StableBranching):
-            return a ** (1.0 - psi.alpha) / (psi.d * (psi.alpha - 1.0))
-        if isinstance(psi, QuadraticBranching) and psi.sigma2 > 0:
-            if psi.b == 0.0:
-                return 2.0 / (psi.sigma2 * a)
-            ratio = 2.0 * psi.b / (psi.sigma2 * a)
-            if ratio <= -1.0:  # at or below the supercritical root
-                raise MechanismDomainError(
-                    f"tail_time needs a above the largest root, got {a}")
-            return math.log1p(ratio) / psi.b
         if not grey_check(psi).is_yes:
             raise GreyConditionError("v from infinity undefined: Grey's condition fails")
         if not psi(a) > 0:
@@ -113,26 +106,8 @@ class FlowSolver:
             return self.v_from_infinity(t) if t > 0 else math.inf
         if lam == 0.0 or t == 0.0:
             return lam
-        psi = self.psi
-        if isinstance(psi, StableBranching):
-            am1 = psi.alpha - 1.0
-            return (lam ** -am1 + psi.d * am1 * t) ** (-1.0 / am1)
-        if isinstance(psi, QuadraticBranching) and psi.sigma2 > 0:
-            # 1/v satisfies a linear ODE; this form is stable for either sign of b
-            if psi.b == 0.0:
-                return 1.0 / (1.0 / lam + 0.5 * psi.sigma2 * t)
-            try:
-                growth = math.exp(psi.b * t)
-                spread = math.expm1(psi.b * t)
-            except OverflowError:
-                return 0.0  # b > 0 and t huge: level underflows
-            denom = growth / lam + psi.sigma2 / (2.0 * psi.b) * spread
-            if math.isinf(denom):
-                return 0.0
-            return 1.0 / denom
-        if isinstance(psi, QuadraticBranching):  # sigma2 == 0, pure drift b > 0
-            return lam * math.exp(-psi.b * t)
-        return self._v_numeric(t, lam)
+        closed = self.psi.closed_v_from_lambda(t, lam)
+        return self._v_numeric(t, lam) if closed is None else closed
 
     def _v_numeric(self, t: float, lam: float) -> float:
         psi = self.psi
@@ -204,23 +179,10 @@ class FlowSolver:
         """Boundary flow level v_t with v_{0+} = infinity; needs Grey."""
         if not t > 0:
             raise MechanismDomainError(f"time must be > 0, got {t}")
-        psi = self.psi
-        if isinstance(psi, StableBranching):
-            am1 = psi.alpha - 1.0
-            return (psi.d * am1 * t) ** (-1.0 / am1)
-        if isinstance(psi, QuadraticBranching) and psi.sigma2 > 0:
-            if psi.b == 0.0:
-                return 2.0 / (psi.sigma2 * t)
-            try:
-                spread = math.expm1(psi.b * t)
-            except OverflowError:
-                return 0.0
-            if math.isinf(spread):
-                return 0.0
-            if spread == 0.0:  # b*t underflowed; b -> 0 limit
-                return 2.0 / (psi.sigma2 * t)
-            return 2.0 * psi.b / (psi.sigma2 * spread)
-        if not grey_check(psi).is_yes:
+        closed = self.psi.closed_v_from_infinity(t)
+        if closed is not None:
+            return closed
+        if not grey_check(self.psi).is_yes:
             raise GreyConditionError("v from infinity undefined: Grey's condition fails")
         lo = self.v_from_lambda(t, self.v_cap * 0.99)
         if lo == 0.0:

@@ -3,12 +3,20 @@
 Two families of Laplace exponents drive everything in this package: a
 convex branching exponent (``psi`` throughout, vanishing at 0) and a
 concave nondecreasing immigration exponent (``phi``, also vanishing at
-0).  Built-in families carry closed-form growth indices; user-supplied
-mechanisms either declare their indices or fall back to log-log slope
-probes with an explicit inconclusive flag.
+0).
 
-Mechanisms are frozen dataclasses and are directly callable.  A small
-text grammar (``parse_mechanism`` / ``mechanism_spec``) round-trips the
+Each family is one frozen, callable dataclass that owns what only it
+knows: its growth profile (indices and leading coefficients at infinity
+and at zero), its largest root, its derivative at 0 or its drift, its
+compound-Poisson verdict, its scaling, closed-form flow hooks and its
+spec-string grammar.  The base classes ``BranchingMechanism`` and
+``ImmigrationMechanism`` carry the generic route every user-supplied
+mechanism takes: log-log slope probes with an explicit inconclusive
+flag, positivity probes and finite differences.  The module functions
+ask the mechanism, so no caller dispatches on the family.
+
+A small text grammar (``parse_mechanism`` / ``mechanism_spec``) reads
+each family's ``spec_family`` and ``spec_keys`` to round-trip the
 built-in families for the command line and config files.
 """
 
@@ -76,8 +84,16 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class MechanismIndices:
-    """Growth indices at infinity and at zero, with certainty flags."""
+class GrowthProfile:
+    """Growth of a mechanism at infinity and at zero.
+
+    The lower and upper indices bound the log-log slope at each end;
+    ``coeff_inf`` and ``coeff_0`` are the leading coefficients of the
+    power law there, None when unknown.  ``exact`` means the indices are
+    closed form or declared rather than probed, ``closed_form`` that
+    every value is family data, and ``inconclusive`` that the probed
+    slopes spread too widely to name an index.
+    """
 
     ind_lower_inf: float
     ind_upper_inf: float
@@ -85,20 +101,180 @@ class MechanismIndices:
     ind_upper_0: float
     exact: bool
     inconclusive: bool
+    coeff_inf: Optional[float] = None
+    coeff_0: Optional[float] = None
+    closed_form: bool = False
+
+    @staticmethod
+    def power(ind_inf, coeff_inf, ind_0, coeff_0) -> "GrowthProfile":
+        """Closed-form family data: one index and coefficient at each end."""
+        return GrowthProfile(ind_inf, ind_inf, ind_0, ind_0, exact=True,
+                             inconclusive=False, coeff_inf=coeff_inf,
+                             coeff_0=coeff_0, closed_form=True)
+
+    @property
+    def at_inf(self):
+        return self.ind_lower_inf, self.ind_upper_inf, self.coeff_inf
+
+    @property
+    def at_0(self):
+        return self.ind_lower_0, self.ind_upper_0, self.coeff_0
 
 
-class BranchingMechanism:
+_PROBE_INF = tuple(10.0 ** k for k in range(2, 9))
+_PROBE_ZERO = tuple(10.0 ** (-k) for k in range(8, 1, -1))
+_PROBE_SPREAD = 0.02
+
+
+def _loglog_slopes(fn, grid):
+    values = []
+    for x in grid:
+        v = fn(x)
+        if not (v > 0) or math.isinf(v):
+            raise EvaluationError(
+                f"index probe needs positive finite values, got {v} at {x}")
+        values.append(v)
+    slopes = []
+    for i in range(len(grid) - 1):
+        slopes.append((math.log(values[i + 1]) - math.log(values[i]))
+                      / (math.log(grid[i + 1]) - math.log(grid[i])))
+    return min(slopes), max(slopes)
+
+
+def _probe_profile(fn) -> GrowthProfile:
+    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF)
+    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO)
+    inconclusive = (hi_inf - lo_inf > _PROBE_SPREAD) or (hi_0 - lo_0 > _PROBE_SPREAD)
+    return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, exact=False,
+                         inconclusive=inconclusive)
+
+
+def _declared_or_probe(mech) -> GrowthProfile:
+    declared = (mech.ind_lower, mech.ind_upper, mech.ind0_lower, mech.ind0_upper)
+    if all(v is not None for v in declared):
+        return GrowthProfile(*declared, exact=True, inconclusive=False)
+    probed = _probe_profile(mech)
+    merged = [d if d is not None else p
+              for d, p in zip(declared, (probed.ind_lower_inf, probed.ind_upper_inf,
+                                         probed.ind_lower_0, probed.ind_upper_0))]
+    return GrowthProfile(*merged, exact=False, inconclusive=probed.inconclusive)
+
+
+_THETA_MAX_EXP = 100
+_THETA_SAMPLES = 50
+
+
+def _positive_beyond(psi, theta):
+    # 50 log-spaced samples over [theta, 1e6 * theta]
+    step = 1e6 ** (1.0 / (_THETA_SAMPLES - 1))
+    q = theta
+    for _ in range(_THETA_SAMPLES):
+        if not psi(q) > 0:
+            return False
+        q *= step
+    return True
+
+
+class Mechanism:
+    """What every mechanism answers, with the generic probed route.
+
+    A family with a spec-string form sets ``spec_family`` and
+    ``spec_keys`` (spec key -> field name, in spec-string order) and is
+    listed in ``_SPEC_FAMILIES``.
+    """
+
+    spec_family: Optional[str] = None
+    spec_keys: dict = {}
+
+    def __call__(self, q: float) -> float:
+        raise NotImplementedError
+
+    def profile(self) -> GrowthProfile:
+        """Growth profile; probed from log-log slopes unless known."""
+        return _probe_profile(self)
+
+    def spec(self) -> str:
+        if self.spec_family is None:
+            raise MechanismDomainError(f"{type(self).__name__} has no spec-string form")
+        params = ",".join(f"{key}={getattr(self, field)!r}"
+                          for key, field in self.spec_keys.items())
+        return f"{self.spec_family}:{params}"
+
+
+class BranchingMechanism(Mechanism):
     """Base class for convex branching exponents."""
 
-    def __call__(self, q: float) -> float:
-        raise NotImplementedError
+    kind = "branching"
+
+    def closed_root(self) -> Optional[float]:
+        """Largest root in closed form; None leaves it to the numeric search."""
+        return None
+
+    def probed_threshold(self) -> float:
+        """Smallest power of two >= 1 past which probes of psi stay positive."""
+        theta = 1.0
+        for _ in range(_THETA_MAX_EXP):
+            if _positive_beyond(self, theta):
+                return theta
+            theta *= 2.0
+        raise PositivityError("no positivity threshold found up to 2**100")
+
+    def derivative_at_zero(self) -> float:
+        h = 1e-8
+        return self(h) / h
+
+    # Closed-form flow hooks.  None sends FlowSolver to its numeric route;
+    # arguments arrive validated (a > 0; t > 0, and lam > 0 finite).
+
+    def closed_tail_time(self, a: float) -> Optional[float]:
+        return None
+
+    def closed_v_from_lambda(self, t: float, lam: float) -> Optional[float]:
+        return None
+
+    def closed_v_from_infinity(self, t: float) -> Optional[float]:
+        return None
 
 
-class ImmigrationMechanism:
+_CPP_PROBES = (1e4, 1e6, 1e8)
+_CPP_REL = 1e-3
+
+
+class ImmigrationMechanism(Mechanism):
     """Base class for concave nondecreasing immigration exponents."""
 
-    def __call__(self, q: float) -> float:
-        raise NotImplementedError
+    kind = "immigration"
+
+    def linear_drift(self) -> float:
+        return 0.0
+
+    def compound_poisson(self) -> Verdict:
+        """Bounded exponent and no drift, judged from probes at large q."""
+        drift = self.linear_drift()
+        if drift > 0:
+            return Verdict.no({"drift": drift})
+        probes = [self(q) for q in _CPP_PROBES]
+        evidence = {"drift": drift, "probes": dict(zip(_CPP_PROBES, probes))}
+        if probes[-1] == 0.0:
+            return Verdict.no({**evidence, "note": "exponent vanishes at the probes"})
+        changes = [abs(b - a) / abs(a) if a != 0 else math.inf
+                   for a, b in zip(probes, probes[1:])]
+        evidence["relative_changes"] = changes
+        if all(c < _CPP_REL for c in changes):
+            return Verdict.yes(evidence)
+        if all(c >= _CPP_REL for c in changes):
+            return Verdict.no(evidence)
+        return Verdict.inconclusive(evidence)
+
+    def scaled(self, c: float) -> "ImmigrationMechanism":
+        """q -> c * phi(q) as a custom mechanism declaring this profile."""
+        idx = self.profile()
+        return CustomImmigration(
+            eval=lambda q, _p=self, _c=c: _c * _p(q),
+            drift=c * self.linear_drift(),
+            ind_lower=idx.ind_lower_inf, ind_upper=idx.ind_upper_inf,
+            ind0_lower=idx.ind_lower_0, ind0_upper=idx.ind_upper_0,
+        )
 
 
 def _check_arg(q):
@@ -112,6 +288,9 @@ class StableBranching(BranchingMechanism):
 
     d: float
     alpha: float
+
+    spec_family = "stable"
+    spec_keys = {"d": "d", "alpha": "alpha"}
 
     def __post_init__(self):
         if not self.d > 0:
@@ -129,6 +308,26 @@ class StableBranching(BranchingMechanism):
         except OverflowError:
             return math.inf
 
+    def profile(self):
+        return GrowthProfile.power(self.alpha, self.d, self.alpha, self.d)
+
+    def closed_root(self):
+        return 0.0
+
+    def derivative_at_zero(self):
+        return 0.0
+
+    def closed_tail_time(self, a):
+        return a ** (1.0 - self.alpha) / (self.d * (self.alpha - 1.0))
+
+    def closed_v_from_lambda(self, t, lam):
+        am1 = self.alpha - 1.0
+        return (lam ** -am1 + self.d * am1 * t) ** (-1.0 / am1)
+
+    def closed_v_from_infinity(self, t):
+        am1 = self.alpha - 1.0
+        return (self.d * am1 * t) ** (-1.0 / am1)
+
 
 @dataclass(frozen=True)
 class QuadraticBranching(BranchingMechanism):
@@ -136,6 +335,9 @@ class QuadraticBranching(BranchingMechanism):
 
     b: float
     sigma2: float
+
+    spec_family = "quadratic"
+    spec_keys = {"b": "b", "sigma2": "sigma2"}
 
     def __post_init__(self):
         if self.sigma2 < 0:
@@ -146,6 +348,65 @@ class QuadraticBranching(BranchingMechanism):
     def __call__(self, q: float) -> float:
         _check_arg(q)
         return self.b * q + 0.5 * self.sigma2 * q * q
+
+    def profile(self):
+        # the leading coefficient at 0 is b, negative when supercritical
+        half = 0.5 * self.sigma2
+        at_inf = (2.0, half) if half > 0 else (1.0, self.b)
+        at_0 = (1.0, self.b) if self.b != 0 else (2.0, half)
+        return GrowthProfile.power(*at_inf, *at_0)
+
+    def closed_root(self):
+        if self.sigma2 == 0.0:
+            if self.b > 0:
+                return 0.0
+            raise PositivityError("branching exponent is nonpositive everywhere")
+        return max(0.0, -2.0 * self.b / self.sigma2)
+
+    def derivative_at_zero(self):
+        return self.b
+
+    def closed_tail_time(self, a):
+        if self.sigma2 == 0.0:
+            return None  # pure drift fails Grey's condition
+        if self.b == 0.0:
+            return 2.0 / (self.sigma2 * a)
+        ratio = 2.0 * self.b / (self.sigma2 * a)
+        if ratio <= -1.0:  # at or below the supercritical root
+            raise MechanismDomainError(
+                f"tail_time needs a above the largest root, got {a}")
+        return math.log1p(ratio) / self.b
+
+    def closed_v_from_lambda(self, t, lam):
+        if self.sigma2 == 0.0:  # pure drift
+            return lam * math.exp(-self.b * t)
+        # 1/v satisfies a linear ODE; this form is stable for either sign of b
+        if self.b == 0.0:
+            return 1.0 / (1.0 / lam + 0.5 * self.sigma2 * t)
+        try:
+            growth = math.exp(self.b * t)
+            spread = math.expm1(self.b * t)
+        except OverflowError:
+            return 0.0  # b > 0 and t huge: level underflows
+        denom = growth / lam + self.sigma2 / (2.0 * self.b) * spread
+        if math.isinf(denom):
+            return 0.0
+        return 1.0 / denom
+
+    def closed_v_from_infinity(self, t):
+        if self.sigma2 == 0.0:
+            return None  # pure drift fails Grey's condition
+        if self.b == 0.0:
+            return 2.0 / (self.sigma2 * t)
+        try:
+            spread = math.expm1(self.b * t)
+        except OverflowError:
+            return 0.0
+        if math.isinf(spread):
+            return 0.0
+        if spread == 0.0:  # b*t underflowed; b -> 0 limit
+            return 2.0 / (self.sigma2 * t)
+        return 2.0 * self.b / (self.sigma2 * spread)
 
 
 @dataclass(frozen=True)
@@ -185,6 +446,25 @@ class CustomBranching(BranchingMechanism):
         except Exception as exc:
             raise EvaluationError(f"custom branching handle failed at q={q}") from exc
 
+    def profile(self):
+        return _declared_or_probe(self)
+
+    def probed_threshold(self):
+        if self.theta is None:
+            return super().probed_threshold()
+        theta = 1.0
+        while theta < self.theta:
+            theta *= 2.0
+        if not _positive_beyond(self, theta):
+            raise PositivityError(
+                f"declared threshold {self.theta} fails the positivity probe")
+        return theta
+
+    def derivative_at_zero(self):
+        if self.deriv0 is not None:
+            return self.deriv0
+        return super().derivative_at_zero()
+
 
 @dataclass(frozen=True)
 class StableImmigration(ImmigrationMechanism):
@@ -192,6 +472,9 @@ class StableImmigration(ImmigrationMechanism):
 
     dprime: float
     beta: float
+
+    spec_family = "stable"
+    spec_keys = {"d": "dprime", "beta": "beta"}
 
     def __post_init__(self):
         if not self.dprime > 0:
@@ -209,6 +492,15 @@ class StableImmigration(ImmigrationMechanism):
         except OverflowError:
             return math.inf
 
+    def profile(self):
+        return GrowthProfile.power(self.beta, self.dprime, self.beta, self.dprime)
+
+    def linear_drift(self):
+        return self.dprime if self.beta == 1.0 else 0.0
+
+    def scaled(self, c):
+        return StableImmigration(dprime=c * self.dprime, beta=self.beta)
+
 
 @dataclass(frozen=True)
 class GammaImmigration(ImmigrationMechanism):
@@ -217,6 +509,9 @@ class GammaImmigration(ImmigrationMechanism):
     a: float
     b: float
 
+    spec_family = "gamma"
+    spec_keys = {"a": "a", "b": "b"}
+
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise MechanismDomainError("gamma immigration needs a > 0 and b > 0")
@@ -224,6 +519,13 @@ class GammaImmigration(ImmigrationMechanism):
     def __call__(self, q: float) -> float:
         _check_arg(q)
         return self.a * math.log1p(q / self.b)
+
+    def profile(self):
+        # slowly varying (log) at infinity: index 0, no power coefficient
+        return GrowthProfile.power(0.0, None, 1.0, self.a / self.b)
+
+    def scaled(self, c):
+        return GammaImmigration(a=c * self.a, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -236,6 +538,9 @@ class LampertiImmigration(ImmigrationMechanism):
     """
 
     beta: float
+
+    spec_family = "lamperti"
+    spec_keys = {"beta": "beta"}
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
@@ -262,11 +567,11 @@ class LampertiImmigration(ImmigrationMechanism):
         except OverflowError:
             return math.inf
 
+    def profile(self):
+        return GrowthProfile.power(self.beta, 1.0 / math.gamma(self.beta), 1.0, 1.0)
 
-def _exponential_jump_exponent(mass):
-    def phi(q):
-        return mass * q / (1.0 + q)
-    return phi
+    def linear_drift(self):
+        return 1.0 if self.beta == 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -280,6 +585,9 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
 
     mass: float
     tail: Optional[Callable[[float], float]] = None
+
+    spec_family = "cpp"
+    spec_keys = {"mass": "mass"}
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -301,6 +609,27 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
                 raise EvaluationError(f"compound Poisson handle failed at q={q}") from exc
         return self.mass * q / (1.0 + q)
 
+    def profile(self):
+        if self.tail is None:
+            return GrowthProfile.power(0.0, self.mass, 1.0, self.mass)
+        return super().profile()
+
+    def compound_poisson(self):
+        return Verdict.yes({"family": "compound-poisson", "mass": self.mass})
+
+    def scaled(self, c):
+        if self.tail is None:
+            return CompoundPoissonImmigration(mass=c * self.mass)
+        base = self.tail
+        return CompoundPoissonImmigration(mass=c * self.mass,
+                                          tail=lambda q: c * base(q))
+
+    def spec(self):
+        if self.tail is not None:
+            raise MechanismDomainError(
+                "compound Poisson with a custom handle has no spec-string form")
+        return super().spec()
+
 
 @dataclass(frozen=True)
 class CustomImmigration(ImmigrationMechanism):
@@ -308,7 +637,6 @@ class CustomImmigration(ImmigrationMechanism):
 
     eval: Callable[[float], float]
     drift: float = 0.0
-    finite_levy_mass: str = "unknown"  # "yes" | "no" | "unknown"
     ind_lower: Optional[float] = None
     ind_upper: Optional[float] = None
     ind0_lower: Optional[float] = None
@@ -317,8 +645,6 @@ class CustomImmigration(ImmigrationMechanism):
     def __post_init__(self):
         if self.drift < 0:
             raise MechanismDomainError("immigration drift must be >= 0")
-        if self.finite_levy_mass not in ("yes", "no", "unknown"):
-            raise MechanismDomainError("finite_levy_mass must be yes/no/unknown")
         try:
             at_zero = self.eval(0.0)
         except Exception as exc:
@@ -335,138 +661,36 @@ class CustomImmigration(ImmigrationMechanism):
         except Exception as exc:
             raise EvaluationError(f"custom immigration handle failed at q={q}") from exc
 
+    def profile(self):
+        return _declared_or_probe(self)
 
-def evaluate(mech, q: float) -> float:
-    """Evaluate a mechanism at q >= 0 (domain-checked)."""
-    return mech(q)
-
-
-_PROBE_INF = tuple(10.0 ** k for k in range(2, 9))
-_PROBE_ZERO = tuple(10.0 ** (-k) for k in range(8, 1, -1))
-_PROBE_SPREAD = 0.02
+    def linear_drift(self):
+        return self.drift
 
 
-def _loglog_slopes(fn, grid):
-    values = []
-    for x in grid:
-        v = fn(x)
-        if not (v > 0) or math.isinf(v):
-            raise EvaluationError(
-                f"index probe needs positive finite values, got {v} at {x}")
-        values.append(v)
-    slopes = []
-    for i in range(len(grid) - 1):
-        slopes.append((math.log(values[i + 1]) - math.log(values[i]))
-                      / (math.log(grid[i + 1]) - math.log(grid[i])))
-    return min(slopes), max(slopes)
-
-
-def _probe_indices(fn):
-    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF)
-    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO)
-    inconclusive = (hi_inf - lo_inf > _PROBE_SPREAD) or (hi_0 - lo_0 > _PROBE_SPREAD)
-    return MechanismIndices(lo_inf, hi_inf, lo_0, hi_0, exact=False,
-                            inconclusive=inconclusive)
-
-
-def _declared_or_probe(mech):
-    declared = (mech.ind_lower, mech.ind_upper, mech.ind0_lower, mech.ind0_upper)
-    if all(v is not None for v in declared):
-        return MechanismIndices(*declared, exact=True, inconclusive=False)
-    probed = _probe_indices(mech)
-    merged = (
-        declared[0] if declared[0] is not None else probed.ind_lower_inf,
-        declared[1] if declared[1] is not None else probed.ind_upper_inf,
-        declared[2] if declared[2] is not None else probed.ind_lower_0,
-        declared[3] if declared[3] is not None else probed.ind_upper_0,
-    )
-    return MechanismIndices(*merged, exact=False, inconclusive=probed.inconclusive)
-
-
-def indices(mech) -> MechanismIndices:
-    """Growth indices of a mechanism; closed form for built-in families."""
-    if isinstance(mech, StableBranching):
-        a = mech.alpha
-        return MechanismIndices(a, a, a, a, exact=True, inconclusive=False)
-    if isinstance(mech, QuadraticBranching):
-        at_inf = 2.0 if mech.sigma2 > 0 else 1.0
-        at_zero = 1.0 if mech.b != 0 else 2.0
-        return MechanismIndices(at_inf, at_inf, at_zero, at_zero,
-                                exact=True, inconclusive=False)
-    if isinstance(mech, StableImmigration):
-        b = mech.beta
-        return MechanismIndices(b, b, b, b, exact=True, inconclusive=False)
-    if isinstance(mech, GammaImmigration):
-        return MechanismIndices(0.0, 0.0, 1.0, 1.0, exact=True, inconclusive=False)
-    if isinstance(mech, LampertiImmigration):
-        b = mech.beta
-        return MechanismIndices(b, b, 1.0, 1.0, exact=True, inconclusive=False)
-    if isinstance(mech, CompoundPoissonImmigration):
-        if mech.tail is None:
-            return MechanismIndices(0.0, 0.0, 1.0, 1.0, exact=True, inconclusive=False)
-        return _probe_indices(mech)
-    if isinstance(mech, (CustomBranching, CustomImmigration)):
-        return _declared_or_probe(mech)
-    raise TypeError(f"not a mechanism: {mech!r}")
-
-
-_THETA_MAX_EXP = 100
-_THETA_SAMPLES = 50
-
-
-def _positive_beyond(psi, theta):
-    # 50 log-spaced samples over [theta, 1e6 * theta]
-    step = 1e6 ** (1.0 / (_THETA_SAMPLES - 1))
-    q = theta
-    for _ in range(_THETA_SAMPLES):
-        if not psi(q) > 0:
-            return False
-        q *= step
-    return True
+def indices(mech) -> GrowthProfile:
+    """Growth profile of a mechanism; closed form for built-in families."""
+    return mech.profile()
 
 
 @lru_cache(maxsize=512)
 def positivity_threshold(psi) -> float:
     """Smallest power of two >= 1 past which psi stays positive."""
-    if isinstance(psi, StableBranching):
-        return 1.0
-    if isinstance(psi, QuadraticBranching):
-        if psi.sigma2 == 0.0:
-            if psi.b > 0:
-                return 1.0
-            raise PositivityError("branching exponent is nonpositive everywhere")
-        root = max(0.0, -2.0 * psi.b / psi.sigma2)
-        theta = 1.0
-        while theta <= root:
-            theta *= 2.0
-        return theta
-    if isinstance(psi, CustomBranching) and psi.theta is not None:
-        theta = 1.0
-        while theta < psi.theta:
-            theta *= 2.0
-        if not _positive_beyond(psi, theta):
-            raise PositivityError(
-                f"declared threshold {psi.theta} fails the positivity probe")
-        return theta
+    root = psi.closed_root()
+    if root is None:
+        return psi.probed_threshold()
     theta = 1.0
-    for _ in range(_THETA_MAX_EXP):
-        if _positive_beyond(psi, theta):
-            return theta
+    while theta <= root:
         theta *= 2.0
-    raise PositivityError("no positivity threshold found up to 2**100")
+    return theta
 
 
 @lru_cache(maxsize=512)
 def largest_root(psi) -> float:
     """Largest root of the branching exponent (0 unless supercritical)."""
-    if isinstance(psi, StableBranching):
-        return 0.0
-    if isinstance(psi, QuadraticBranching):
-        if psi.sigma2 == 0.0:
-            if psi.b > 0:
-                return 0.0
-            raise PositivityError("branching exponent is nonpositive everywhere")
-        return max(0.0, -2.0 * psi.b / psi.sigma2)
+    root = psi.closed_root()
+    if root is not None:
+        return root
     theta = positivity_threshold(psi)
     hi = theta
     lo = theta / 2.0
@@ -485,41 +709,12 @@ def largest_root(psi) -> float:
 
 def branching_derivative_at_zero(psi) -> float:
     """Right derivative of psi at 0 (sign decides sub/super-critical)."""
-    if isinstance(psi, StableBranching):
-        return 0.0
-    if isinstance(psi, QuadraticBranching):
-        return psi.b
-    if isinstance(psi, CustomBranching) and psi.deriv0 is not None:
-        return psi.deriv0
-    h = 1e-8
-    return psi(h) / h
+    return psi.derivative_at_zero()
 
 
 def immigration_drift(phi) -> float:
     """Linear drift part of the immigration exponent."""
-    if isinstance(phi, StableImmigration):
-        return phi.dprime if phi.beta == 1.0 else 0.0
-    if isinstance(phi, LampertiImmigration):
-        return 1.0 if phi.beta == 1.0 else 0.0
-    if isinstance(phi, (GammaImmigration, CompoundPoissonImmigration)):
-        return 0.0
-    if isinstance(phi, CustomImmigration):
-        return phi.drift
-    raise TypeError(f"not an immigration mechanism: {phi!r}")
-
-
-def immigration_slope_at_zero(phi) -> float:
-    """Coefficient c with phi(q) ~ c*q near 0, probed when unknown."""
-    if isinstance(phi, StableImmigration) and phi.beta == 1.0:
-        return phi.dprime
-    if isinstance(phi, GammaImmigration):
-        return phi.a / phi.b
-    if isinstance(phi, LampertiImmigration):
-        return 1.0
-    if isinstance(phi, CompoundPoissonImmigration) and phi.tail is None:
-        return phi.mass
-    h = 1e-8
-    return phi(h) / h
+    return phi.linear_drift()
 
 
 def _safe_recip(value: float) -> float:
@@ -558,58 +753,24 @@ def conservativity_check(psi) -> Verdict:
     return Verdict.inconclusive(evidence)
 
 
-_CPP_PROBES = (1e4, 1e6, 1e8)
-_CPP_REL = 1e-3
-
-
 def is_compound_poisson(phi) -> Verdict:
     """Driftless with bounded exponent, i.e. finite jump measure and no drift."""
-    if isinstance(phi, CompoundPoissonImmigration):
-        return Verdict.yes({"family": "compound-poisson", "mass": phi.mass})
-    drift = immigration_drift(phi)
-    if drift > 0:
-        return Verdict.no({"drift": drift})
-    probes = [phi(q) for q in _CPP_PROBES]
-    evidence = {"drift": drift, "probes": dict(zip(_CPP_PROBES, probes))}
-    if probes[-1] == 0.0:
-        return Verdict.no({**evidence, "note": "exponent vanishes at the probes"})
-    changes = [abs(b - a) / abs(a) if a != 0 else math.inf
-               for a, b in zip(probes, probes[1:])]
-    evidence["relative_changes"] = changes
-    if all(c < _CPP_REL for c in changes):
-        return Verdict.yes(evidence)
-    if all(c >= _CPP_REL for c in changes):
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
+    return phi.compound_poisson()
 
 
 def scale_immigration(phi, c: float):
     """Return the immigration mechanism q -> c * phi(q)."""
     if not c > 0:
         raise MechanismDomainError(f"scale factor must be > 0, got {c}")
-    if isinstance(phi, StableImmigration):
-        return StableImmigration(dprime=c * phi.dprime, beta=phi.beta)
-    if isinstance(phi, GammaImmigration):
-        return GammaImmigration(a=c * phi.a, b=phi.b)
-    if isinstance(phi, CompoundPoissonImmigration):
-        if phi.tail is None:
-            return CompoundPoissonImmigration(mass=c * phi.mass)
-        base = phi.tail
-        return CompoundPoissonImmigration(mass=c * phi.mass,
-                                          tail=lambda q: c * base(q))
-    idx = indices(phi)
-    return CustomImmigration(
-        eval=lambda q, _p=phi, _c=c: _c * _p(q),
-        drift=c * immigration_drift(phi),
-        finite_levy_mass=getattr(phi, "finite_levy_mass", "unknown")
-        if isinstance(phi, CustomImmigration) else
-        ("yes" if isinstance(phi, CompoundPoissonImmigration) else "no"),
-        ind_lower=idx.ind_lower_inf, ind_upper=idx.ind_upper_inf,
-        ind0_lower=idx.ind_lower_0, ind0_upper=idx.ind_upper_0,
-    )
+    return phi.scaled(c)
 
 
 # --- mechanism mini-grammar ---------------------------------------------
+
+# families with a spec string; "stable" tries branching before immigration
+_SPEC_FAMILIES = (StableBranching, QuadraticBranching, StableImmigration,
+                  GammaImmigration, LampertiImmigration, CompoundPoissonImmigration)
+
 
 class MechanismParseError(ValueError):
     """Malformed mechanism spec string; carries the character position."""
@@ -619,15 +780,8 @@ class MechanismParseError(ValueError):
         self.position = position
 
 
-_FAMILY_KEYS = {
-    "quadratic": {"b", "sigma2"},
-    "gamma": {"a", "b"},
-    "lamperti": {"beta"},
-    "cpp": {"mass"},
-}
-
-
 def _parse_params(body, offset):
+    # positions count the raw text: offset is where body starts in the spec
     params = {}
     cursor = offset
     if not body:
@@ -636,16 +790,17 @@ def _parse_params(body, offset):
         if "=" not in item:
             raise MechanismParseError(f"expected key=value, got {item!r}", cursor)
         key, _, raw = item.partition("=")
-        key = key.strip()
-        if not key:
+        name = key.strip()
+        if not name:
             raise MechanismParseError("empty parameter name", cursor)
-        if key in params:
-            raise MechanismParseError(f"duplicate parameter {key!r}", cursor)
+        if name in params:
+            raise MechanismParseError(f"duplicate parameter {name!r}", cursor)
         try:
-            params[key] = float(raw)
+            params[name] = float(raw)
         except ValueError:
+            value_at = cursor + len(key) + 1 + len(raw) - len(raw.lstrip())
             raise MechanismParseError(
-                f"bad number {raw!r} for {key!r}", cursor + len(key) + 1) from None
+                f"bad number {raw!r} for {name!r}", value_at) from None
         cursor += len(item) + 1
     return params
 
@@ -657,33 +812,27 @@ def parse_mechanism(spec: str):
     text = spec.strip()
     if ":" not in text:
         raise MechanismParseError("expected family:params", 0)
+    family_at = len(spec) - len(spec.lstrip())
     family, _, body = text.partition(":")
+    body_at = family_at + len(family) + 1
     family = family.strip()
-    params = _parse_params(body, len(family) + 1)
+    params = _parse_params(body, body_at)
+    candidates = [cls for cls in _SPEC_FAMILIES if cls.spec_family == family]
+    if not candidates:
+        raise MechanismParseError(f"unknown mechanism family {family!r}", family_at)
+    matches = [cls for cls in candidates if set(cls.spec_keys) == set(params)]
+    if not matches:
+        if len(candidates) == 1:
+            message = f"{family} needs exactly {sorted(candidates[0].spec_keys)}"
+        else:
+            message = f"{family} needs either " + " or ".join(
+                f"{','.join(cls.spec_keys)} ({cls.kind})" for cls in candidates)
+        raise MechanismParseError(message, body_at)
+    cls = matches[0]
     try:
-        if family == "stable":
-            if set(params) == {"d", "alpha"}:
-                return StableBranching(d=params["d"], alpha=params["alpha"])
-            if set(params) == {"d", "beta"}:
-                return StableImmigration(dprime=params["d"], beta=params["beta"])
-            raise MechanismParseError(
-                "stable needs either d,alpha (branching) or d,beta (immigration)",
-                len(family) + 1)
-        if family in _FAMILY_KEYS:
-            expected = _FAMILY_KEYS[family]
-            if set(params) != expected:
-                raise MechanismParseError(
-                    f"{family} needs exactly {sorted(expected)}", len(family) + 1)
-            if family == "quadratic":
-                return QuadraticBranching(b=params["b"], sigma2=params["sigma2"])
-            if family == "gamma":
-                return GammaImmigration(a=params["a"], b=params["b"])
-            if family == "lamperti":
-                return LampertiImmigration(beta=params["beta"])
-            return CompoundPoissonImmigration(mass=params["mass"])
+        return cls(**{field: params[key] for key, field in cls.spec_keys.items()})
     except MechanismDomainError as exc:
-        raise MechanismParseError(str(exc), len(family) + 1) from exc
-    raise MechanismParseError(f"unknown mechanism family {family!r}", 0)
+        raise MechanismParseError(str(exc), body_at) from exc
 
 
 def parse_branching(spec: str) -> BranchingMechanism:
@@ -702,19 +851,4 @@ def parse_immigration(spec: str) -> ImmigrationMechanism:
 
 def mechanism_spec(mech) -> str:
     """Inverse of parse_mechanism for the built-in families (round-trip exact)."""
-    if isinstance(mech, StableBranching):
-        return f"stable:d={mech.d!r},alpha={mech.alpha!r}"
-    if isinstance(mech, QuadraticBranching):
-        return f"quadratic:b={mech.b!r},sigma2={mech.sigma2!r}"
-    if isinstance(mech, StableImmigration):
-        return f"stable:d={mech.dprime!r},beta={mech.beta!r}"
-    if isinstance(mech, GammaImmigration):
-        return f"gamma:a={mech.a!r},b={mech.b!r}"
-    if isinstance(mech, LampertiImmigration):
-        return f"lamperti:beta={mech.beta!r}"
-    if isinstance(mech, CompoundPoissonImmigration):
-        if mech.tail is not None:
-            raise MechanismDomainError(
-                "compound Poisson with a custom handle has no spec-string form")
-        return f"cpp:mass={mech.mass!r}"
-    raise MechanismDomainError(f"{type(mech).__name__} has no spec-string form")
+    return mech.spec()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +40,6 @@ from .mechanisms import (
     ImmigrationMechanism,
     MechanismDomainError,
     Verdict,
-    evaluate,
     largest_root,
 )
 from .quadrature import FINITE, INFINITE, adaptive, tail_verdict_upper
@@ -123,7 +122,7 @@ class _WeightTransform:
             edge = self.root * (1.0 + _ROOT_PAD)
             self.t_star: Optional[float] = self.flow.tail_time(edge)
             self.w_star = weight_between(psi, phi, self.v1, edge)
-            self.rate = evaluate(phi, self.root)
+            self.rate = phi(self.root)
         else:
             self.t_star = None
 
@@ -167,6 +166,7 @@ class _WeightTransform:
         # W decreases at the exact rate Phi(root)
         return math.exp(self.w_star - q * self.t_star) / (q + self.rate)
 
+    @cached_property
     def transform_at_zero(self):
         """(value, verdict) for int_0^inf exp(W(t)) dt."""
         if self.t_star is not None:
@@ -197,23 +197,12 @@ def laplace_exponent(psi, phi, q: float) -> float:
     _require_subordinator(psi, phi)
     machine = _transform_machine(psi, phi)
     if q == 0.0:
-        value, _ = machine.transform_at_zero()
+        value, _ = machine.transform_at_zero
         if math.isnan(value):
             raise ZeroSetError(
                 "boundedness of the zero set could not be certified")
         return 0.0 if math.isinf(value) else 1.0 / value
     return 1.0 / machine.transform(q)
-
-
-@lru_cache(maxsize=256)
-def _gzero_norm(psi, phi) -> float:
-    machine = _transform_machine(psi, phi)
-    value, _ = machine.transform_at_zero()
-    if not (0.0 < value < math.inf):
-        raise ZeroSetError(
-            "last-zero normalization diverged; quadrature disagrees with "
-            "the transience classification")
-    return value
 
 
 def gzero_density(psi, phi, t: float) -> float:
@@ -224,7 +213,13 @@ def gzero_density(psi, phi, t: float) -> float:
     if cls == RECURRENT:
         raise ZeroSetError("g∞ undefined (unbounded zero set)")
     machine = _transform_machine(psi, phi)
-    return machine.density(t) / _gzero_norm(psi, phi)
+    density = machine.density(t)
+    norm, _ = machine.transform_at_zero
+    if not (0.0 < norm < math.inf):
+        raise ZeroSetError(
+            "last-zero normalization diverged; quadrature disagrees with "
+            "the transience classification")
+    return density / norm
 
 
 def selfsimilar_index(alpha: float, d: float, dprime: float) -> float:
@@ -290,7 +285,7 @@ def subordinator_summary(psi, phi,
     drift = laplace_exponent(psi, phi, drift_probe) / drift_probe
 
     machine = _transform_machine(psi, phi)
-    value, certified = machine.transform_at_zero()
+    value, certified = machine.transform_at_zero
     if math.isnan(value):
         killed = Verdict.inconclusive(certified.evidence)
         l_zero = math.nan

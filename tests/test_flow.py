@@ -4,13 +4,24 @@ import math
 
 import pytest
 
+from cbizero.classify import is_supercritical
 from cbizero.flow import FlowError, FlowSolver, GreyConditionError, solver
 from cbizero.mechanisms import (
+    CompoundPoissonImmigration,
     CustomBranching,
+    CustomImmigration,
+    GammaImmigration,
+    LampertiImmigration,
     MechanismDomainError,
     QuadraticBranching,
     StableBranching,
     StableImmigration,
+    conservativity_check,
+    grey_check,
+    is_compound_poisson,
+    largest_root,
+    mechanism_spec,
+    positivity_threshold,
 )
 
 FELLER = StableBranching(d=1.0, alpha=2.0)          # psi = q^2
@@ -206,3 +217,94 @@ class TestSolverValidation:
             FlowSolver(psi=FELLER, quad_tol=1e-3)
         with pytest.raises(MechanismDomainError):
             FlowSolver(psi=FELLER, root_tol=0.0)
+
+
+# --- built-in families against their undeclared custom copies --------------
+
+ORACLE_BRANCHING = (
+    StableBranching(d=1.0, alpha=1.3),
+    StableBranching(d=2.0, alpha=1.5),
+    StableBranching(d=0.5, alpha=2.0),
+    QuadraticBranching(b=-1.0, sigma2=2.0),
+    QuadraticBranching(b=0.0, sigma2=2.0),
+    QuadraticBranching(b=1.0, sigma2=2.0),
+    QuadraticBranching(b=1.0, sigma2=0.0),
+)
+ORACLE_IMMIGRATION = (
+    StableImmigration(dprime=0.5, beta=1.0),
+    StableImmigration(dprime=1.0, beta=0.5),
+    GammaImmigration(a=1.0, b=2.0),
+    LampertiImmigration(beta=0.5),
+    CompoundPoissonImmigration(mass=2.0),
+)
+# both sides of the supercritical root 1 of quadratic:b=-1,sigma2=2
+TAIL_LEVELS = (0.7, 1.5, 4.0)
+BOUNDARY_TIMES = (0.3, 1.0, 3.0)
+FLOW_STARTS = ((0.5, 0.4), (2.0, 0.7), (0.5, 2.0), (1.0, 5.0))
+
+
+def _branching_copy(psi):
+    return CustomBranching(eval=lambda q: psi(q))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _assert_agree(family, copy, rel=None):
+    if isinstance(family, type):
+        assert copy is family
+    elif rel is None:
+        assert copy == family
+    else:
+        assert copy == pytest.approx(family, rel=rel)
+
+
+class TestCustomCopyOracle:
+    """Closed-form family routes against the numeric routes of a custom copy."""
+
+    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=mechanism_spec)
+    def test_checks_agree(self, psi):
+        copy = _branching_copy(psi)
+        for check in (positivity_threshold, is_supercritical,
+                      lambda m: grey_check(m).value,
+                      lambda m: conservativity_check(m).value):
+            _assert_agree(_outcome(check, psi), _outcome(check, copy))
+
+    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=mechanism_spec)
+    def test_flow_agrees(self, psi):
+        family, copy = FlowSolver(psi=psi), FlowSolver(psi=_branching_copy(psi))
+        for a in TAIL_LEVELS:
+            _assert_agree(_outcome(family.tail_time, a),
+                          _outcome(copy.tail_time, a), rel=1e-9)
+        for t in BOUNDARY_TIMES:
+            _assert_agree(_outcome(family.v_from_infinity, t),
+                          _outcome(copy.v_from_infinity, t), rel=1e-9)
+        for t, lam in FLOW_STARTS:
+            _assert_agree(_outcome(family.v_from_lambda, t, lam),
+                          _outcome(copy.v_from_lambda, t, lam), rel=1e-9)
+
+    def test_family_errors_reach_the_copy(self):
+        drift = QuadraticBranching(b=1.0, sigma2=0.0)
+        for psi in (drift, _branching_copy(drift)):
+            with pytest.raises(GreyConditionError):
+                FlowSolver(psi=psi).v_from_infinity(1.0)
+        for psi in (SUPER, _branching_copy(SUPER)):
+            with pytest.raises(MechanismDomainError):
+                FlowSolver(psi=psi).tail_time(0.7)
+
+    @pytest.mark.parametrize("phi", ORACLE_IMMIGRATION, ids=mechanism_spec)
+    def test_compound_poisson_agrees(self, phi):
+        copy = CustomImmigration(eval=lambda q: phi(q))
+        assert is_compound_poisson(copy).value == is_compound_poisson(phi).value
+
+    # psi(q) underflows to 0.0 near 0 and reads as a root
+    @pytest.mark.xfail(strict=True, reason="root search stops at an underflowed psi")
+    @pytest.mark.parametrize("psi", ORACLE_BRANCHING[:3] + ORACLE_BRANCHING[4:5],
+                             ids=mechanism_spec)
+    def test_copy_root_is_zero(self, psi):
+        assert largest_root(_branching_copy(psi)) == 0.0

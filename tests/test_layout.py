@@ -1,0 +1,59 @@
+"""Source layout: each mechanism family's knowledge lives in its class.
+
+The library asks a mechanism for its facts instead of dispatching on
+its family, so no ``isinstance`` names a concrete family class.  Every
+family also defines ``__call__`` in its own body, where the benchmark
+tracer wraps evaluations by class name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cbizero"
+BASES = {"BranchingMechanism", "ImmigrationMechanism"}
+FAMILIES = {"StableBranching", "QuadraticBranching", "CustomBranching",
+            "StableImmigration", "GammaImmigration", "LampertiImmigration",
+            "CompoundPoissonImmigration", "CustomImmigration"}
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _family_classes():
+    return {node.name: node for node in TREES["mechanisms.py"].body
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id in BASES for b in node.bases)}
+
+
+def _named_classes(node):
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _named_classes(elt)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def test_families_are_the_eight_classes():
+    assert set(_family_classes()) == FAMILIES
+
+
+def test_no_isinstance_names_a_family():
+    offenders = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                hits = FAMILIES.intersection(_named_classes(node.args[1]))
+                if hits:
+                    offenders.append(f"{name}:{node.lineno} {sorted(hits)}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_defines_its_own_call(family):
+    body = _family_classes()[family].body
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "__call__"
+               for node in body)

@@ -21,7 +21,6 @@ from cbizero.mechanisms import (
     conservativity_check,
     grey_check,
     immigration_drift,
-    immigration_slope_at_zero,
     indices,
     is_compound_poisson,
     largest_root,
@@ -229,11 +228,6 @@ class TestImmigrationStructure:
         assert immigration_drift(LampertiImmigration(beta=1.0)) == 1.0
         assert immigration_drift(GammaImmigration(a=1.0, b=1.0)) == 0.0
 
-    def test_slope_at_zero(self):
-        assert immigration_slope_at_zero(GammaImmigration(a=3.0, b=2.0)) == pytest.approx(1.5)
-        assert immigration_slope_at_zero(LampertiImmigration(beta=0.5)) == 1.0
-        assert immigration_slope_at_zero(CompoundPoissonImmigration(mass=4.0)) == 4.0
-
     def test_compound_poisson_family_is_yes(self):
         assert is_compound_poisson(CompoundPoissonImmigration(mass=1.0)).is_yes
 
@@ -297,6 +291,29 @@ class TestGrammar:
         with pytest.raises(MechanismParseError):
             parse_mechanism("stable:d=1,alpha=2,extra=3")
 
+    @pytest.mark.parametrize("spec, position, message", [
+        ("gamma:a=zz", 8, "bad number 'zz' for 'a'"),
+        ("gamma:a=1,b=zz", 12, "bad number 'zz' for 'b'"),
+        ("gamma:a=1, b=zz", 13, "bad number 'zz' for 'b'"),
+        ("gamma :a=zz", 9, "bad number 'zz' for 'a'"),
+        ("  gamma: a= zz", 12, "bad number ' zz' for 'a'"),
+        ("stable:d=1,d=2,alpha=2", 11, "duplicate parameter 'd'"),
+        ("stable:d=1, =2", 11, "empty parameter name"),
+        ("stable:", 7, "missing parameter list"),
+        ("gamma :a=1", 7, "gamma needs exactly ['a', 'b']"),
+        (" quadratic:b=1", 11, "quadratic needs exactly ['b', 'sigma2']"),
+        ("stable:d=1,beta=2,alpha=1", 7,
+         "stable needs either d,alpha (branching) or d,beta (immigration)"),
+        ("stable: d=1,alpha=3", 7, "stable branching needs alpha in (1, 2], got 3.0"),
+        (" nosuch:a=1", 1, "unknown mechanism family 'nosuch'"),
+        ("stable", 0, "expected family:params"),
+    ])
+    def test_exact_positions_in_raw_string(self, spec, position, message):
+        with pytest.raises(MechanismParseError) as info:
+            parse_mechanism(spec)
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (at position {position})"
+
     def test_domain_errors_surface_as_parse_errors(self):
         with pytest.raises(MechanismParseError):
             parse_mechanism("stable:d=1,alpha=3")
@@ -324,3 +341,15 @@ class TestGrammar:
     def test_quadratic_roundtrip(self, b, sigma2):
         psi = QuadraticBranching(b=b, sigma2=sigma2)
         assert parse_branching(mechanism_spec(psi)) == psi
+
+    @pytest.mark.parametrize("family", [
+        st.builds(GammaImmigration, a=st.floats(min_value=1e-3, max_value=1e3),
+                  b=st.floats(min_value=1e-3, max_value=1e3)),
+        st.builds(LampertiImmigration,
+                  beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        st.builds(CompoundPoissonImmigration, mass=st.floats(min_value=1e-3, max_value=1e3)),
+    ], ids=["gamma", "lamperti", "cpp"])
+    @given(data=st.data())
+    def test_immigration_family_roundtrip(self, family, data):
+        phi = data.draw(family)
+        assert parse_immigration(mechanism_spec(phi)) == phi
