@@ -14,8 +14,11 @@ evaluates the two criterion integrals
     inner:  int_v^theta   exp( -int_x^theta R ) dx / Psi(x)
 
 with R = Phi/Psi and v the largest root of Psi, using the octave-panel
-divergence protocol.  Outer divergent means 0 is polar; otherwise the
-inner integral separates transient (finite) from recurrent (infinite).
+divergence protocol.  Each is one scan of the panel rule with R as its
+weight: the exponent comes from the rule's cumulative integration at
+the same nodes, so no quadrature runs inside an integrand.  Outer
+divergent means 0 is polar; otherwise the inner integral separates
+transient (finite) from recurrent (infinite).
 """
 
 from __future__ import annotations
@@ -237,55 +240,23 @@ def stationary_exists(psi, phi) -> Verdict:
 
 # --- criterion integrals ----------------------------------------------------
 
-def _exp_over(w: float, den: float) -> float:
+def _over(den: float) -> float:
+    """1/Psi as the criterion integrands read it: NaN where Psi <= 0."""
     if den <= 0.0 or math.isnan(den):
         return math.nan
-    if math.isinf(den):
-        return 0.0
-    try:
-        return math.exp(w) / den
-    except OverflowError:
-        return math.inf
+    return 1.0 / den
 
 
 def _outer_estimate(psi, phi, theta, rel_tol=1e-9):
     """Divergence verdict for int_theta^inf exp(W(z)) dz/Psi(z), W(z)=int_theta^z R."""
-    R = _ratio_func(psi, phi)
-    state = {"edge": theta, "w": 0.0}
-    # the weight must be resolved well below the outer tolerance or its
-    # quadrature noise looks like structure and the outer rule subdivides
-    # to its limit on every panel
-    w_tol = rel_tol * 1e-3
-
-    def hook(lo, hi):
-        if lo > state["edge"]:
-            state["w"] += adaptive(R, state["edge"], lo, rel_tol=w_tol)
-            state["edge"] = lo
-
-    def f(z):
-        w = state["w"] + adaptive(R, state["edge"], z, rel_tol=w_tol)
-        return _exp_over(w, psi(z))
-
-    return tail_verdict_upper(f, theta, rel_tol=rel_tol, panel_hook=hook)
+    return tail_verdict_upper(lambda z: _over(psi(z)), theta, rel_tol=rel_tol,
+                              weight=_ratio_func(psi, phi))
 
 
 def _inner_estimate(psi, phi, theta, floor, rel_tol=1e-9):
     """Divergence verdict for int_floor^theta exp(-int_x^theta R) dx/Psi(x)."""
-    R = _ratio_func(psi, phi)
-    state = {"edge": theta, "w": 0.0}
-    w_tol = rel_tol * 1e-3
-
-    def hook(lo, hi):
-        if hi < state["edge"]:
-            state["w"] -= adaptive(R, hi, state["edge"], rel_tol=w_tol)
-            state["edge"] = hi
-
-    def f(x):
-        w = state["w"] - adaptive(R, x, state["edge"], rel_tol=w_tol)
-        return _exp_over(w, psi(x))
-
-    return tail_verdict_lower(f, theta, floor=floor, rel_tol=rel_tol,
-                              panel_hook=hook)
+    return tail_verdict_lower(lambda x: _over(psi(x)), theta, floor=floor,
+                              rel_tol=rel_tol, weight=_ratio_func(psi, phi))
 
 
 def weight_between(psi, phi, a: float, b: float, rel_tol: float = 1e-9) -> float:

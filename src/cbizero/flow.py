@@ -9,8 +9,11 @@ t -> 0 where the boundary solution blows up.
 Each solve first asks the mechanism's closed-form flow hook
 (``closed_tail_time``, ``closed_v_from_lambda``,
 ``closed_v_from_infinity``); when the family has none, the solver falls
-back to an octave-walk accumulation of the time integral followed by
-root refinement inside the crossing octave.
+back to numerics.  ``v_from_lambda`` accumulates the time integral
+octave by octave and refines the root inside the crossing octave.
+``v_from_infinity`` solves F(root + e^w) = t for w directly, with
+F(a) = int_a^inf dq/psi: steps that double from w = log max(1, root)
+bracket the solution, and ``brentq`` finishes it in w.
 """
 
 from __future__ import annotations
@@ -184,19 +187,40 @@ class FlowSolver:
             return closed
         if not grey_check(self.psi).is_yes:
             raise GreyConditionError("v from infinity undefined: Grey's condition fails")
-        lo = self.v_from_lambda(t, self.v_cap * 0.99)
-        if lo == 0.0:
-            return 0.0
-        target = self.tail_time(lo) - t
-        if abs(target) <= self.root_tol * t:
-            return lo
-        # bracket [lo, v_cap] in log space; F is strictly decreasing
-        def gap(w):
-            return self.tail_time(math.exp(w)) - t
+        # v_t = root + e^w solves F(root + e^w) = t; F is strictly decreasing,
+        # so the gap falls with w.  Bracket by steps that double from
+        # w0 = log max(1, root), then solve in w.
+        root = largest_root(self.psi)
 
-        return math.exp(optimize.brentq(
-            gap, math.log(lo), math.log(self.v_cap),
-            rtol=max(self.root_tol, 1e-15)))
+        def level(w):
+            return root + math.exp(w)
+
+        def gap(w):
+            return self.tail_time(level(w)) - t
+
+        top = math.log(self.v_cap)
+        edge = math.log(max(1.0, root))
+        upward = gap(edge) > 0          # v_t lies above root + e^edge
+        step = 1.0
+        while True:
+            if upward:
+                if edge >= top:
+                    raise FlowError("v_t lies beyond v_cap",
+                                    {"t": t, "v_cap": self.v_cap, "root": root})
+                w = min(edge + step, top)
+                if not math.isfinite(self.psi(level(w))):
+                    # F misses the range where psi overflows
+                    raise FlowError("psi overflows below v_t",
+                                    {"t": t, "level": level(w), "root": root})
+            else:
+                w = edge - step
+                if level(w) == root:
+                    return root  # the flow sits on the root to float precision
+            if (gap(w) > 0) != upward:
+                break
+            edge, step = w, 2.0 * step
+        lo, hi = sorted((edge, w))
+        return level(optimize.brentq(gap, lo, hi, rtol=max(self.root_tol, 1e-15)))
 
     # -- probabilities -------------------------------------------------------
 

@@ -126,10 +126,17 @@ _PROBE_ZERO = tuple(10.0 ** (-k) for k in range(8, 1, -1))
 _PROBE_SPREAD = 0.02
 
 
-def _loglog_slopes(fn, grid):
+def _loglog_slopes(fn, grid, *, nonpositive_ok=False):
+    """(min, max) log-log slope of fn over the grid.
+
+    With ``nonpositive_ok`` a finite value <= 0 gives (nan, nan), no
+    slope, instead of an error; NaN and infinite values always raise.
+    """
     values = []
     for x in grid:
         v = fn(x)
+        if nonpositive_ok and math.isfinite(v) and v <= 0:
+            return math.nan, math.nan
         if not (v > 0) or math.isinf(v):
             raise EvaluationError(
                 f"index probe needs positive finite values, got {v} at {x}")
@@ -143,8 +150,11 @@ def _loglog_slopes(fn, grid):
 
 def _probe_profile(fn) -> GrowthProfile:
     lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF)
-    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO)
-    inconclusive = (hi_inf - lo_inf > _PROBE_SPREAD) or (hi_0 - lo_0 > _PROBE_SPREAD)
+    # a supercritical psi is negative near 0: no index there, and the
+    # profile is inconclusive so index arithmetic abstains
+    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO, nonpositive_ok=True)
+    inconclusive = (math.isnan(lo_0) or hi_inf - lo_inf > _PROBE_SPREAD
+                    or hi_0 - lo_0 > _PROBE_SPREAD)
     return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, exact=False,
                          inconclusive=inconclusive)
 
@@ -695,9 +705,8 @@ def largest_root(psi) -> float:
     hi = theta
     lo = theta / 2.0
     for _ in range(1000):
+        # bracket on the sign alone: an exact 0.0 may be psi underflowing
         value = psi(lo)
-        if value == 0.0:
-            return lo
         if value < 0:
             return optimize.brentq(psi, lo, hi, xtol=1e-30, rtol=1e-14)
         hi = lo

@@ -29,6 +29,7 @@ from cbizero.mechanisms import (
     CompoundPoissonImmigration,
     CustomBranching,
     CustomImmigration,
+    EvaluationError,
     GammaImmigration,
     LampertiImmigration,
     QuadraticBranching,
@@ -141,6 +142,23 @@ class TestSupercritical:
         assert is_supercritical(SUPER)
         assert not is_supercritical(FELLER)
         assert not is_supercritical(SUBQUAD)
+
+    @pytest.mark.parametrize("numeric_only", [False, True])
+    def test_undeclared_custom_copy_answers_as_the_family(self, numeric_only):
+        # psi < 0 near 0: the probed profile has no index there, so the
+        # fast path abstains instead of raising
+        copy = CustomBranching(eval=lambda q: q * q - q)
+        assert regvar_summary(copy, drift(0.5)) is None
+        family = classify_zero_state(SUPER, drift(0.5), numeric_only=numeric_only)
+        report = classify_zero_state(copy, drift(0.5), numeric_only=numeric_only)
+        assert (report.zero_class, report.heavy.value) == (TRANSIENT, family.heavy.value)
+        assert report.heavy.is_no
+        assert report.method == METHOD_NUMERIC
+
+    def test_nan_near_zero_still_raises(self):
+        copy = CustomBranching(eval=lambda q: q * q if q > 1e-3 else math.nan)
+        with pytest.raises(EvaluationError):
+            classify_zero_state(copy, drift(0.5))
 
 
 class TestDegenerate:

@@ -25,6 +25,7 @@ from cbizero.cutout import (
     statistics,
 )
 from cbizero.mechanisms import (
+    CustomBranching,
     CustomImmigration,
     StableBranching,
     StableImmigration,
@@ -82,6 +83,16 @@ class TestDurationSampler:
         frac = np.isinf(draws).mean()
         assert frac == pytest.approx(s.atom, abs=0.02)
         assert 0.0 < s.atom < 1.0
+
+    def test_custom_copy_builds_the_closed_form_table(self):
+        copy = CustomBranching(eval=lambda q: q * q)
+        family = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, 1e-3)
+        custom = DurationSampler.from_mechanisms(copy, HALF_DRIFT, 1e-3)
+        assert (custom.eps, custom.atom) == (family.eps, family.atom)
+        assert custom.rate == pytest.approx(family.rate, rel=1e-9)
+        np.testing.assert_array_equal(custom.log_time_rev, family.log_time_rev)
+        np.testing.assert_allclose(np.exp(custom.log_tail_rev),
+                                   np.exp(family.log_tail_rev), rtol=1e-9)
 
     def test_draw_count_validated(self):
         s = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, 1e-3)

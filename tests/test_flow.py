@@ -302,8 +302,22 @@ class TestCustomCopyOracle:
         copy = CustomImmigration(eval=lambda q: phi(q))
         assert is_compound_poisson(copy).value == is_compound_poisson(phi).value
 
-    # psi(q) underflows to 0.0 near 0 and reads as a root
-    @pytest.mark.xfail(strict=True, reason="root search stops at an underflowed psi")
+    def test_boundary_flow_edges(self):
+        # past ~37 time units the supercritical flow sits on its root 1
+        super_copy = FlowSolver(psi=_branching_copy(SUPER))
+        assert super_copy.v_from_infinity(40.0) == 1.0
+        assert super_copy.v_from_infinity(40.0) == FlowSolver(psi=SUPER).v_from_infinity(40.0)
+        # F(a) = 1/a for q^2, so times below 1/v_cap put v_t above the cap
+        capped = FlowSolver(psi=_branching_copy(FELLER), v_cap=1e50)
+        assert capped.v_from_infinity(1e-49) == pytest.approx(1e49, rel=1e-9)
+        with pytest.raises(FlowError):
+            capped.v_from_infinity(1e-51)
+        # a flow that reaches 0 in finite time: int_0 dq/psi < inf
+        dying = FlowSolver(psi=CustomBranching(eval=lambda q: q * q + math.sqrt(q)))
+        assert dying.v_from_infinity(5.0) == 0.0
+        assert dying.v_from_infinity(1.0) > 0.0
+
+    # psi(q) underflows to 0.0 near 0, which must not read as a root
     @pytest.mark.parametrize("psi", ORACLE_BRANCHING[:3] + ORACLE_BRANCHING[4:5],
                              ids=mechanism_spec)
     def test_copy_root_is_zero(self, psi):

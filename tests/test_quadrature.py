@@ -1,0 +1,208 @@
+"""Octave-panel verdict protocol and its Clenshaw-Curtis panel rule."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.integrate
+
+from cbizero import quadrature
+from cbizero.classify import _inner_estimate, _outer_estimate, classify_zero_state
+from cbizero.mechanisms import StableBranching, StableImmigration
+from cbizero.quadrature import (
+    FINITE,
+    INCONCLUSIVE,
+    INFINITE,
+    MAX_PANELS,
+    PANEL_ORDER,
+    WINDOW,
+    _lobatto_rule,
+    tail_verdict_lower,
+    tail_verdict_upper,
+)
+
+FELLER = StableBranching(d=1.0, alpha=2.0)
+
+
+def _upper(f, **kw):
+    return tail_verdict_upper(f, 1.0, **kw)
+
+
+def _lower(f, **kw):
+    return tail_verdict_lower(f, 1.0, **kw)
+
+
+# (integrand on [1, inf), integrand on (0, 1], verdict, rule, closed-form total)
+RULES = {
+    "geometric": (lambda z: z ** -3, lambda x: x, FINITE, "geometric", 0.5),
+    # margin m = 0.05: panel ratio 2^-m = 0.966 is above the strict 0.9
+    "slow-geometric": (lambda z: z ** -1.05, lambda x: x ** -0.95, FINITE,
+                       "slow-geometric", 20.0),
+    # all mass on the first two octaves, then nothing; the integrand and
+    # its derivative vanish where the mass ends, on a panel edge
+    "exhausted": (lambda z: (4.0 - z) ** 2 if z < 4.0 else 0.0,
+                  lambda x: (8.0 * x - 2.0) ** 2 if x > 0.25 else 0.0, FINITE,
+                  "exhausted", 9.0),
+    "non-decreasing": (lambda z: 1.0 / z, lambda x: 1.0 / x, INFINITE,
+                       "non-decreasing", math.inf),
+    # growth fast enough to pass SUM_BLOWUP before a full window
+    "sum-blowup": (lambda z: z ** 40, lambda x: x ** -40, INFINITE, "sum-blowup",
+                   math.inf),
+    "nan-contribution": (lambda z: math.nan, lambda x: math.nan, INCONCLUSIVE,
+                         "nan-contribution", 0.0),
+    # harmonic-type decay whose ratio creeps toward 1: neither side is certain
+    "no-rule": (lambda z: 1.0 / ((z + 1.0) * math.log(z + 1.0)),
+                lambda x: 1.0 / (x * math.log(2.0 / x)),
+                INCONCLUSIVE, "no-rule", None),
+}
+
+
+class TestVerdictRules:
+    @pytest.mark.parametrize("name", sorted(RULES))
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    def test_rule_fires_with_closed_form_total(self, name, direction):
+        upper_f, lower_f, verdict, rule, total = RULES[name]
+        est = _upper(upper_f) if direction == "upper" else _lower(lower_f)
+        assert (est.verdict, est.rule) == (verdict, rule)
+        if total is not None and math.isfinite(total):
+            assert est.total == pytest.approx(total, rel=1e-10)
+        elif total is not None:
+            assert est.total == math.inf
+        assert est.unresolved_panels == 0
+
+    def test_zero_integrand_is_exhausted_at_zero(self):
+        for est in (_upper(lambda z: 0.0), _lower(lambda x: 0.0)):
+            assert (est.verdict, est.rule, est.total) == (FINITE, "exhausted", 0.0)
+            assert est.panels_used == WINDOW + 1
+
+    def test_no_rule_spends_every_panel(self):
+        est = _upper(RULES["no-rule"][0])
+        assert est.panels_used == MAX_PANELS
+
+    def test_overflow_reads_as_sum_blowup(self):
+        def overflowing(z):
+            return math.exp(z)  # raises OverflowError past z = 709
+
+        est = tail_verdict_upper(overflowing, 64.0)
+        assert (est.verdict, est.rule, est.total) == (INFINITE, "sum-blowup", math.inf)
+
+    def test_bad_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            tail_verdict_upper(lambda z: 1.0, 0.0)
+        with pytest.raises(ValueError):
+            tail_verdict_lower(lambda x: 1.0, 1.0, floor=1.0)
+
+
+class TestPanelRule:
+    def test_weights_are_the_last_cumulative_row(self):
+        nodes, weights, cumulative = _lobatto_rule(PANEL_ORDER)
+        assert nodes[0] == -1.0 and nodes[-1] == 1.0
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(weights, cumulative[-1])
+        assert weights.sum() == pytest.approx(2.0, rel=1e-14)
+        # closed-form Clenshaw-Curtis end weight 1/(n^2 - 1)
+        assert weights[0] == pytest.approx(1.0 / (PANEL_ORDER ** 2 - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [PANEL_ORDER // 2, PANEL_ORDER])
+    def test_cumulative_matrix_integrates_polynomials_exactly(self, n):
+        nodes, _, cumulative = _lobatto_rule(n)
+        for k in range(n + 1):
+            exact = (nodes ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            got = (cumulative * nodes ** k).sum(axis=1)
+            assert np.max(np.abs(got - exact)) < 1e-14
+
+    def test_weight_at_every_node_matches_log(self):
+        # psi = q^2, phi = c q gives R = c/q and W = c log(x/lo) on a panel
+        c, lo, hi = 0.7, 3.0, 6.0
+        nodes, _, cumulative = _lobatto_rule(PANEL_ORDER)
+        half = 0.5 * (hi - lo)
+        xs = 0.5 * (lo + hi) + half * nodes
+        w = half * (cumulative * (c / xs)).sum(axis=1)
+        assert w[0] == 0.0
+        np.testing.assert_allclose(w[1:], c * np.log(xs[1:] / lo), rtol=1e-10)
+
+    @pytest.mark.parametrize("upward", [True, False])
+    def test_panel_carries_weight_across_its_edges(self, upward):
+        c, lo, hi, edge = 0.7, 3.0, 6.0, 0.25
+        value, err, w_far, unresolved = quadrature._panel(
+            lambda x: 1.0 / (x * x), lambda x: c / x, lo, hi, edge, upward, 1e-9, 0)
+        # W = edge + c log(x/anchor) both ways: int_lo^x R upward from lo,
+        # -int_x^hi R downward from hi
+        anchor, far = (lo, hi) if upward else (hi, lo)
+        assert w_far == pytest.approx(edge + c * math.log(far / anchor), rel=1e-12)
+        p = c - 1.0
+        exact = math.exp(edge) * anchor ** -c * (hi ** p - lo ** p) / p
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert (unresolved, err <= 1e-9 * value) == (0, True)
+
+    def test_unresolved_jump_is_reported(self):
+        jump = math.sqrt(10.0)
+        est = _upper(lambda z: z ** -2 * (1.0 if z < jump else 2.0))
+        assert (est.verdict, est.rule) == (FINITE, "geometric")
+        assert est.unresolved_panels >= 1
+        assert est.abserr > 0.0
+        assert est.total == pytest.approx(1.0 + 1.0 / jump, rel=1e-4)
+        evidence = est.evidence()
+        assert evidence["unresolved_panels"] == est.unresolved_panels
+        assert evidence["abserr"] == est.abserr
+
+    def test_smooth_integrand_error_estimate_is_small(self):
+        est = _upper(lambda z: z ** -3)
+        assert est.unresolved_panels == 0
+        assert 0.0 <= est.abserr <= 1e-9 * est.total
+
+
+class TestWeightedCriterionIntegrals:
+    """psi = q^2 with phi = c q: R = c/q and W = c log(z/theta) in closed form."""
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_outer_integral(self, theta):
+        # int_theta^inf (z/theta)^c z^-2 dz = 1/(theta (1 - c)) for c < 1
+        c = 0.5
+        est = _outer_estimate(FELLER, StableImmigration(dprime=c, beta=1.0), theta)
+        assert (est.verdict, est.rule) == (FINITE, "geometric")
+        assert est.total == pytest.approx(1.0 / (theta * (1.0 - c)), rel=1e-10)
+
+    def test_outer_integral_diverges_at_c_one(self):
+        est = _outer_estimate(FELLER, StableImmigration(dprime=1.0, beta=1.0), 1.0)
+        assert (est.verdict, est.rule) == (INFINITE, "non-decreasing")
+
+    @pytest.mark.parametrize("theta", [1.0, 4.0])
+    def test_inner_integral(self, theta):
+        # int_0^theta (x/theta)^c x^-2 dx = 1/(theta (c - 1)) for c > 1
+        c = 2.0
+        est = _inner_estimate(FELLER, StableImmigration(dprime=c, beta=1.0), theta, 0.0)
+        assert (est.verdict, est.rule) == (FINITE, "geometric")
+        assert est.total == pytest.approx(1.0 / (theta * (c - 1.0)), rel=1e-10)
+
+    def test_inner_integral_diverges_below_c_one(self):
+        est = _inner_estimate(FELLER, StableImmigration(dprime=0.5, beta=1.0), 1.0, 0.0)
+        assert est.verdict == INFINITE
+
+
+class TestNoNestedQuadrature:
+    """Verdicts run on the panel rule; QUADPACK stays out of them."""
+
+    @pytest.fixture
+    def quad_calls(self, monkeypatch):
+        calls = []
+        original = scipy.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        return calls
+
+    def test_criterion_integrals_make_no_quad_call(self, quad_calls):
+        phi = StableImmigration(dprime=0.5, beta=1.0)
+        _outer_estimate(FELLER, phi, 1.0)
+        _inner_estimate(FELLER, phi, 1.0, 0.0)
+        assert len(quad_calls) == 0
+
+    def test_numeric_classification_makes_few_quad_calls(self, quad_calls):
+        report = classify_zero_state(FELLER, StableImmigration(dprime=0.5, beta=1.0),
+                                     numeric_only=True)
+        assert report.zero_class == "Recurrent"
+        assert len(quad_calls) <= 10

@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from cbizero.mechanisms import (
+    CustomBranching,
+    CustomImmigration,
     GammaImmigration,
     MechanismDomainError,
     QuadraticBranching,
@@ -33,6 +35,13 @@ class TestLaplaceExponent:
     def test_square_root_oracle(self, q):
         got = laplace_exponent(FELLER, HALF_DRIFT, q)
         assert got == pytest.approx(math.sqrt(q / math.pi), rel=1e-6)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_undeclared_custom_copy_matches_family(self, q):
+        copy = CustomBranching(eval=lambda v: v * v)
+        root_q = CustomImmigration(eval=math.sqrt)
+        assert laplace_exponent(copy, root_q, q) == pytest.approx(
+            laplace_exponent(FELLER, ROOT_HALF, q), rel=1e-6)
 
     def test_strictly_increasing(self):
         grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
