@@ -247,19 +247,19 @@ def _over(den: float) -> float:
     return 1.0 / den
 
 
-def _outer_estimate(psi, phi, theta, rel_tol=1e-9):
+def _outer_estimate(psi, phi, theta):
     """Divergence verdict for int_theta^inf exp(W(z)) dz/Psi(z), W(z)=int_theta^z R."""
-    return tail_verdict_upper(lambda z: _over(psi(z)), theta, rel_tol=rel_tol,
+    return tail_verdict_upper(lambda z: _over(psi(z)), theta,
                               weight=_ratio_func(psi, phi))
 
 
-def _inner_estimate(psi, phi, theta, floor, rel_tol=1e-9):
+def _inner_estimate(psi, phi, theta, floor):
     """Divergence verdict for int_floor^theta exp(-int_x^theta R) dx/Psi(x)."""
     return tail_verdict_lower(lambda x: _over(psi(x)), theta, floor=floor,
-                              rel_tol=rel_tol, weight=_ratio_func(psi, phi))
+                              weight=_ratio_func(psi, phi))
 
 
-def weight_between(psi, phi, a: float, b: float, rel_tol: float = 1e-9) -> float:
+def weight_between(psi, phi, a: float, b: float) -> float:
     """int_a^b R(u) du computed on a log grid (well conditioned over decades)."""
     if a == b:
         return 0.0
@@ -267,7 +267,7 @@ def weight_between(psi, phi, a: float, b: float, rel_tol: float = 1e-9) -> float
         raise ClassificationError("weight integral needs positive endpoints")
     R = _ratio_func(psi, phi)
     return adaptive(lambda z: R(math.exp(z)) * math.exp(z),
-                    math.log(a), math.log(b), rel_tol=rel_tol)
+                    math.log(a), math.log(b))
 
 
 # --- dimensions -------------------------------------------------------------
@@ -291,14 +291,14 @@ def _dims_from_summary(summary: RegVarSummary):
     return _clip_unit(upper), _clip_unit(lower)
 
 
-def _dims_numeric(psi, phi, rel_tol=1e-9):
+def _dims_numeric(psi, phi):
     """Box-dimension probes 1 - W(u)/log(1/u) at shrinking u."""
     fs = solver(psi)
     v1 = fs.v_from_infinity(1.0)
     samples = {}
     for u in _DIM_PROBES:
         vu = fs.v_from_infinity(u)
-        w = weight_between(psi, phi, v1, vu, rel_tol=rel_tol)
+        w = weight_between(psi, phi, v1, vu)
         samples[u] = 1.0 - w / math.log(1.0 / u)
     values = list(samples.values())
     upper, lower = _clip_unit(max(values)), _clip_unit(min(values))
@@ -435,8 +435,7 @@ def _is_zero_immigration(phi) -> bool:
 
 def classify_zero_state(psi: BranchingMechanism,
                         phi: Optional[ImmigrationMechanism],
-                        *, numeric_only: bool = False,
-                        rel_tol: float = 1e-9) -> ZeroSetReport:
+                        *, numeric_only: bool = False) -> ZeroSetReport:
     """Full zero-set classification; ``numeric_only`` skips the fast path."""
     grey = grey_check(psi)
     conservative = conservativity_check(psi)
@@ -474,7 +473,7 @@ def classify_zero_state(psi: BranchingMechanism,
     theta = positivity_threshold(psi)
     stationary = stationary_exists(psi, phi)
     heavy = heaviness(psi, phi)
-    outer = _outer_estimate(psi, phi, theta, rel_tol=rel_tol)
+    outer = _outer_estimate(psi, phi, theta)
     evidence = {"theta": theta, "outer": outer.evidence()}
 
     if outer.verdict == INFINITE:
@@ -492,7 +491,7 @@ def classify_zero_state(psi: BranchingMechanism,
 
     root = largest_root(psi)
     supercritical = is_supercritical(psi)
-    inner = _inner_estimate(psi, phi, theta, root, rel_tol=rel_tol)
+    inner = _inner_estimate(psi, phi, theta, root)
     evidence["inner"] = inner.evidence()
     evidence["root"] = root
     evidence["supercritical"] = supercritical

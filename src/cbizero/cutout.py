@@ -566,8 +566,7 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     """
     if n_samples < 1:
         raise CutoutError("need at least one replicate")
-    head = adaptive(lambda t: gzero_density(psi, phi, t), 0.0, T_max,
-                    rel_tol=1e-9)
+    head = adaptive(lambda t: gzero_density(psi, phi, t), 0.0, T_max)
     if 1.0 - head >= GZERO_TAIL_BOUND:
         raise CutoutError(
             f"horizon too short: P(g > T_max) = {1.0 - head:.2e} "

@@ -9,18 +9,20 @@ t -> 0 where the boundary solution blows up.
 Each solve first asks the mechanism's closed-form flow hook
 (``closed_tail_time``, ``closed_v_from_lambda``,
 ``closed_v_from_infinity``); when the family has none, the solver falls
-back to numerics.  ``v_from_lambda`` accumulates the time integral
-octave by octave and refines the root inside the crossing octave.
-``v_from_infinity`` solves F(root + e^w) = t for w directly, with
-F(a) = int_a^inf dq/psi: steps that double from w = log max(1, root)
-bracket the solution, and ``brentq`` finishes it in w.
+back to one numeric inversion.  It writes the level as root + s e^w,
+with s = +1 above the largest root and -1 below it, and solves
+gap(w) = 0, where gap is the time the flow spends past the level less
+t.  Steps that double from a start edge bracket the sign change of the
+gap, and ``brentq`` finishes it in w.  ``v_from_infinity`` starts at
+w = log max(1, root) with gap = F(level) - t, F(a) = int_a^inf dq/psi;
+``v_from_lambda`` starts at w = log|lam - root| with the time between
+the level and lam as one quadrature in w.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from scipy import optimize
 
@@ -32,6 +34,10 @@ from .mechanisms import (
     largest_root,
 )
 from .quadrature import adaptive
+
+ROOT_TOL = 1e-12
+# initial levels at or above V_CAP count as the boundary condition at infinity
+V_CAP = 1e300
 
 
 class GreyConditionError(ValueError):
@@ -46,29 +52,11 @@ class FlowError(RuntimeError):
         self.evidence = evidence or {}
 
 
-_MAX_OCTAVES = 2400
-
-
 @dataclass(frozen=True)
 class FlowSolver:
-    """Inverts the branching flow for one mechanism.
-
-    ``v_cap`` is the overflow guard: initial values above it are treated
-    as the boundary condition at infinity.
-    """
+    """Inverts the branching flow for one mechanism."""
 
     psi: BranchingMechanism
-    quad_tol: float = 1e-9
-    root_tol: float = 1e-12
-    v_cap: float = 1e300
-
-    def __post_init__(self):
-        if not (0.0 < self.quad_tol <= 1e-4):
-            raise MechanismDomainError(f"quad_tol must be in (0, 1e-4], got {self.quad_tol}")
-        if not (0.0 < self.root_tol <= 1e-4):
-            raise MechanismDomainError(f"root_tol must be in (0, 1e-4], got {self.root_tol}")
-        if not self.v_cap > 0:
-            raise MechanismDomainError("v_cap must be positive")
 
     # -- F(a) = int_a^inf dq/psi ------------------------------------------
 
@@ -82,99 +70,64 @@ class FlowSolver:
         psi = self.psi
         if not grey_check(psi).is_yes:
             raise GreyConditionError("v from infinity undefined: Grey's condition fails")
-        if not psi(a) > 0:
+        at_a = psi(a)
+        if not at_a > 0:
             raise MechanismDomainError(
-                f"tail_time needs psi positive at a, got psi({a}) = {psi(a)}")
+                f"tail_time needs psi positive at a, got psi({a}) = {at_a}")
+        if math.isinf(at_a):
+            raise FlowError("psi overflows at a", {"a": a})
 
-        # u = 1/q turns the improper tail into a proper integral on (0, 1/a]
+        # u = 1/q turns the improper tail into a proper integral on (0, 1/a];
+        # its integrand 1/(u^2 psi(1/u)) is formed as q/psi(q)*q, since u^2
+        # underflows long before q/psi(q) does
         def integrand(u):
             if u <= 0.0:
                 return 0.0
-            value = psi(1.0 / u)
+            q = 1.0 / u
+            value = psi(q)
             if not math.isfinite(value) or value <= 0.0:
                 return 0.0
-            return 1.0 / (u * u * value)
+            return q / value * q
 
-        return adaptive(integrand, 0.0, 1.0 / a, rel_tol=self.quad_tol)
+        return adaptive(integrand, 0.0, 1.0 / a)
 
     # -- flow from a finite level ------------------------------------------
 
     def v_from_lambda(self, t: float, lam: float) -> float:
-        """Flow level after time t started from lam (lam above v_cap means infinity)."""
+        """Flow level after time t started from lam (lam at or above V_CAP means infinity)."""
         if t < 0:
             raise MechanismDomainError(f"time must be >= 0, got {t}")
         if lam < 0:
             raise MechanismDomainError(f"initial level must be >= 0, got {lam}")
-        if lam >= self.v_cap:
+        if lam >= V_CAP:
             return self.v_from_infinity(t) if t > 0 else math.inf
         if lam == 0.0 or t == 0.0:
             return lam
         closed = self.psi.closed_v_from_lambda(t, lam)
-        return self._v_numeric(t, lam) if closed is None else closed
-
-    def _v_numeric(self, t: float, lam: float) -> float:
+        if closed is not None:
+            return closed
         psi = self.psi
         root = largest_root(psi)
         at_lam = psi(lam)
-        if at_lam == 0.0:
+        if at_lam == 0.0 or lam == root:
             return lam
-        if lam > root:
-            if at_lam < 0:
-                raise FlowError(
-                    "branching exponent negative above its largest root",
-                    {"lam": lam, "root": root, "psi(lam)": at_lam})
-            return self._walk(t, base=root, span=lam - root, sign=+1.0)
-        if at_lam > 0:
+        if lam > root and at_lam < 0:
+            raise FlowError(
+                "branching exponent negative above its largest root",
+                {"lam": lam, "root": root, "psi(lam)": at_lam})
+        if lam < root and at_lam > 0:
             raise FlowError(
                 "branching exponent positive below its largest root",
                 {"lam": lam, "root": root, "psi(lam)": at_lam})
-        return self._walk(t, base=root, span=root - lam, sign=-1.0)
+        # the flow runs toward the root: down from above it, up from below
+        sign = 1.0 if lam > root else -1.0
+        start = math.log(abs(lam - root))
 
-    def _walk(self, t, base, span, sign):
-        """Accumulate int dq/|psi| octave by octave until the clock t is spent.
+        def pace(u):            # dq/|psi(q)| at q = root + sign*e^u
+            dq = math.exp(u)
+            return dq / abs(psi(root + sign * dq))
 
-        sign +1: decreasing flow, levels base + span*2^-k walking down
-        toward base.  sign -1: increasing flow (supercritical start below
-        the root), levels base - span*2^-k walking up toward base.
-        """
-        psi = self.psi
-
-        def pace(q):
-            value = psi(q)
-            if value == 0.0 or not math.isfinite(value):
-                return 0.0 if not math.isfinite(value) else math.inf
-            return sign / value
-
-        acc = 0.0
-        prev = base + sign * span
-        for k in range(1, _MAX_OCTAVES):
-            level = base + sign * span * 2.0 ** (-k)
-            if level == base or level == prev:
-                break
-            lo, hi = (level, prev) if sign > 0 else (prev, level)
-            piece = adaptive(pace, lo, hi, rel_tol=self.quad_tol)
-            if math.isnan(piece) or piece < 0:
-                raise FlowError(
-                    "time integral lost its sign inside an octave",
-                    {"octave": k, "piece": piece, "lo": lo, "hi": hi})
-            if acc + piece >= t:
-                return self._refine(t - acc, level, prev, sign, pace)
-            acc += piece
-            prev = level
-        return base
-
-    def _refine(self, remaining, level, prev, sign, pace):
-        """Solve for the level spending exactly `remaining` within one octave."""
-        def clock(v):
-            if sign > 0:
-                return adaptive(pace, v, prev, rel_tol=self.quad_tol) - remaining
-            return adaptive(pace, prev, v, rel_tol=self.quad_tol) - remaining
-
-        if remaining == 0.0:
-            return prev
-        lo, hi = (level, prev) if sign > 0 else (prev, level)
-        return optimize.brentq(clock, lo, hi, rtol=max(self.root_tol, 1e-15),
-                               xtol=1e-300)
+        return self._invert(lambda w: adaptive(pace, w, start) - t, root, sign, start, t)
 
     # -- flow from infinity ------------------------------------------------
 
@@ -187,28 +140,32 @@ class FlowSolver:
             return closed
         if not grey_check(self.psi).is_yes:
             raise GreyConditionError("v from infinity undefined: Grey's condition fails")
-        # v_t = root + e^w solves F(root + e^w) = t; F is strictly decreasing,
-        # so the gap falls with w.  Bracket by steps that double from
-        # w0 = log max(1, root), then solve in w.
         root = largest_root(self.psi)
+        return self._invert(lambda w: self.tail_time(root + math.exp(w)) - t,
+                            root, 1.0, math.log(max(1.0, root)), t)
+
+    def _invert(self, gap, root, sign, edge, t):
+        """The level root + sign*e^w at which the time gap(w), falling in w, is 0.
+
+        Steps that double from w = edge bracket the sign change, and
+        ``brentq`` solves in w.  A downward step that lands where psi
+        underflows to 0.0 is halved.
+        """
+        psi = self.psi
 
         def level(w):
-            return root + math.exp(w)
+            return root + sign * math.exp(w)
 
-        def gap(w):
-            return self.tail_time(level(w)) - t
-
-        top = math.log(self.v_cap)
-        edge = math.log(max(1.0, root))
-        upward = gap(edge) > 0          # v_t lies above root + e^edge
+        top = math.log(V_CAP)
+        upward = gap(edge) > 0          # v_t lies farther from the root than the edge
         step = 1.0
         while True:
             if upward:
                 if edge >= top:
-                    raise FlowError("v_t lies beyond v_cap",
-                                    {"t": t, "v_cap": self.v_cap, "root": root})
+                    raise FlowError("v_t lies beyond V_CAP",
+                                    {"t": t, "v_cap": V_CAP, "root": root})
                 w = min(edge + step, top)
-                if not math.isfinite(self.psi(level(w))):
+                if not math.isfinite(psi(level(w))):
                     # F misses the range where psi overflows
                     raise FlowError("psi overflows below v_t",
                                     {"t": t, "level": level(w), "root": root})
@@ -216,11 +173,19 @@ class FlowSolver:
                 w = edge - step
                 if level(w) == root:
                     return root  # the flow sits on the root to float precision
+                if psi(level(w)) == 0.0:
+                    step /= 2.0
+                    if edge - step == edge:
+                        raise FlowError("psi underflows above v_t",
+                                        {"t": t, "level": level(edge), "root": root})
+                    continue
             if (gap(w) > 0) != upward:
                 break
             edge, step = w, 2.0 * step
         lo, hi = sorted((edge, w))
-        return level(optimize.brentq(gap, lo, hi, rtol=max(self.root_tol, 1e-15)))
+        # an error dw in w moves the level by e^w dw: near the root w needs fewer digits
+        xtol = ROOT_TOL * abs(level(hi)) / math.exp(hi)
+        return level(optimize.brentq(gap, lo, hi, xtol=xtol, rtol=ROOT_TOL))
 
     # -- probabilities -------------------------------------------------------
 
@@ -244,12 +209,10 @@ class FlowSolver:
         if q == 0.0:
             return 1.0
         v_end = self.v_from_lambda(t, q)
-        accumulated = adaptive(lambda s: phi(self.v_from_lambda(s, q)), 0.0, t,
-                               rel_tol=self.quad_tol)
+        accumulated = adaptive(lambda s: phi(self.v_from_lambda(s, q)), 0.0, t)
         return math.exp(-x * v_end - accumulated)
 
 
-@lru_cache(maxsize=256)
 def solver(psi: BranchingMechanism) -> FlowSolver:
-    """Shared default-tolerance solver for a mechanism."""
+    """The flow solver of a mechanism."""
     return FlowSolver(psi=psi)

@@ -230,7 +230,9 @@ class BranchingMechanism(Mechanism):
         raise PositivityError("no positivity threshold found up to 2**100")
 
     def derivative_at_zero(self) -> float:
-        h = 1e-8
+        # psi < 0 below a positive root, so a step inside it keeps the sign
+        root = largest_root(self)
+        h = min(1e-8, root / 2.0) if root > 0 else 1e-8
         return self(h) / h
 
     # Closed-form flow hooks.  None sends FlowSolver to its numeric route;
@@ -339,6 +341,12 @@ class StableBranching(BranchingMechanism):
         return (self.d * am1 * t) ** (-1.0 / am1)
 
 
+# below the smallest normal float b has lost digits, and dividing by it
+# costs more than its term is worth: the root and the closed flow forms
+# take the b -> 0 limit
+_NORMAL_MIN = 2.0 ** -1022
+
+
 @dataclass(frozen=True)
 class QuadraticBranching(BranchingMechanism):
     """psi(q) = b*q + (sigma2/2)*q**2; b may be negative, sigma2 >= 0."""
@@ -371,6 +379,8 @@ class QuadraticBranching(BranchingMechanism):
             if self.b > 0:
                 return 0.0
             raise PositivityError("branching exponent is nonpositive everywhere")
+        if abs(self.b) < _NORMAL_MIN:
+            return 0.0
         return max(0.0, -2.0 * self.b / self.sigma2)
 
     def derivative_at_zero(self):
@@ -379,7 +389,7 @@ class QuadraticBranching(BranchingMechanism):
     def closed_tail_time(self, a):
         if self.sigma2 == 0.0:
             return None  # pure drift fails Grey's condition
-        if self.b == 0.0:
+        if abs(self.b) < _NORMAL_MIN:
             return 2.0 / (self.sigma2 * a)
         ratio = 2.0 * self.b / (self.sigma2 * a)
         if ratio <= -1.0:  # at or below the supercritical root
@@ -391,7 +401,7 @@ class QuadraticBranching(BranchingMechanism):
         if self.sigma2 == 0.0:  # pure drift
             return lam * math.exp(-self.b * t)
         # 1/v satisfies a linear ODE; this form is stable for either sign of b
-        if self.b == 0.0:
+        if abs(self.b) < _NORMAL_MIN:
             return 1.0 / (1.0 / lam + 0.5 * self.sigma2 * t)
         try:
             growth = math.exp(self.b * t)
@@ -406,7 +416,7 @@ class QuadraticBranching(BranchingMechanism):
     def closed_v_from_infinity(self, t):
         if self.sigma2 == 0.0:
             return None  # pure drift fails Grey's condition
-        if self.b == 0.0:
+        if abs(self.b) < _NORMAL_MIN:
             return 2.0 / (self.sigma2 * t)
         try:
             spread = math.expm1(self.b * t)
@@ -708,7 +718,8 @@ def largest_root(psi) -> float:
         # bracket on the sign alone: an exact 0.0 may be psi underflowing
         value = psi(lo)
         if value < 0:
-            return optimize.brentq(psi, lo, hi, xtol=1e-30, rtol=1e-14)
+            # the root lies in [lo, 2 lo]: a tolerance scaled by lo keeps tiny roots
+            return optimize.brentq(psi, lo, hi, xtol=1e-14 * lo, rtol=1e-14)
         hi = lo
         lo /= 2.0
         if lo < 1e-290:

@@ -50,18 +50,14 @@ def _require_cutout_index(alpha: float) -> float:
 class StableOUSpec:
     """Ornstein-Uhlenbeck process driven by a strictly stable motion.
 
-    ``gamma_ou`` is the mean-reversion rate; it rescales the time axis
-    and nothing else, so derived quantities below never consume it.
+    The mean-reversion rate only rescales the time axis, so nothing
+    below depends on it and the spec does not carry it.
     """
 
     alpha: float
-    gamma_ou: float = 1.0
 
     def __post_init__(self) -> None:
         _require_index(self.alpha)
-        if math.isnan(self.gamma_ou) or not self.gamma_ou > 0.0:
-            raise MechanismDomainError(
-                "mean-reversion rate must be positive")
 
     @property
     def beta(self) -> Optional[float]:

@@ -24,7 +24,7 @@ near-critical cases the classifier must still decide.
 Each panel is integrated by one fixed-order rule: Clenshaw-Curtis on
 the ``PANEL_ORDER + 1`` Chebyshev-Lobatto nodes, with the difference to
 the nested rule of half the order as its error estimate.  A panel that
-misses ``rel_tol`` is bisected, at most ``MAX_BISECTIONS`` times; the
+misses ``REL_TOL`` is bisected, at most ``MAX_BISECTIONS`` times; the
 summed estimates and the count of pieces still unresolved at that depth
 reach the verdict's ``evidence``.  An optional ``weight`` R turns the
 integrand into ``f(x) exp(W(x))`` with W the running integral of R from
@@ -33,7 +33,7 @@ downward).  W comes at every node from the spectral
 cumulative-integration matrix on the same nodes, so one pass over the
 panels integrates both, where nesting a quadrature of R inside every
 call of the integrand would cost a whole rule per node.  W sits in an
-exponent, so its error estimate is held to ``rel_tol`` in absolute
+exponent, so its error estimate is held to ``REL_TOL`` in absolute
 terms.
 """
 
@@ -62,6 +62,8 @@ EXHAUSTED_FRACTION = 1e-15
 
 PANEL_ORDER = 32
 MAX_BISECTIONS = 7
+# relative tolerance of every integral in the package
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class TailEstimate:
         }
 
 
-def adaptive(f, a, b, *, rel_tol=1e-9):
+def adaptive(f, a, b, *, rel_tol=REL_TOL):
     """Adaptive quadrature of f over [a, b] (orientation preserved)."""
     if a == b:
         return 0.0
@@ -152,7 +154,7 @@ _NODES, _WEIGHTS, _CUMULATIVE = _lobatto_rule(PANEL_ORDER)
 _HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
 
 
-def _panel(f, weight, lo, hi, w_edge, upward, rel_tol, depth):
+def _panel(f, weight, lo, hi, w_edge, upward, depth):
     """Integrate one panel, bisecting where the rule misses its tolerance.
 
     ``w_edge`` is W at the edge the scan enters from (lo upward, hi
@@ -185,14 +187,14 @@ def _panel(f, weight, lo, hi, w_edge, upward, rel_tol, depth):
         err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
     if not math.isfinite(value) or not math.isfinite(w_far):
         return value, 0.0, w_far, 0
-    resolved = err <= rel_tol * abs(value) and w_err <= rel_tol
+    resolved = err <= REL_TOL * abs(value) and w_err <= REL_TOL
     if resolved or depth == MAX_BISECTIONS:
         # an error w_err in W is a relative error w_err in the integrand
         return value, err + w_err * abs(value), w_far, 0 if resolved else 1
     mid = 0.5 * (lo + hi)
     first, second = ((lo, mid), (mid, hi)) if upward else ((mid, hi), (lo, mid))
-    v1, e1, w_mid, u1 = _panel(f, weight, *first, w_edge, upward, rel_tol, depth + 1)
-    v2, e2, w_far, u2 = _panel(f, weight, *second, w_mid, upward, rel_tol, depth + 1)
+    v1, e1, w_mid, u1 = _panel(f, weight, *first, w_edge, upward, depth + 1)
+    v2, e2, w_far, u2 = _panel(f, weight, *second, w_mid, upward, depth + 1)
     return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
@@ -253,7 +255,7 @@ def _decide_at_end(contributions, total):
     return None
 
 
-def _run_panels(f, panels, rel_tol, weight, upward):
+def _run_panels(f, panels, weight, upward):
     contributions = []
     total = abserr = 0.0
     unresolved = 0
@@ -264,7 +266,7 @@ def _run_panels(f, panels, rel_tol, weight, upward):
                             tuple(contributions[-5:]), rule, abserr, unresolved)
 
     for lo, hi in panels:
-        c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, rel_tol, 0)
+        c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0)
         abserr += err
         unresolved += missed
         if math.isnan(c):
@@ -283,7 +285,7 @@ def _run_panels(f, panels, rel_tol, weight, upward):
     return estimate(INCONCLUSIVE, total, "no-rule")
 
 
-def tail_verdict_upper(f, start, *, rel_tol=1e-9, weight=None):
+def tail_verdict_upper(f, start, *, weight=None):
     """Convergence verdict for int_start^inf f over octave panels.
 
     With ``weight`` R the integrand is f(z) exp(int_start^z R).
@@ -291,10 +293,10 @@ def tail_verdict_upper(f, start, *, rel_tol=1e-9, weight=None):
     if not start > 0:
         raise ValueError("panel start must be positive")
     panels = ((start * 2.0 ** k, start * 2.0 ** (k + 1)) for k in range(MAX_PANELS))
-    return _run_panels(f, panels, rel_tol, weight, upward=True)
+    return _run_panels(f, panels, weight, upward=True)
 
 
-def tail_verdict_lower(f, stop, *, floor=0.0, rel_tol=1e-9, weight=None):
+def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
     """Convergence verdict for int_floor^stop f, panelled toward floor.
 
     Panels shrink geometrically toward ``floor`` (default 0), so an
@@ -306,4 +308,4 @@ def tail_verdict_lower(f, stop, *, floor=0.0, rel_tol=1e-9, weight=None):
     span = stop - floor
     panels = ((floor + span * 2.0 ** -(k + 1), floor + span * 2.0 ** -k)
               for k in range(MAX_PANELS))
-    return _run_panels(f, panels, rel_tol, weight, upward=False)
+    return _run_panels(f, panels, weight, upward=False)

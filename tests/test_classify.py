@@ -155,6 +155,16 @@ class TestSupercritical:
         assert report.heavy.is_no
         assert report.method == METHOD_NUMERIC
 
+    @pytest.mark.parametrize("b", [-1e-9, -1e-10])
+    def test_probed_derivative_sees_a_tiny_root(self, b):
+        # psi(1e-8)/1e-8 > 0 although the root is 2|b|: the probe must step inside it
+        family = QuadraticBranching(b=b, sigma2=1.0)
+        copy = CustomBranching(eval=lambda q: b * q + 0.5 * q * q)
+        assert is_supercritical(copy) is is_supercritical(family) is True
+        reasons = [stationary_exists(psi, drift(0.5)).evidence.get("reason")
+                   for psi in (family, copy)]
+        assert reasons == ["supercritical", "supercritical"]
+
     def test_nan_near_zero_still_raises(self):
         copy = CustomBranching(eval=lambda q: q * q if q > 1e-3 else math.nan)
         with pytest.raises(EvaluationError):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbizero.classify import is_supercritical
 from cbizero.flow import FlowError, FlowSolver, GreyConditionError, solver
@@ -211,14 +212,6 @@ class TestMarginalTransform:
         assert all(a >= b for a, b in zip(in_x, in_x[1:]))
 
 
-class TestSolverValidation:
-    def test_tolerances_must_be_small(self):
-        with pytest.raises(MechanismDomainError):
-            FlowSolver(psi=FELLER, quad_tol=1e-3)
-        with pytest.raises(MechanismDomainError):
-            FlowSolver(psi=FELLER, root_tol=0.0)
-
-
 # --- built-in families against their undeclared custom copies --------------
 
 ORACLE_BRANCHING = (
@@ -307,11 +300,12 @@ class TestCustomCopyOracle:
         super_copy = FlowSolver(psi=_branching_copy(SUPER))
         assert super_copy.v_from_infinity(40.0) == 1.0
         assert super_copy.v_from_infinity(40.0) == FlowSolver(psi=SUPER).v_from_infinity(40.0)
-        # F(a) = 1/a for q^2, so times below 1/v_cap put v_t above the cap
-        capped = FlowSolver(psi=_branching_copy(FELLER), v_cap=1e50)
-        assert capped.v_from_infinity(1e-49) == pytest.approx(1e49, rel=1e-9)
-        with pytest.raises(FlowError):
-            capped.v_from_infinity(1e-51)
+        # F(a) = 50 a^-0.02 for q^1.02, whose psi stays finite up to the level
+        # cap V_CAP = 1e300; times below F(V_CAP) = 5e-5 put v_t above it
+        slow = FlowSolver(psi=CustomBranching(eval=lambda q: q * q ** 0.02))
+        assert slow.v_from_infinity(1e-4) == pytest.approx(5e5 ** 50, rel=1e-9)
+        with pytest.raises(FlowError, match="V_CAP"):
+            slow.v_from_infinity(1e-6)
         # a flow that reaches 0 in finite time: int_0 dq/psi < inf
         dying = FlowSolver(psi=CustomBranching(eval=lambda q: q * q + math.sqrt(q)))
         assert dying.v_from_infinity(5.0) == 0.0
@@ -322,3 +316,80 @@ class TestCustomCopyOracle:
                              ids=mechanism_spec)
     def test_copy_root_is_zero(self, psi):
         assert largest_root(_branching_copy(psi)) == 0.0
+
+
+# --- edges that only the numeric flow of an undeclared mechanism reaches ----
+
+Q2 = FlowSolver(psi=CustomBranching(eval=lambda q: q * q))
+GRID = [10.0 ** (k / 4.0) for k in range(-8, 9)]
+
+
+class TestNumericFlowEdges:
+    def test_lands_on_octave_levels(self):
+        # for psi = q^2, v_t(lam) = lam / 2^k at t = (2^k - 1)/lam
+        assert Q2.v_from_lambda(1.0, 3.0) == pytest.approx(0.75, rel=1e-9)
+        for lam in (0.3, 1.0, 3.0, 7.0, 10.0):
+            for k in range(1, 12):
+                t = (2.0 ** k - 1.0) / lam
+                assert Q2.v_from_lambda(t, lam) == pytest.approx(lam / 2.0 ** k, rel=1e-9)
+
+    @pytest.mark.parametrize("family", [FELLER, SUPER], ids=mechanism_spec)
+    def test_grid_matches_closed_form(self, family):
+        copy = FlowSolver(psi=_branching_copy(family))
+        closed = FlowSolver(psi=family)
+        for t in GRID:
+            for lam in GRID:
+                assert copy.v_from_lambda(t, lam) == pytest.approx(
+                    closed.v_from_lambda(t, lam), rel=1e-9)
+
+    def test_tail_time_far_out(self):
+        # q/psi(q)*q stays finite where u^2 = 1/q^2 underflows
+        q15 = FlowSolver(psi=CustomBranching(eval=lambda q: q ** 1.5))
+        for a in (1e160, 1e200):
+            assert q15.tail_time(a) == pytest.approx(2.0 / math.sqrt(a), rel=1e-9)
+        q101 = FlowSolver(psi=CustomBranching(eval=lambda q: q ** 1.01))
+        assert q101.v_from_infinity(1.0) == pytest.approx(1e200, rel=1e-9)
+
+    def test_tail_time_refuses_an_overflowed_psi(self):
+        q15 = FlowSolver(psi=CustomBranching(eval=lambda q: q ** 1.5))
+        with pytest.raises(FlowError, match="overflows"):
+            q15.tail_time(1e290)
+
+    def test_descends_past_psi_underflow(self):
+        # psi = q^2 underflows below ~1e-162; the bracket halves its step there
+        assert Q2.v_from_infinity(1e150) == pytest.approx(1e-150, rel=1e-9)
+        with pytest.raises(FlowError, match="underflows above v_t"):
+            Q2.v_from_infinity(1e200)
+
+    def test_overflow_below_v_t_still_raises(self):
+        with pytest.raises(FlowError, match="overflows below v_t"):
+            Q2.v_from_infinity(1e-160)
+
+
+FLOW_FAMILIES = st.one_of(
+    st.builds(StableBranching, d=st.floats(0.2, 5.0), alpha=st.floats(1.2, 2.0)),
+    st.builds(QuadraticBranching, b=st.floats(-2.0, 2.0), sigma2=st.floats(0.2, 4.0)),
+)
+
+
+@given(psi=FLOW_FAMILIES, t=st.floats(0.05, 5.0), share=st.floats(0.05, 0.95),
+       k=st.integers(1, 11))
+@settings(max_examples=40, deadline=None)
+def test_custom_copy_flow_property(psi, t, share, k):
+    """An undeclared copy answers as its family, or raises the same class.
+
+    The parameter and time ranges keep every v_t inside the float range.
+    """
+    family, copy = FlowSolver(psi=psi), FlowSolver(psi=_branching_copy(psi))
+    root = largest_root(psi)
+    above = root + 4.0 * share
+    # from lam the flow lands on the octave level lam / 2^k = root + share at t_k
+    lam = 2.0 ** k * (root + share)
+    t_k = family.tail_time(root + share) - family.tail_time(lam)
+    calls = [("tail_time", (above,)), ("v_from_infinity", (t,)),
+             ("v_from_lambda", (t, above)), ("v_from_lambda", (t_k, lam))]
+    if root > 0:        # below the root F is undefined and the flow climbs
+        calls += [("tail_time", (root * share,)), ("v_from_lambda", (t, root * share))]
+    for name, args in calls:
+        _assert_agree(_outcome(getattr(family, name), *args),
+                      _outcome(getattr(copy, name), *args), rel=1e-9)

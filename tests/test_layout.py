@@ -3,7 +3,8 @@
 The library asks a mechanism for its facts instead of dispatching on
 its family, so no ``isinstance`` names a concrete family class.  Every
 family also defines ``__call__`` in its own body, where the benchmark
-tracer wraps evaluations by class name.
+tracer wraps evaluations by class name.  The flow solver holds only its
+mechanism, and every numeric flow inversion goes through one ``brentq``.
 """
 
 import ast
@@ -57,3 +58,16 @@ def test_family_defines_its_own_call(family):
     body = _family_classes()[family].body
     assert any(isinstance(node, ast.FunctionDef) and node.name == "__call__"
                for node in body)
+
+
+def test_flow_solver_holds_only_its_mechanism():
+    solver = next(node for node in TREES["flow.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "FlowSolver")
+    fields = [node.target.id for node in solver.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["psi"]
+
+
+def test_flow_has_one_brentq_call():
+    calls = [node.lineno for node in ast.walk(TREES["flow.py"])
+             if isinstance(node, ast.Call) and "brentq" in _named_classes(node.func)]
+    assert len(calls) == 1

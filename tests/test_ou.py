@@ -59,19 +59,9 @@ class TestStableOUSpec:
         assert StableOUSpec(alpha=1.0).beta is None
         assert StableOUSpec(alpha=1.6).beta == pytest.approx(1 - 1 / 1.6)
 
-    def test_rate_only_scales_time(self):
-        # the classification and cutting measure never consume gamma_ou
-        a = StableOUSpec(alpha=1.5, gamma_ou=0.1)
-        b = StableOUSpec(alpha=1.5, gamma_ou=10.0)
-        assert a.beta == b.beta
-
     def test_validation(self):
         with pytest.raises(MechanismDomainError):
             StableOUSpec(alpha=3.0)
-        with pytest.raises(MechanismDomainError):
-            StableOUSpec(alpha=1.5, gamma_ou=0.0)
-        with pytest.raises(MechanismDomainError):
-            StableOUSpec(alpha=1.5, gamma_ou=-1.0)
 
 
 class TestCuttingMeasure:

@@ -125,7 +125,7 @@ class TestPanelRule:
     def test_panel_carries_weight_across_its_edges(self, upward):
         c, lo, hi, edge = 0.7, 3.0, 6.0, 0.25
         value, err, w_far, unresolved = quadrature._panel(
-            lambda x: 1.0 / (x * x), lambda x: c / x, lo, hi, edge, upward, 1e-9, 0)
+            lambda x: 1.0 / (x * x), lambda x: c / x, lo, hi, edge, upward, 0)
         # W = edge + c log(x/anchor) both ways: int_lo^x R upward from lo,
         # -int_x^hi R downward from hi
         anchor, far = (lo, hi) if upward else (hi, lo)
