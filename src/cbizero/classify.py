@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .flow import solver
+from .flow import _ratio_func, solver, weight_between
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -44,7 +44,6 @@ from .quadrature import (
     FINITE,
     INCONCLUSIVE,
     INFINITE,
-    adaptive,
     tail_verdict_lower,
     tail_verdict_upper,
 )
@@ -190,28 +189,20 @@ def regvar_summary(psi, phi) -> Optional[RegVarSummary]:
 
 # --- component verdicts ----------------------------------------------------
 
-def _ratio_func(psi, phi):
-    def R(u):
-        den = psi(u)
-        if den == 0.0:
-            return math.inf
-        num = phi(u)
-        if math.isinf(den):
-            return math.nan if math.isinf(num) else 0.0
-        return num / den
-    return R
+def _scan_verdict(est, evidence) -> Verdict:
+    """Yes for a convergent panel scan, No for a divergent one."""
+    if est.verdict == FINITE:
+        return Verdict.yes(evidence)
+    if est.verdict == INFINITE:
+        return Verdict.no(evidence)
+    return Verdict.inconclusive(evidence)
 
 
 def heaviness(psi, phi) -> Verdict:
     """Positive Lebesgue measure of the zero set: does int_theta^inf R converge?"""
     theta = positivity_threshold(psi)
     est = tail_verdict_upper(_ratio_func(psi, phi), theta)
-    evidence = {"theta": theta, **est.evidence()}
-    if est.verdict == FINITE:
-        return Verdict.yes(evidence)
-    if est.verdict == INFINITE:
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
+    return _scan_verdict(est, {"theta": theta, **est.evidence()})
 
 
 def has_intervals(phi) -> Verdict:
@@ -230,12 +221,7 @@ def stationary_exists(psi, phi) -> Verdict:
         return Verdict.no({"psi_deriv_at_0": deriv, "reason": "supercritical"})
     theta = positivity_threshold(psi)
     est = tail_verdict_lower(_ratio_func(psi, phi), theta)
-    evidence = {"psi_deriv_at_0": deriv, "theta": theta, **est.evidence()}
-    if est.verdict == FINITE:
-        return Verdict.yes(evidence)
-    if est.verdict == INFINITE:
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
+    return _scan_verdict(est, {"psi_deriv_at_0": deriv, "theta": theta, **est.evidence()})
 
 
 # --- criterion integrals ----------------------------------------------------
@@ -257,17 +243,6 @@ def _inner_estimate(psi, phi, theta, floor):
     """Divergence verdict for int_floor^theta exp(-int_x^theta R) dx/Psi(x)."""
     return tail_verdict_lower(lambda x: _over(psi(x)), theta, floor=floor,
                               weight=_ratio_func(psi, phi))
-
-
-def weight_between(psi, phi, a: float, b: float) -> float:
-    """int_a^b R(u) du computed on a log grid (well conditioned over decades)."""
-    if a == b:
-        return 0.0
-    if not (a > 0 and b > 0):
-        raise ClassificationError("weight integral needs positive endpoints")
-    R = _ratio_func(psi, phi)
-    return adaptive(lambda z: R(math.exp(z)) * math.exp(z),
-                    math.log(a), math.log(b))
 
 
 # --- dimensions -------------------------------------------------------------

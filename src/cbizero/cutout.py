@@ -40,8 +40,7 @@ from scipy import optimize
 
 from .flow import solver
 from .mechanisms import largest_root
-from .quadrature import adaptive
-from .zeroset import gzero_density, least_squares_line
+from .zeroset import _gzero_cdf, least_squares_line
 
 MAX_EXPECTED_MARKS = 1e8
 TABLE_POINTS_PER_DECADE = 24
@@ -566,7 +565,7 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     """
     if n_samples < 1:
         raise CutoutError("need at least one replicate")
-    head = adaptive(lambda t: gzero_density(psi, phi, t), 0.0, T_max)
+    head = _gzero_cdf(psi, phi, T_max)
     if 1.0 - head >= GZERO_TAIL_BOUND:
         raise CutoutError(
             f"horizon too short: P(g > T_max) = {1.0 - head:.2e} "

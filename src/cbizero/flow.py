@@ -16,7 +16,9 @@ t.  Steps that double from a start edge bracket the sign change of the
 gap, and ``brentq`` finishes it in w.  ``v_from_infinity`` starts at
 w = log max(1, root) with gap = F(level) - t, F(a) = int_a^inf dq/psi;
 ``v_from_lambda`` starts at w = log|lam - root| with the time between
-the level and lam as one quadrature in w.
+the level and lam as one quadrature in w.  A closed form that overflows
+raises ``FlowError`` too.  As ds = -dv/Psi along the flow, ``cbi_laplace``
+takes int_0^t Phi(v_s) ds as ``weight_between``, int_{v_t}^lam Phi/Psi.
 """
 
 from __future__ import annotations
@@ -58,13 +60,22 @@ class FlowSolver:
 
     psi: BranchingMechanism
 
+    @staticmethod
+    def _closed(hook, *args):
+        """A closed-form flow hook's value, with float overflow as a FlowError."""
+        try:
+            return hook(*args)
+        except OverflowError:
+            raise FlowError("closed flow form overflows",
+                            {"hook": hook.__name__, "args": args}) from None
+
     # -- F(a) = int_a^inf dq/psi ------------------------------------------
 
     def tail_time(self, a: float) -> float:
         """Time for the boundary flow to descend to level a."""
         if not a > 0:
             raise MechanismDomainError(f"tail_time needs a > 0, got {a}")
-        closed = self.psi.closed_tail_time(a)
+        closed = self._closed(self.psi.closed_tail_time, a)
         if closed is not None:
             return closed
         psi = self.psi
@@ -103,7 +114,7 @@ class FlowSolver:
             return self.v_from_infinity(t) if t > 0 else math.inf
         if lam == 0.0 or t == 0.0:
             return lam
-        closed = self.psi.closed_v_from_lambda(t, lam)
+        closed = self._closed(self.psi.closed_v_from_lambda, t, lam)
         if closed is not None:
             return closed
         psi = self.psi
@@ -135,7 +146,7 @@ class FlowSolver:
         """Boundary flow level v_t with v_{0+} = infinity; needs Grey."""
         if not t > 0:
             raise MechanismDomainError(f"time must be > 0, got {t}")
-        closed = self.psi.closed_v_from_infinity(t)
+        closed = self._closed(self.psi.closed_v_from_infinity, t)
         if closed is not None:
             return closed
         if not grey_check(self.psi).is_yes:
@@ -148,8 +159,8 @@ class FlowSolver:
         """The level root + sign*e^w at which the time gap(w), falling in w, is 0.
 
         Steps that double from w = edge bracket the sign change, and
-        ``brentq`` solves in w.  A downward step that lands where psi
-        underflows to 0.0 is halved.
+        ``brentq`` solves in w.  A step that lands where psi overflows
+        (upward) or underflows to 0.0 (downward) is halved.
         """
         psi = self.psi
 
@@ -159,29 +170,38 @@ class FlowSolver:
         top = math.log(V_CAP)
         upward = gap(edge) > 0          # v_t lies farther from the root than the edge
         step = 1.0
+        ceiling = None                  # a w where psi overflows
         while True:
-            if upward:
-                if edge >= top:
-                    raise FlowError("v_t lies beyond V_CAP",
-                                    {"t": t, "v_cap": V_CAP, "root": root})
-                w = min(edge + step, top)
-                if not math.isfinite(psi(level(w))):
-                    # F misses the range where psi overflows
-                    raise FlowError("psi overflows below v_t",
-                                    {"t": t, "level": level(w), "root": root})
-            else:
-                w = edge - step
-                if level(w) == root:
-                    return root  # the flow sits on the root to float precision
-                if psi(level(w)) == 0.0:
-                    step /= 2.0
-                    if edge - step == edge:
-                        raise FlowError("psi underflows above v_t",
-                                        {"t": t, "level": level(edge), "root": root})
-                    continue
+            if upward and edge >= top:
+                raise FlowError("v_t lies beyond V_CAP",
+                                {"t": t, "v_cap": V_CAP, "root": root})
+            w = min(edge + step, top) if upward else edge - step
+            if not upward and level(w) == root:
+                return root  # the flow sits on the root to float precision
+            at_w = psi(level(w))
+            # 1/psi has no value where psi overflows or underflows to 0.0:
+            # step less far
+            if (not math.isfinite(at_w)) if upward else at_w == 0.0:
+                ceiling = w if upward else None
+                step /= 2.0
+                if edge + step == edge:
+                    raise FlowError("psi overflows below v_t" if upward
+                                    else "psi underflows above v_t",
+                                    {"t": t, "level": level(edge), "root": root})
+                continue
             if (gap(w) > 0) != upward:
                 break
             edge, step = w, 2.0 * step
+        if ceiling is not None:
+            # F misses the time above the level where psi overflows; an
+            # e-fold below that level x the flow spends about x/psi(x)
+            below = w
+            while ceiling - below > 1.0:
+                mid = 0.5 * (below + ceiling)
+                below, ceiling = (mid, ceiling) if math.isfinite(psi(level(mid))) else (below, mid)
+            if level(below) / psi(level(below)) > ROOT_TOL * t:
+                raise FlowError("psi overflows below v_t",
+                                {"t": t, "level": level(ceiling), "root": root})
         lo, hi = sorted((edge, w))
         # an error dw in w moves the level by e^w dw: near the root w needs fewer digits
         xtol = ROOT_TOL * abs(level(hi)) / math.exp(hi)
@@ -208,9 +228,31 @@ class FlowSolver:
             raise MechanismDomainError(f"time must be > 0, got {t}")
         if q == 0.0:
             return 1.0
+        # int_0^t Phi(v_s) ds = int_{v_t}^q Phi/Psi, with dv = -Psi(v) ds
         v_end = self.v_from_lambda(t, q)
-        accumulated = adaptive(lambda s: phi(self.v_from_lambda(s, q)), 0.0, t)
-        return math.exp(-x * v_end - accumulated)
+        return math.exp(-x * v_end - weight_between(self.psi, phi, v_end, q))
+
+
+def _ratio_func(psi, phi):
+    """R = Phi/Psi as a function of the level: inf where Psi is 0."""
+    def R(u):
+        den = psi(u)
+        if den == 0.0:
+            return math.inf
+        num = phi(u)
+        if math.isinf(den):
+            return math.nan if math.isinf(num) else 0.0
+        return num / den
+    return R
+
+
+def weight_between(psi, phi, a: float, b: float) -> float:
+    """int_a^b R(u) du computed on a log grid (well conditioned over decades)."""
+    if not (a > 0 and b > 0):
+        raise MechanismDomainError("weight integral needs positive endpoints")
+    R = _ratio_func(psi, phi)
+    return adaptive(lambda z: R(math.exp(z)) * math.exp(z),
+                    math.log(a), math.log(b))
 
 
 def solver(psi: BranchingMechanism) -> FlowSolver:

@@ -9,8 +9,9 @@ of panel contributions is inspected:
 
 * a running sum past ``SUM_BLOWUP``, or contributions that fail to
   decrease over a full window, certify divergence;
-* contributions decaying geometrically certify convergence, with the
-  geometric tail bounding the truncation error;
+* contributions decaying geometrically certify convergence once the
+  tails that the window's largest and smallest ratios give differ by
+  less than ``REL_TOL`` of the total; the tail is the last ratio's;
 * a stable geometric ratio that is below 1 but above the strict 0.9
   cutoff still certifies convergence at the end of the scan (the value
   then carries a larger extrapolation error);
@@ -54,7 +55,6 @@ INCONCLUSIVE = "inconclusive"
 SUM_BLOWUP = 1e12
 WINDOW = 10
 GEOMETRIC_RATIO = 0.9
-TAIL_FRACTION = 1e-6
 MAX_PANELS = 61
 RATIO_CEILING = 0.999
 RATIO_DRIFT = 1e-3
@@ -82,14 +82,6 @@ class TailEstimate:
     rule: str
     abserr: float = 0.0
     unresolved_panels: int = 0
-
-    @property
-    def is_finite(self):
-        return self.verdict == FINITE
-
-    @property
-    def is_infinite(self):
-        return self.verdict == INFINITE
 
     def evidence(self) -> dict:
         return {
@@ -230,11 +222,21 @@ def _decide(contributions, total):
     if all(r >= 1.0 - 1e-9 for r in ratios) and window[-1] > 0:
         return INFINITE, math.inf, "non-decreasing"
     if all(r <= GEOMETRIC_RATIO for r in ratios):
-        r = max(ratios)
-        tail = window[-1] * r / (1.0 - r)
-        if total > 0 and tail < TAIL_FRACTION * total:
-            return FINITE, tail, "geometric"
+        high, low = (window[-1] * r / (1.0 - r) for r in (max(ratios), min(ratios)))
+        if total > 0 and high - low < REL_TOL * total:
+            return FINITE, _tail(window[-1], ratios, high - low), "geometric"
     return None
+
+
+def _tail(last, ratios, spread):
+    """The tail after ``last``: the last ratio's, corrected by at most
+    ``spread`` where the last three ratios still converge geometrically
+    (as ratios drifting like v^-p do; uncorrected, about 1e-11 of the total)."""
+    r = ratios[-1]
+    step, before = r - ratios[-2], ratios[-2] - ratios[-3]
+    rho = step / before if before != 0.0 else 0.0
+    drift = last * step * rho / ((1.0 - r) ** 2 * (1.0 - rho * r)) if 0.0 < rho < 1.0 else 0.0
+    return last * r / (1.0 - r) + min(max(drift, -spread), spread)
 
 
 def _decide_at_end(contributions, total):

@@ -12,15 +12,16 @@ Everything is driven by the weight
 
 where v_t is the boundary flow started from infinity.  exp(W(t)) is the
 unnormalized density of the last zero, and L(q) is the reciprocal of its
-Laplace transform.
+Laplace transform, taken over the level v = v_t as two panel scans
+(``_WeightTransform``): no quadrature runs inside an integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Tuple
+from functools import cached_property, lru_cache, partial
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .classify import (
     RECURRENT,
     TRANSIENT,
     TRIVIAL_POINT,
+    _inner_estimate,
+    _outer_estimate,
+    _scan_verdict,
     classify_zero_state,
-    weight_between,
 )
-from .flow import solver
+from .flow import solver, weight_between
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -42,14 +45,16 @@ from .mechanisms import (
     Verdict,
     largest_root,
 )
-from .quadrature import FINITE, INFINITE, adaptive, tail_verdict_upper
+from .quadrature import FINITE, INFINITE
 
 DEFAULT_L_GRID = (1.0, 10.0, 100.0)
 DRIFT_PROBE = 1e6
 
-# flow values this close to the largest root are beyond float resolution;
-# past that point the weight decays exactly linearly in t (rate Phi(root))
-_ROOT_PAD = 1e-9
+# the level scans stop this close (relatively) to a positive largest root.
+# A node there is rounded by about 1e-16/_ROOT_PAD relative to v - root,
+# and the closed remainder below it, which takes Phi at the root, is off
+# by about _ROOT_PAD: 1e-8 balances the two
+_ROOT_PAD = 1e-8
 
 
 class ZeroSetError(ValueError):
@@ -101,16 +106,21 @@ def log_weight(psi, phi, t: float) -> float:
     """W(t), the log of the unnormalized last-zero density."""
     if t <= 0.0:
         raise MechanismDomainError("time must be positive")
-    fs = solver(psi)
-    v1 = fs.v_from_infinity(1.0)
-    vt = fs.v_from_infinity(t)
-    if vt <= 0.0:
-        return -math.inf
-    return weight_between(psi, phi, v1, vt)
+    machine = _transform_machine(psi, phi)
+    vt = machine.flow.v_from_infinity(t)
+    return -math.inf if vt <= 0.0 else machine.weight(vt)
 
 
 class _WeightTransform:
-    """Laplace-transform machinery for exp(W(t))."""
+    """The Laplace transform of exp(W(t)), taken over the level v = v_t.
+
+    With t = F(v), dt = -dv/Psi and W - q t has derivative R_q = (Phi + q)/Psi
+    in v.  Split at a = v_s, s = min(1, 1/q) (or a = 2 root, s = F(a), if that
+    is higher), it is e^{W(a) - q s} times the classifier's outer and inner
+    integrals from a with phi + q for phi.  At a positive root the inner scan
+    stops at root (1 + _ROOT_PAD); below it W - q t falls at the rate
+    Phi(root) + q in t, leaving e^{-int_floor^a R_q} / (Phi(root) + q).
+    """
 
     def __init__(self, psi, phi):
         self.psi = psi
@@ -118,67 +128,35 @@ class _WeightTransform:
         self.flow = solver(psi)
         self.v1 = self.flow.v_from_infinity(1.0)
         self.root = largest_root(psi)
+        self.floor = self.root * (1.0 + _ROOT_PAD)
+        self.weight = partial(weight_between, psi, phi, self.v1)   # W at a level
+
+    def transform(self, q: float):
+        """(int_0^inf exp(-q t) exp(W(t)) dt, the scan behind it), q >= 0:
+        inf when a scan diverges, nan when one is undecided."""
+        s = 1.0 if q <= 1.0 else 1.0 / q
+        a = self.v1 if s == 1.0 else self.flow.v_from_infinity(s)
+        if a < 2.0 * self.root:
+            # the upper scan's first octaves cannot resolve a root just below a
+            a = 2.0 * self.root
+            s = self.flow.tail_time(a)
+        phi_q = lambda u: self.phi(u) + q
+        upper = _outer_estimate(self.psi, phi_q, a)
+        lower = _inner_estimate(self.psi, phi_q, a, self.floor)
+        for scan in (upper, lower):
+            if scan.verdict != FINITE:
+                return (math.inf if scan.verdict == INFINITE else math.nan), scan
+        total = upper.total + lower.total
         if self.root > 0.0:
-            edge = self.root * (1.0 + _ROOT_PAD)
-            self.t_star: Optional[float] = self.flow.tail_time(edge)
-            self.w_star = weight_between(psi, phi, self.v1, edge)
-            self.rate = phi(self.root)
-        else:
-            self.t_star = None
-
-    def density(self, t: float) -> float:
-        vt = self.flow.v_from_infinity(t)
-        if vt <= 0.0:
-            return 0.0
-        w = weight_between(self.psi, self.phi, self.v1, vt)
-        try:
-            return math.exp(w)
-        except OverflowError:
-            return math.inf
-
-    def _breakpoints(self, q: float, end: float):
-        # geometric ladder through the exp(-q t) boundary layer; a single
-        # breakpoint at 1/q leaves the rest of [1/q, 1] invisible to the
-        # quadrature nodes and the decay mass is silently dropped
-        points = {0.0, min(1.0, end), end}
-        if q > 1.0:
-            step = min(1.0 / q, end)
-            while step < min(1.0, end):
-                points.add(step)
-                step *= 4.0
-        return sorted(points)
-
-    def transform(self, q: float) -> float:
-        """int_0^inf exp(-q t) exp(W(t)) dt for q > 0."""
-        f = lambda t: math.exp(-q * t) * self.density(t)
-        if self.t_star is not None:
-            points = self._breakpoints(q, self.t_star)
-            total = sum(adaptive(f, lo, hi)
-                        for lo, hi in zip(points, points[1:]))
-            return total + self._analytic_tail(q)
-        points = self._breakpoints(q, 1.0)
-        total = sum(adaptive(f, lo, hi)
-                    for lo, hi in zip(points, points[1:]))
-        return total + adaptive(f, points[-1], math.inf)
-
-    def _analytic_tail(self, q: float) -> float:
-        # beyond t_star the flow sits at the root for all float purposes and
-        # W decreases at the exact rate Phi(root)
-        return math.exp(self.w_star - q * self.t_star) / (q + self.rate)
+            total += (math.exp(-weight_between(self.psi, phi_q, self.floor, a))
+                      / (self.phi(self.root) + q))
+        return math.exp(self.weight(a) - q * s) * total, lower
 
     @cached_property
     def transform_at_zero(self):
         """(value, verdict) for int_0^inf exp(W(t)) dt."""
-        if self.t_star is not None:
-            return self.transform(0.0), Verdict.yes({"tail": "exponential"})
-        estimate = tail_verdict_upper(self.density, 1.0)
-        if estimate.verdict == INFINITE:
-            return math.inf, Verdict.no(estimate.evidence())
-        if estimate.verdict == FINITE:
-            head = adaptive(self.density, 0.0, 1.0)
-            tail = adaptive(self.density, 1.0, math.inf)
-            return head + tail, Verdict.yes(estimate.evidence())
-        return math.nan, Verdict.inconclusive(estimate.evidence())
+        value, scan = self.transform(0.0)
+        return value, _scan_verdict(scan, scan.evidence())
 
 
 @lru_cache(maxsize=256)
@@ -196,30 +174,47 @@ def laplace_exponent(psi, phi, q: float) -> float:
         raise MechanismDomainError("Laplace argument must be nonnegative")
     _require_subordinator(psi, phi)
     machine = _transform_machine(psi, phi)
-    if q == 0.0:
-        value, _ = machine.transform_at_zero
-        if math.isnan(value):
-            raise ZeroSetError(
-                "boundedness of the zero set could not be certified")
-        return 0.0 if math.isinf(value) else 1.0 / value
-    return 1.0 / machine.transform(q)
+    value, _ = machine.transform_at_zero if q == 0.0 else machine.transform(q)
+    # only a bounded zero set has a finite transform at q = 0
+    if math.isnan(value) or (q > 0.0 and math.isinf(value)):
+        raise ZeroSetError(f"the Laplace transform at q = {q} could not be certified")
+    return 1.0 / value
+
+
+def _last_zero_law(psi, phi):
+    """(transform machine, norm) of the last zero of a bounded zero set."""
+    cls = _require_subordinator(psi, phi)
+    if cls == RECURRENT:
+        raise ZeroSetError("g∞ undefined (unbounded zero set)")
+    machine = _transform_machine(psi, phi)
+    norm, _ = machine.transform_at_zero
+    if not (0.0 < norm < math.inf):
+        raise ZeroSetError(
+            "last-zero normalization diverged; quadrature disagrees with "
+            "the transience classification")
+    return machine, norm
 
 
 def gzero_density(psi, phi, t: float) -> float:
     """Density of the last zero g_inf; defined for bounded zero sets."""
     if t <= 0.0:
         raise MechanismDomainError("density argument must be positive")
-    cls = _require_subordinator(psi, phi)
-    if cls == RECURRENT:
-        raise ZeroSetError("g∞ undefined (unbounded zero set)")
-    machine = _transform_machine(psi, phi)
-    density = machine.density(t)
-    norm, _ = machine.transform_at_zero
-    if not (0.0 < norm < math.inf):
-        raise ZeroSetError(
-            "last-zero normalization diverged; quadrature disagrees with "
-            "the transience classification")
-    return density / norm
+    _, norm = _last_zero_law(psi, phi)
+    try:
+        return math.exp(log_weight(psi, phi, t)) / norm
+    except OverflowError:
+        return math.inf
+
+
+def _gzero_cdf(psi, phi, T: float) -> float:
+    """P(g_inf <= T) for a bounded zero set, from the upper scan at v_T:
+    int_0^T exp(W(t)) dt = e^{W(v_T)} int_{v_T}^inf e^{int_{v_T}^v R} dv/Psi."""
+    machine, norm = _last_zero_law(psi, phi)
+    vT = machine.flow.v_from_infinity(T)
+    upper = _outer_estimate(psi, phi, vT)
+    if upper.verdict != FINITE:
+        raise ZeroSetError("last-zero mass before the horizon is undecided")
+    return math.exp(machine.weight(vT)) * upper.total / norm
 
 
 def selfsimilar_index(alpha: float, d: float, dprime: float) -> float:
@@ -286,15 +281,8 @@ def subordinator_summary(psi, phi,
 
     machine = _transform_machine(psi, phi)
     value, certified = machine.transform_at_zero
-    if math.isnan(value):
-        killed = Verdict.inconclusive(certified.evidence)
-        l_zero = math.nan
-    elif math.isinf(value):
-        killed = Verdict.no(certified.evidence)
-        l_zero = 0.0
-    else:
-        l_zero = 1.0 / value
-        killed = Verdict.yes({"l_zero": l_zero})
+    l_zero = 1.0 / value            # 0.0 for an unbounded set, nan if undecided
+    killed = Verdict.yes({"l_zero": l_zero}) if certified.is_yes else certified
 
     return SubordinatorSummary(
         l_samples=samples, gamma_fit=slope, gamma_residual=residual,

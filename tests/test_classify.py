@@ -133,6 +133,13 @@ class TestSupercritical:
         report = classify_zero_state(SUPER, drift(0.5), numeric_only=True)
         assert report.zero_class == TRANSIENT
 
+    def test_weak_drift_is_decided_numerically(self):
+        # the inner integral's panel ratios settle at 2^-0.25 = 0.84; its
+        # geometric tail is certain before the panels reach the root
+        report = classify_zero_state(SUPER, drift(0.25), numeric_only=True)
+        assert report.zero_class == TRANSIENT
+        assert report.evidence["inner"]["rule"] == "geometric"
+
     def test_strong_immigration_still_polar(self):
         assert classify_zero_state(SUPER, drift(5.0)).zero_class == POLAR
         assert classify_zero_state(

@@ -203,6 +203,21 @@ class TestMarginalTransform:
         phi = StableImmigration(dprime=1.0, beta=0.5)
         assert solver(STABLE15).cbi_laplace(2.0, 0.0, 1.0, phi) == 1.0
 
+    @pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
+    @pytest.mark.parametrize("d", [0.25, 0.5, 0.75])
+    def test_positive_root_oracle(self, d, copy):
+        # psi = u^2 - u, phi = d u: v_t(lam) = 1/(1 - (1 - 1/lam) e^{-t}) and
+        # int_{v_t}^lam d/(u - 1) du give (|v_t - 1|/|lam - 1|)^d from x = 0
+        psi, phi = SUPER, StableImmigration(dprime=d, beta=1.0)
+        if copy:
+            psi, phi = _branching_copy(psi), CustomImmigration(eval=lambda u, f=phi: f(u))
+        s = solver(psi)
+        for lam in (0.25, 0.5, 2.0, 4.0):       # both sides of the root 1
+            for t in (0.5, 3.0):
+                v_t = 1.0 / (1.0 - (1.0 - 1.0 / lam) * math.exp(-t))
+                want = (abs(v_t - 1.0) / abs(lam - 1.0)) ** d
+                assert s.cbi_laplace(0.0, lam, t, phi) == pytest.approx(want, rel=1e-9)
+
     def test_nonincreasing_in_q_and_x(self):
         s = solver(SUBCRIT)
         phi = StableImmigration(dprime=1.0, beta=0.5)
@@ -360,6 +375,18 @@ class TestNumericFlowEdges:
         assert Q2.v_from_infinity(1e150) == pytest.approx(1e-150, rel=1e-9)
         with pytest.raises(FlowError, match="underflows above v_t"):
             Q2.v_from_infinity(1e200)
+
+    def test_ascends_short_of_psi_overflow(self):
+        # psi = q^2 overflows above ~1e154; the doubling step from e^255 to
+        # e^511 lands there, and the bracket halves its step
+        assert Q2.v_from_infinity(1e-140) == pytest.approx(1e140, rel=1e-9)
+
+    def test_closed_form_overflow_is_a_flow_error(self):
+        # (d (alpha - 1) t)^(-1/(alpha - 1)) = 1e6^1000 and 1/5e-324 overflow
+        with pytest.raises(FlowError, match="closed flow form overflows"):
+            solver(StableBranching(d=1.0, alpha=1.001)).v_from_infinity(1e-3)
+        with pytest.raises(FlowError, match="closed flow form overflows"):
+            solver(FELLER).tail_time(5e-324)
 
     def test_overflow_below_v_t_still_raises(self):
         with pytest.raises(FlowError, match="overflows below v_t"):

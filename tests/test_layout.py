@@ -5,6 +5,8 @@ its family, so no ``isinstance`` names a concrete family class.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name.  The flow solver holds only its
 mechanism, and every numeric flow inversion goes through one ``brentq``.
+QUADPACK (``quadrature.adaptive``) serves only the flow's proper
+integrals; every other integral is a scan of the panel rule.
 """
 
 import ast
@@ -71,3 +73,9 @@ def test_flow_has_one_brentq_call():
     calls = [node.lineno for node in ast.walk(TREES["flow.py"])
              if isinstance(node, ast.Call) and "brentq" in _named_classes(node.func)]
     assert len(calls) == 1
+
+
+def test_adaptive_is_called_only_in_flow():
+    callers = {name for name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "adaptive" in _named_classes(node.func)}
+    assert callers == {"flow.py"}

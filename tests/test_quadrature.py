@@ -70,6 +70,14 @@ class TestVerdictRules:
             assert est.total == math.inf
         assert est.unresolved_panels == 0
 
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.85])
+    def test_exactly_geometric_integrand_is_valued_exactly(self, ratio):
+        # each octave carries ratio times the last: the extrapolated tail is exact
+        p = math.log2(ratio)
+        est = _upper(lambda z: z ** (p - 1.0))
+        assert (est.verdict, est.rule, est.panels_used) == (FINITE, "geometric", WINDOW + 1)
+        assert est.total == pytest.approx(-1.0 / p, rel=1e-12)
+
     def test_zero_integrand_is_exhausted_at_zero(self):
         for est in (_upper(lambda z: 0.0), _lower(lambda x: 0.0)):
             assert (est.verdict, est.rule, est.total) == (FINITE, "exhausted", 0.0)

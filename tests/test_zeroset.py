@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from cbizero.mechanisms import (
@@ -148,6 +149,62 @@ class TestGZeroDensity:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(MechanismDomainError):
             gzero_density(FELLER, ROOT_HALF, 0.0)
+
+
+def _positive_root_pair(d, copy, c):
+    """psi = c(u^2 - u) (root 1) with phi = c d u, or undeclared copies of both."""
+    psi = QuadraticBranching(b=-c, sigma2=2.0 * c)
+    phi = StableImmigration(dprime=c * d, beta=1.0)
+    if copy:
+        return (CustomBranching(eval=lambda u: psi(u)),
+                CustomImmigration(eval=lambda u: phi(u)))
+    return psi, phi
+
+
+@pytest.mark.parametrize("c,copy", [(1.0, False), (1.0, True), (10.0, False)],
+                         ids=["family", "custom-copy", "family-c10"])
+@pytest.mark.parametrize("d", [0.25, 0.5, 0.75])
+class TestPositiveRootOracle:
+    """At c = 1, v_t = 1/(1 - e^{-t}) and e^{W(t)} = ((e - 1)/(e^t - 1))^d, so
+    L_1(q) = 1/((e - 1)^d B(q + d, 1 - d)) and g_1(t) = sin(pi d)/pi (e^t - 1)^-d.
+
+    Scaling both mechanisms by c runs the flow c times faster, so g has
+    density c g_1(ct) and L(q) = c e^{W_1(c)} L_1(q/c).  At c = 10 the level
+    v_1 lies within 5e-5 of the root.
+    """
+
+    def test_laplace_exponent(self, c, d, copy):
+        psi, phi = _positive_root_pair(d, copy, c)
+        for q in (0.0, 0.25, 1.0, 16.0):
+            beta = math.exp(math.lgamma(q / c + d) + math.lgamma(1.0 - d)
+                            - math.lgamma(q / c + 1.0))
+            want = c * math.expm1(c) ** -d / beta
+            assert laplace_exponent(psi, phi, q) == pytest.approx(want, rel=1e-9)
+
+    def test_gzero_density(self, c, d, copy):
+        psi, phi = _positive_root_pair(d, copy, c)
+        for t in (0.1, 1.0, 4.0):     # the levels v_{t/c} of the fast flow
+            want = c * math.sin(math.pi * d) / math.pi * math.expm1(t) ** -d
+            assert gzero_density(psi, phi, t / c) == pytest.approx(want, rel=1e-9)
+
+
+class TestNoNestedQuadrature:
+    """L(q) and the last-zero law invert the flow only at the scans' edges."""
+
+    @pytest.mark.parametrize("law", [laplace_exponent, gzero_density])
+    def test_custom_pair_makes_few_quad_calls(self, law, monkeypatch):
+        calls = []
+        original = scipy.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        psi = CustomBranching(eval=lambda v: v * v)
+        phi = CustomImmigration(eval=math.sqrt)
+        assert law(psi, phi, 1.0) > 0.0
+        assert len(calls) <= 50
 
 
 class TestSelfSimilarIndex:
