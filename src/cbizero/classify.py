@@ -275,10 +275,8 @@ def _dims_numeric(psi, phi):
         vu = fs.v_from_infinity(u)
         w = weight_between(psi, phi, v1, vu)
         samples[u] = 1.0 - w / math.log(1.0 / u)
-    values = list(samples.values())
-    upper, lower = _clip_unit(max(values)), _clip_unit(min(values))
-    spread = max(values) - min(values)
-    return upper, lower, {"samples": samples, "spread": spread}
+    hi, lo = max(samples.values()), min(samples.values())
+    return _clip_unit(hi), _clip_unit(lo), {"samples": samples, "spread": hi - lo}
 
 
 def box_dims(psi, phi, zero_class: Optional[str] = None):
@@ -389,10 +387,7 @@ def rv_fastpath(psi, phi) -> Optional[ZeroSetReport]:
             return None
 
     dims = _dims_from_summary(summary) if summary.exact else None
-    if dims is None:
-        dim_upper = dim_lower = None
-    else:
-        dim_upper, dim_lower = dims
+    dim_upper, dim_lower = dims or (None, None)
     return ZeroSetReport(
         grey=grey, conservative=conservative, zero_class=zero_class,
         heavy=heavy, intervals=intervals, stationary=stationary,
@@ -403,9 +398,7 @@ def rv_fastpath(psi, phi) -> Optional[ZeroSetReport]:
 # --- main entry ---------------------------------------------------------------
 
 def _is_zero_immigration(phi) -> bool:
-    if phi is None:
-        return True
-    return phi(1.0) == 0.0 and phi(1e6) == 0.0
+    return phi is None or (phi(1.0) == 0.0 and phi(1e6) == 0.0)
 
 
 def classify_zero_state(psi: BranchingMechanism,
@@ -450,46 +443,24 @@ def classify_zero_state(psi: BranchingMechanism,
     heavy = heaviness(psi, phi)
     outer = _outer_estimate(psi, phi, theta)
     evidence = {"theta": theta, "outer": outer.evidence()}
-
-    if outer.verdict == INFINITE:
-        return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=POLAR,
-            heavy=heavy, intervals=intervals, stationary=stationary,
-            dim_upper=None, dim_lower=None, method=METHOD_NUMERIC,
-            evidence=evidence)
-    if outer.verdict == INCONCLUSIVE:
-        return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=INCONCLUSIVE_CLASS,
-            heavy=heavy, intervals=intervals, stationary=stationary,
-            dim_upper=None, dim_lower=None, method=METHOD_NUMERIC,
-            evidence=evidence)
-
-    root = largest_root(psi)
-    supercritical = is_supercritical(psi)
-    inner = _inner_estimate(psi, phi, theta, root)
-    evidence["inner"] = inner.evidence()
-    evidence["root"] = root
-    evidence["supercritical"] = supercritical
-
-    if inner.verdict == FINITE:
-        zero_class = TRANSIENT
-    elif inner.verdict == INFINITE:
-        if supercritical:
+    zero_class = {INFINITE: POLAR, INCONCLUSIVE: INCONCLUSIVE_CLASS}.get(outer.verdict)
+    if zero_class is None:
+        root = largest_root(psi)
+        supercritical = is_supercritical(psi)
+        inner = _inner_estimate(psi, phi, theta, root)
+        evidence.update(inner=inner.evidence(), root=root, supercritical=supercritical)
+        zero_class = {FINITE: TRANSIENT, INFINITE: RECURRENT}.get(inner.verdict,
+                                                                 INCONCLUSIVE_CLASS)
+        if zero_class == RECURRENT and supercritical:
             # theory forbids recurrence for supercritical branching; a
             # divergent inner integral here means the numerics are off
             zero_class = INCONCLUSIVE_CLASS
             evidence["note"] = ("inner integral diverged for a supercritical "
                                 "mechanism; recurrence is impossible")
-        else:
-            zero_class = RECURRENT
-    else:
-        zero_class = INCONCLUSIVE_CLASS
 
+    dim_upper = dim_lower = None
     if zero_class in (TRANSIENT, RECURRENT):
-        dim_upper, dim_lower, dim_evidence = _dims_numeric(psi, phi)
-        evidence["dims"] = dim_evidence
-    else:
-        dim_upper = dim_lower = None
+        dim_upper, dim_lower, evidence["dims"] = _dims_numeric(psi, phi)
 
     return ZeroSetReport(
         grey=grey, conservative=conservative, zero_class=zero_class,

@@ -40,7 +40,7 @@ from scipy import optimize
 
 from .flow import solver
 from .mechanisms import largest_root
-from .zeroset import _gzero_cdf, least_squares_line
+from .zeroset import _gzero_tail, least_squares_line
 
 MAX_EXPECTED_MARKS = 1e8
 TABLE_POINTS_PER_DECADE = 24
@@ -565,10 +565,10 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     """
     if n_samples < 1:
         raise CutoutError("need at least one replicate")
-    head = _gzero_cdf(psi, phi, T_max)
-    if 1.0 - head >= GZERO_TAIL_BOUND:
+    tail = _gzero_tail(psi, phi, T_max)
+    if tail >= GZERO_TAIL_BOUND:
         raise CutoutError(
-            f"horizon too short: P(g > T_max) = {1.0 - head:.2e} "
+            f"horizon too short: P(g > T_max) = {tail:.2e} "
             f"exceeds {GZERO_TAIL_BOUND:.0e}")
     sampler = _cached_sampler(psi, phi, eps)
     master = np.random.SeedSequence(seed)

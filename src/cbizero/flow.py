@@ -17,13 +17,15 @@ gap, and ``brentq`` finishes it in w.  ``v_from_infinity`` starts at
 w = log max(1, root) with gap = F(level) - t, F(a) = int_a^inf dq/psi;
 ``v_from_lambda`` starts at w = log|lam - root| with the time between
 the level and lam as one quadrature in w.  A closed form that overflows
-raises ``FlowError`` too.  As ds = -dv/Psi along the flow, ``cbi_laplace``
-takes int_0^t Phi(v_s) ds as ``weight_between``, int_{v_t}^lam Phi/Psi.
+raises ``FlowError`` too.  As ds = -dv/Psi along the flow, ``phi_integral``
+takes int_0^t Phi(v_s) ds as Phi(root) t plus ``weight_between`` of
+Phi - Phi(root), int_{v_t}^lam (Phi - Phi(root))/Psi.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy import optimize
@@ -228,9 +230,18 @@ class FlowSolver:
             raise MechanismDomainError(f"time must be > 0, got {t}")
         if q == 0.0:
             return 1.0
-        # int_0^t Phi(v_s) ds = int_{v_t}^q Phi/Psi, with dv = -Psi(v) ds
         v_end = self.v_from_lambda(t, q)
-        return math.exp(-x * v_end - weight_between(self.psi, phi, v_end, q))
+        return math.exp(-x * v_end - self.phi_integral(phi, q, t, v_end))
+
+    def phi_integral(self, phi: ImmigrationMechanism, lam: float, t: float,
+                     v_end: float) -> float:
+        """int_0^t Phi(v_s) ds along the flow from lam, given v_end = v_t(lam):
+        Phi(root) t plus int_{v_end}^lam (Phi - Phi(root))/Psi, as dv = -Psi ds.
+        That integrand has no pole at a positive root, near which v_end keeps
+        few digits; a level that underflowed to 0 counts as the least normal float."""
+        rate = phi(largest_root(self.psi))
+        return rate * t + weight_between(self.psi, lambda u: phi(u) - rate,
+                                         max(v_end, sys.float_info.min), lam)
 
 
 def _ratio_func(psi, phi):

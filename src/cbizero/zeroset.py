@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -34,27 +34,27 @@ from .classify import (
     TRIVIAL_POINT,
     _inner_estimate,
     _outer_estimate,
+    _over,
     _scan_verdict,
     classify_zero_state,
 )
-from .flow import solver, weight_between
+from .flow import _ratio_func, solver
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
     MechanismDomainError,
     Verdict,
+    branching_derivative_at_zero,
     largest_root,
 )
-from .quadrature import FINITE, INFINITE
+from .quadrature import FINITE, INFINITE, tail_verdict_lower
 
 DEFAULT_L_GRID = (1.0, 10.0, 100.0)
 DRIFT_PROBE = 1e6
 
-# the level scans stop this close (relatively) to a positive largest root.
-# A node there is rounded by about 1e-16/_ROOT_PAD relative to v - root,
-# and the closed remainder below it, which takes Phi at the root, is off
-# by about _ROOT_PAD: 1e-8 balances the two
-_ROOT_PAD = 1e-8
+# a level this close (relatively) to a positive root keeps few digits of its
+# distance to it; first order in that distance is exact to its square
+_ROOT_PAD = 1e-6
 
 
 class ZeroSetError(ValueError):
@@ -78,27 +78,22 @@ def _zero_class(psi: BranchingMechanism, phi: ImmigrationMechanism) -> str:
     return classify_zero_state(psi, phi).zero_class
 
 
+_NO_SUBORDINATOR = {
+    POLAR: "zero set is polar (never revisits 0); no Laplace exponent exists",
+    TRIVIAL_POINT: "zero set is the single point {0}",
+    NO_IMMIGRATION: "immigration vanishes identically: the zero set is a terminal ray",
+    INCONCLUSIVE_CLASS: "classification is inconclusive for this pair",
+}
+
+
 def _require_subordinator(psi, phi) -> str:
     if phi is None:
         raise ZeroSetError(
             "no immigration: the zero set is a terminal ray, not the range "
             "of a subordinator; run classify for diagnostics")
     cls = _zero_class(psi, phi)
-    if cls == POLAR:
-        raise ZeroSetError(
-            "zero set is polar (never revisits 0); no Laplace exponent "
-            "exists; run classify for diagnostics")
-    if cls == TRIVIAL_POINT:
-        raise ZeroSetError(
-            "zero set is the single point {0}; run classify for diagnostics")
-    if cls == NO_IMMIGRATION:
-        raise ZeroSetError(
-            "immigration vanishes identically: the zero set is a terminal "
-            "ray; run classify for diagnostics")
-    if cls == INCONCLUSIVE_CLASS:
-        raise ZeroSetError(
-            "classification is inconclusive for this pair; run classify "
-            "for diagnostics")
+    if cls in _NO_SUBORDINATOR:
+        raise ZeroSetError(f"{_NO_SUBORDINATOR[cls]}; run classify for diagnostics")
     return cls
 
 
@@ -107,19 +102,21 @@ def log_weight(psi, phi, t: float) -> float:
     if t <= 0.0:
         raise MechanismDomainError("time must be positive")
     machine = _transform_machine(psi, phi)
-    vt = machine.flow.v_from_infinity(t)
-    return -math.inf if vt <= 0.0 else machine.weight(vt)
+    return machine.log_weight(t, machine.flow.v_from_infinity(t))
 
 
 class _WeightTransform:
     """The Laplace transform of exp(W(t)), taken over the level v = v_t.
 
     With t = F(v), dt = -dv/Psi and W - q t has derivative R_q = (Phi + q)/Psi
-    in v.  Split at a = v_s, s = min(1, 1/q) (or a = 2 root, s = F(a), if that
-    is higher), it is e^{W(a) - q s} times the classifier's outer and inner
-    integrals from a with phi + q for phi.  At a positive root the inner scan
-    stops at root (1 + _ROOT_PAD); below it W - q t falls at the rate
-    Phi(root) + q in t, leaving e^{-int_floor^a R_q} / (Phi(root) + q).
+    in v.  Split at a = v_s, the transform is e^{W(a) - q s} times the upper
+    piece, the classifier's outer integral from a with phi + q for phi, and
+    the lower piece, int_s^inf e^{W(t) - W(s) - q(t - s)} dt.  As R_q
+    e^{-int_x^a R_q} integrates to 1 over (root, a) when Phi(root) + q > 0,
+    by parts the lower piece is (1 - J)/(Phi(root) + q), J the scan of
+    (Phi - Phi(root))/Psi against the same weight, which has no pole at the
+    root.  At a zero root and q = 0 the inner integral of 1/Psi is left;
+    its verdict tells a bounded zero set from an unbounded one.
     """
 
     def __init__(self, psi, phi):
@@ -128,29 +125,54 @@ class _WeightTransform:
         self.flow = solver(psi)
         self.v1 = self.flow.v_from_infinity(1.0)
         self.root = largest_root(psi)
-        self.floor = self.root * (1.0 + _ROOT_PAD)
-        self.weight = partial(weight_between, psi, phi, self.v1)   # W at a level
+        slope = branching_derivative_at_zero(psi)
+        # past 1/psi'(0) a subcritical flow decays exponentially and a level
+        # octave is a fixed stretch of time, too short to see exp(-q t) fall
+        self.horizon = 1.0 / slope if slope > 0.0 else math.inf
+
+    def log_weight(self, t, vt):
+        """W(t) = -int_1^t Phi(v_s) ds, given vt = v_t."""
+        return -self.flow.phi_integral(self.phi, self.v1, t - 1.0, vt)
+
+    def lower(self, q, a):
+        """(the lower piece at a, the scan behind it): inf when it diverges
+        at q = 0, nan when undecided."""
+        phi_q = lambda u: self.phi(u) + q
+        if self.root == 0.0:
+            scan = _inner_estimate(self.psi, phi_q, a, 0.0)
+            # 1 - J carries J/(1 - J) times J's error: a direct scan decided
+            # by a strict rule goes first
+            if scan.verdict == FINITE and (q == 0.0 or scan.rule != "slow-geometric"):
+                return scan.total, scan
+            if q == 0.0:
+                return (math.inf if scan.verdict == INFINITE else math.nan), scan
+        base, gap = self.phi(self.root), a - self.root
+        if gap <= _ROOT_PAD * self.root:        # J to first order in the gap
+            j = 0.0 if gap == 0.0 else ((self.phi(a) - base) * gap
+                                         / (self.psi(a) + (base + q) * gap))
+            return (1.0 - j) / (base + q), None
+        parts = tail_verdict_lower(lambda x: (self.phi(x) - base) * _over(self.psi(x)), a,
+                                   floor=self.root, weight=_ratio_func(self.psi, phi_q))
+        return ((1.0 - parts.total) / (base + q) if parts.verdict == FINITE else math.nan), parts
 
     def transform(self, q: float):
-        """(int_0^inf exp(-q t) exp(W(t)) dt, the scan behind it), q >= 0:
-        inf when a scan diverges, nan when one is undecided."""
-        s = 1.0 if q <= 1.0 else 1.0 / q
+        """(int_0^inf exp(-q t) exp(W(t)) dt, the scan that decided it), q >= 0:
+        inf when a scan diverges at q = 0, nan when one is undecided.
+
+        The split is at s = min(1, 1/q), within the subcritical horizon, and
+        at a positive root no lower than 2 root.  s = 1/q at small q would
+        put a fast-falling weight's e^{W(t) - W(s)} past the blow-up bound.
+        """
+        s = min(1.0 / max(q, 1.0), self.horizon)
         a = self.v1 if s == 1.0 else self.flow.v_from_infinity(s)
         if a < 2.0 * self.root:
-            # the upper scan's first octaves cannot resolve a root just below a
             a = 2.0 * self.root
             s = self.flow.tail_time(a)
-        phi_q = lambda u: self.phi(u) + q
-        upper = _outer_estimate(self.psi, phi_q, a)
-        lower = _inner_estimate(self.psi, phi_q, a, self.floor)
-        for scan in (upper, lower):
-            if scan.verdict != FINITE:
-                return (math.inf if scan.verdict == INFINITE else math.nan), scan
-        total = upper.total + lower.total
-        if self.root > 0.0:
-            total += (math.exp(-weight_between(self.psi, phi_q, self.floor, a))
-                      / (self.phi(self.root) + q))
-        return math.exp(self.weight(a) - q * s) * total, lower
+        upper = _outer_estimate(self.psi, lambda u: self.phi(u) + q, a)
+        if upper.verdict != FINITE:
+            return (math.inf if upper.verdict == INFINITE and q == 0.0 else math.nan), upper
+        lower, scan = self.lower(q, a)
+        return math.exp(self.log_weight(s, a) - q * s) * (upper.total + lower), scan
 
     @cached_property
     def transform_at_zero(self):
@@ -206,15 +228,15 @@ def gzero_density(psi, phi, t: float) -> float:
         return math.inf
 
 
-def _gzero_cdf(psi, phi, T: float) -> float:
-    """P(g_inf <= T) for a bounded zero set, from the upper scan at v_T:
-    int_0^T exp(W(t)) dt = e^{W(v_T)} int_{v_T}^inf e^{int_{v_T}^v R} dv/Psi."""
+def _gzero_tail(psi, phi, T: float) -> float:
+    """P(g_inf > T) for a bounded zero set: e^{W(T)} times the lower piece
+    at v_T, over the norm."""
     machine, norm = _last_zero_law(psi, phi)
     vT = machine.flow.v_from_infinity(T)
-    upper = _outer_estimate(psi, phi, vT)
-    if upper.verdict != FINITE:
-        raise ZeroSetError("last-zero mass before the horizon is undecided")
-    return math.exp(machine.weight(vT)) * upper.total / norm
+    lower, _ = machine.lower(0.0, vT)
+    if not math.isfinite(lower):
+        raise ZeroSetError("last-zero mass past the horizon is undecided")
+    return math.exp(machine.log_weight(T, vT)) * lower / norm
 
 
 def selfsimilar_index(alpha: float, d: float, dprime: float) -> float:

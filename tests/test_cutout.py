@@ -27,6 +27,7 @@ from cbizero.cutout import (
 from cbizero.mechanisms import (
     CustomBranching,
     CustomImmigration,
+    QuadraticBranching,
     StableBranching,
     StableImmigration,
     scale_immigration,
@@ -302,6 +303,13 @@ class TestEmpiricalGZero:
     def test_short_horizon_rejected(self):
         with pytest.raises(CutoutError, match="horizon too short"):
             empirical_gzero(FELLER, ROOT_HALF, 10, 1.0, 1e-3, 1)
+
+    def test_short_horizon_rejected_at_positive_root(self):
+        # psi = u^2 - u, phi = u/4: P(g > T) = I_{e^{-T}}(1/4, 3/4), 2.6e-1 at T = 5
+        super_ = QuadraticBranching(b=-1.0, sigma2=2.0)
+        quarter = StableImmigration(dprime=0.25, beta=1.0)
+        with pytest.raises(CutoutError, match=r"P\(g > T_max\) = 2.58e-01"):
+            empirical_gzero(super_, quarter, 10, 5.0, 1e-3, 1)
 
 
 class TestSuperposition:

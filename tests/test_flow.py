@@ -207,16 +207,34 @@ class TestMarginalTransform:
     @pytest.mark.parametrize("d", [0.25, 0.5, 0.75])
     def test_positive_root_oracle(self, d, copy):
         # psi = u^2 - u, phi = d u: v_t(lam) = 1/(1 - (1 - 1/lam) e^{-t}) and
-        # int_{v_t}^lam d/(u - 1) du give (|v_t - 1|/|lam - 1|)^d from x = 0
+        # int_{v_t}^lam d/(u - 1) du give (|v_t - 1|/|lam - 1|)^d from x = 0,
+        # that is (e^{-t} v_t/lam)^d.  By t = 30 v_t - 1 is below 1e-13, and
+        # from t = 37 on v_t rounds to the root
         psi, phi = SUPER, StableImmigration(dprime=d, beta=1.0)
         if copy:
             psi, phi = _branching_copy(psi), CustomImmigration(eval=lambda u, f=phi: f(u))
         s = solver(psi)
         for lam in (0.25, 0.5, 2.0, 4.0):       # both sides of the root 1
-            for t in (0.5, 3.0):
+            for t in (0.5, 3.0, 30.0, 40.0):
                 v_t = 1.0 / (1.0 - (1.0 - 1.0 / lam) * math.exp(-t))
-                want = (abs(v_t - 1.0) / abs(lam - 1.0)) ** d
+                want = (math.exp(-t) * v_t / lam) ** d
                 assert s.cbi_laplace(0.0, lam, t, phi) == pytest.approx(want, rel=1e-9)
+
+    def test_positive_root_as_start(self):
+        # the flow sits on the root, where Phi(root) = d
+        phi = StableImmigration(dprime=0.5, beta=1.0)
+        got = solver(SUPER).cbi_laplace(1.0, 1.0, 3.0, phi)
+        assert got == pytest.approx(math.exp(-1.0 - 1.5), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 30.0, 800.0])
+    def test_subcritical_oracle_to_underflow(self, t):
+        # psi = u + u^2, phi = d u: 1/v_t = e^t/lam + e^t - 1 and
+        # int_{v_t}^lam d/(1 + u) du; v_800 underflows to 0
+        d, lam, x = 0.5, 2.0, 0.7
+        phi = StableImmigration(dprime=d, beta=1.0)
+        v_t = 1.0 / (math.exp(t) / lam + math.expm1(t)) if t < 700.0 else 0.0
+        want = math.exp(-x * v_t) * ((1.0 + v_t) / (1.0 + lam)) ** d
+        assert solver(SUBCRIT).cbi_laplace(x, lam, t, phi) == pytest.approx(want, rel=1e-12)
 
     def test_nonincreasing_in_q_and_x(self):
         s = solver(SUBCRIT)

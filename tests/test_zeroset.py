@@ -5,6 +5,7 @@ import math
 import pytest
 import scipy.integrate
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from cbizero.mechanisms import (
     CustomBranching,
@@ -17,6 +18,7 @@ from cbizero.mechanisms import (
 )
 from cbizero.zeroset import (
     ZeroSetError,
+    _gzero_tail,
     gzero_density,
     lamperti_kappa,
     laplace_exponent,
@@ -29,6 +31,7 @@ FELLER = StableBranching(d=1.0, alpha=2.0)
 HALF_DRIFT = StableImmigration(dprime=0.5, beta=1.0)   # L(q) = sqrt(q/pi)
 ROOT_HALF = StableImmigration(dprime=1.0, beta=0.5)    # f(t) = 2 exp(-2 sqrt t)
 SUPER = QuadraticBranching(b=-1.0, sigma2=2.0)
+SUBCRIT = QuadraticBranching(b=1.0, sigma2=2.0)
 
 
 class TestLaplaceExponent:
@@ -36,6 +39,12 @@ class TestLaplaceExponent:
     def test_square_root_oracle(self, q):
         got = laplace_exponent(FELLER, HALF_DRIFT, q)
         assert got == pytest.approx(math.sqrt(q / math.pi), rel=1e-6)
+
+    @pytest.mark.parametrize("q", [1e-4, 1e-6])
+    def test_square_root_oracle_small_q(self, q):
+        # the weight t^{-1/2} falls slower than exp(-q t) over a level octave
+        got = laplace_exponent(FELLER, HALF_DRIFT, q)
+        assert got == pytest.approx(math.sqrt(q / math.pi), rel=1e-9)
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_undeclared_custom_copy_matches_family(self, q):
@@ -183,9 +192,43 @@ class TestPositiveRootOracle:
 
     def test_gzero_density(self, c, d, copy):
         psi, phi = _positive_root_pair(d, copy, c)
-        for t in (0.1, 1.0, 4.0):     # the levels v_{t/c} of the fast flow
+        for t in (0.1, 1.0, 4.0, 30.0):     # the levels v_{t/c} of the fast flow
             want = c * math.sin(math.pi * d) / math.pi * math.expm1(t) ** -d
             assert gzero_density(psi, phi, t / c) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
+class TestSubcriticalOracle:
+    """psi = u + u^2 with phi = d u: v_t = 1/(e^t - 1) and
+    e^{W(t)} = ((1 - e^{-1})/(1 - e^{-t}))^d, so L(q) = 1/((1 - e^{-1})^d B(q, 1 - d)).
+    The zero set is unbounded and a level octave near 0 takes log 2 of time."""
+
+    D = 0.5
+
+    def _pair(self, copy):
+        psi, phi = SUBCRIT, StableImmigration(dprime=self.D, beta=1.0)
+        if copy:
+            return (CustomBranching(eval=lambda u: psi(u)),
+                    CustomImmigration(eval=lambda u: phi(u)))
+        return psi, phi
+
+    def test_laplace_exponent(self, copy):
+        psi, phi = self._pair(copy)
+        assert laplace_exponent(psi, phi, 0.0) == 0.0
+        for q in (1e-6, 1e-4, 0.25, 1.0, 16.0):
+            log_beta = math.lgamma(q) + math.lgamma(1.0 - self.D) - math.lgamma(q + 1.0 - self.D)
+            want = (1.0 - math.exp(-1.0)) ** -self.D * math.exp(-log_beta)
+            assert laplace_exponent(psi, phi, q) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
+@pytest.mark.parametrize("T", [1.0, 10.0, 30.0, 40.0])
+def test_last_zero_tail_at_positive_root(T, copy):
+    # psi = u^2 - u, phi = d u: P(g > T) = I_{e^{-T}}(d, 1 - d); v_30 - 1 is
+    # below 1e-13 and v_40 rounds to the root
+    d = 0.25
+    psi, phi = _positive_root_pair(d, copy, 1.0)
+    assert _gzero_tail(psi, phi, T) == pytest.approx(betainc(d, 1.0 - d, math.exp(-T)), rel=1e-9)
 
 
 class TestNoNestedQuadrature:
