@@ -245,12 +245,11 @@ class FlowSolver:
 
 
 def _ratio_func(psi, phi):
-    """R = Phi/Psi as a function of the level: inf where Psi is 0."""
+    """R = Phi/Psi as a function of the level: inf where Psi is 0, 0 where both are."""
     def R(u):
-        den = psi(u)
+        den, num = psi(u), phi(u)
         if den == 0.0:
-            return math.inf
-        num = phi(u)
+            return 0.0 if num == 0.0 else math.inf
         if math.isinf(den):
             return math.nan if math.isinf(num) else 0.0
         return num / den

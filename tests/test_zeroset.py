@@ -31,7 +31,6 @@ FELLER = StableBranching(d=1.0, alpha=2.0)
 HALF_DRIFT = StableImmigration(dprime=0.5, beta=1.0)   # L(q) = sqrt(q/pi)
 ROOT_HALF = StableImmigration(dprime=1.0, beta=0.5)    # f(t) = 2 exp(-2 sqrt t)
 SUPER = QuadraticBranching(b=-1.0, sigma2=2.0)
-SUBCRIT = QuadraticBranching(b=1.0, sigma2=2.0)
 
 
 class TestLaplaceExponent:
@@ -170,8 +169,8 @@ def _positive_root_pair(d, copy, c):
     return psi, phi
 
 
-@pytest.mark.parametrize("c,copy", [(1.0, False), (1.0, True), (10.0, False)],
-                         ids=["family", "custom-copy", "family-c10"])
+@pytest.mark.parametrize("c,copy", [(1.0, False), (1.0, True), (10.0, False), (40.0, False)],
+                         ids=["family", "custom-copy", "family-c10", "family-c40"])
 @pytest.mark.parametrize("d", [0.25, 0.5, 0.75])
 class TestPositiveRootOracle:
     """At c = 1, v_t = 1/(1 - e^{-t}) and e^{W(t)} = ((e - 1)/(e^t - 1))^d, so
@@ -179,7 +178,7 @@ class TestPositiveRootOracle:
 
     Scaling both mechanisms by c runs the flow c times faster, so g has
     density c g_1(ct) and L(q) = c e^{W_1(c)} L_1(q/c).  At c = 10 the level
-    v_1 lies within 5e-5 of the root.
+    v_1 lies within 5e-5 of the root, and at c = 40 it rounds onto it.
     """
 
     def test_laplace_exponent(self, c, d, copy):
@@ -198,27 +197,22 @@ class TestPositiveRootOracle:
 
 
 @pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
-class TestSubcriticalOracle:
-    """psi = u + u^2 with phi = d u: v_t = 1/(e^t - 1) and
-    e^{W(t)} = ((1 - e^{-1})/(1 - e^{-t}))^d, so L(q) = 1/((1 - e^{-1})^d B(q, 1 - d)).
-    The zero set is unbounded and a level octave near 0 takes log 2 of time."""
-
-    D = 0.5
-
-    def _pair(self, copy):
-        psi, phi = SUBCRIT, StableImmigration(dprime=self.D, beta=1.0)
-        if copy:
-            return (CustomBranching(eval=lambda u: psi(u)),
-                    CustomImmigration(eval=lambda u: phi(u)))
-        return psi, phi
-
-    def test_laplace_exponent(self, copy):
-        psi, phi = self._pair(copy)
-        assert laplace_exponent(psi, phi, 0.0) == 0.0
-        for q in (1e-6, 1e-4, 0.25, 1.0, 16.0):
-            log_beta = math.lgamma(q) + math.lgamma(1.0 - self.D) - math.lgamma(q + 1.0 - self.D)
-            want = (1.0 - math.exp(-1.0)) ** -self.D * math.exp(-log_beta)
-            assert laplace_exponent(psi, phi, q) == pytest.approx(want, rel=1e-9)
+@pytest.mark.parametrize("b", [1.0, 10.0])
+def test_subcritical_oracle(b, copy):
+    # psi = b u + u^2, phi = d u: v_t = b/(e^{bt} - 1) and
+    # e^{W(t)} = ((1 - e^{-b})/(1 - e^{-bt}))^d, so the zero set is unbounded
+    # and L(q) = b/((1 - e^{-b})^d B(q/b, 1 - d)).  Near 0 a level octave
+    # takes log(2)/b of time, and past t = 1/b the flow decays exponentially
+    d = 0.5
+    psi, phi = QuadraticBranching(b=b, sigma2=2.0), StableImmigration(dprime=d, beta=1.0)
+    if copy:
+        psi, phi = (CustomBranching(eval=lambda u, f=psi: f(u)),
+                    CustomImmigration(eval=lambda u, f=phi: f(u)))
+    assert laplace_exponent(psi, phi, 0.0) == 0.0
+    for q in (1e-6, 1e-4, 0.25, 1.0, 16.0):
+        log_beta = math.lgamma(q / b) + math.lgamma(1.0 - d) - math.lgamma(q / b + 1.0 - d)
+        want = b * (1.0 - math.exp(-b)) ** -d * math.exp(-log_beta)
+        assert laplace_exponent(psi, phi, q) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
