@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .flow import _ratio_func, solver, weight_between
+from .flow import FlowError, _ratio_func, solver, weight_between
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -189,20 +189,11 @@ def regvar_summary(psi, phi) -> Optional[RegVarSummary]:
 
 # --- component verdicts ----------------------------------------------------
 
-def _scan_verdict(est, evidence) -> Verdict:
-    """Yes for a convergent panel scan, No for a divergent one."""
-    if est.verdict == FINITE:
-        return Verdict.yes(evidence)
-    if est.verdict == INFINITE:
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
-
-
 def heaviness(psi, phi) -> Verdict:
     """Positive Lebesgue measure of the zero set: does int_theta^inf R converge?"""
     theta = positivity_threshold(psi)
     est = tail_verdict_upper(_ratio_func(psi, phi), theta)
-    return _scan_verdict(est, {"theta": theta, **est.evidence()})
+    return Verdict.of_scan(est, {"theta": theta, **est.evidence()})
 
 
 def has_intervals(phi) -> Verdict:
@@ -221,7 +212,7 @@ def stationary_exists(psi, phi) -> Verdict:
         return Verdict.no({"psi_deriv_at_0": deriv, "reason": "supercritical"})
     theta = positivity_threshold(psi)
     est = tail_verdict_lower(_ratio_func(psi, phi), theta)
-    return _scan_verdict(est, {"psi_deriv_at_0": deriv, "theta": theta, **est.evidence()})
+    return Verdict.of_scan(est, {"psi_deriv_at_0": deriv, "theta": theta, **est.evidence()})
 
 
 # --- criterion integrals ----------------------------------------------------
@@ -270,11 +261,8 @@ def _dims_numeric(psi, phi):
     """Box-dimension probes 1 - W(u)/log(1/u) at shrinking u."""
     fs = solver(psi)
     v1 = fs.v_from_infinity(1.0)
-    samples = {}
-    for u in _DIM_PROBES:
-        vu = fs.v_from_infinity(u)
-        w = weight_between(psi, phi, v1, vu)
-        samples[u] = 1.0 - w / math.log(1.0 / u)
+    samples = {u: 1.0 - weight_between(psi, phi, v1, fs.v_from_infinity(u)) / math.log(1.0 / u)
+               for u in _DIM_PROBES}
     hi, lo = max(samples.values()), min(samples.values())
     return _clip_unit(hi), _clip_unit(lo), {"samples": samples, "spread": hi - lo}
 
@@ -460,7 +448,10 @@ def classify_zero_state(psi: BranchingMechanism,
 
     dim_upper = dim_lower = None
     if zero_class in (TRANSIENT, RECURRENT):
-        dim_upper, dim_lower, evidence["dims"] = _dims_numeric(psi, phi)
+        try:
+            dim_upper, dim_lower, evidence["dims"] = _dims_numeric(psi, phi)
+        except FlowError as exc:    # W unresolved, as where v_1 rounds onto a root
+            evidence["dims"] = {"error": str(exc), **exc.evidence}
 
     return ZeroSetReport(
         grey=grey, conservative=conservative, zero_class=zero_class,

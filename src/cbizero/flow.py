@@ -1,47 +1,46 @@
 """Deterministic flow of the branching ODE and the marginal transform.
 
-The central object is the solution ``v_t(lam)`` of dv/dt = -psi(v) with
-v_0 = lam, together with its boundary version started from infinity.
-Both are computed by inverting the time integral t = int_v^lam dq/psi(q)
-rather than by stepping the ODE, which sidesteps the stiffness near
-t -> 0 where the boundary solution blows up.
+The flow ``v_t(lam)`` solves dv/dt = -psi(v) from v_0 = lam, or from
+infinity.  It is found by inverting t = int_v^lam dq/psi(q), not by
+stepping the ODE, which is stiff as t -> 0 where the boundary flow blows up.
 
-Each solve first asks the mechanism's closed-form flow hook
-(``closed_tail_time``, ``closed_v_from_lambda``,
-``closed_v_from_infinity``); when the family has none, the solver falls
-back to one numeric inversion.  It writes the level as root + s e^w,
-with s = +1 above the largest root and -1 below it, and solves
-gap(w) = 0, where gap is the time the flow spends past the level less
-t.  Steps that double from a start edge bracket the sign change of the
-gap, and ``brentq`` finishes it in w.  ``v_from_infinity`` starts at
-w = log max(1, root) with gap = F(level) - t, F(a) = int_a^inf dq/psi;
-``v_from_lambda`` starts at w = log|lam - root| with the time between
-the level and lam as one quadrature in w.  A closed form that overflows
-raises ``FlowError`` too.  As ds = -dv/Psi along the flow, ``phi_integral``
-takes int_0^t Phi(v_s) ds as Phi(root) t plus ``weight_between`` of
-Phi - Phi(root), int_{v_t}^lam (Phi - Phi(root))/Psi.
+Each solve first asks the mechanism's closed-form flow hook (``closed_*``;
+one that overflows raises ``FlowError``), else inverts on the panel rule
+with the level written root + s e^w (s = +1 above the largest root, -1
+below).  F(a) = int_a^inf dq/psi is read at the edges theta 2^k off the
+scan of 1/psi that decides Grey's condition (``mechanisms.tail_scan``),
+summed from the top; an edge far below its scan's total, or past its
+range, is scanned afresh.  A scan's range ends where psi overflows, and
+a v_t past it raises ``FlowError``.  v_t lies in the octave whose edge
+values bracket t, or below the first edge, as the flow from it for the
+rest of t.  Newton steps on log time solve in w, each integrating only
+the span from the last iterate, as dT/dw = -e^w/|psi| is exact.  As
+ds = -dv/Psi, ``phi_integral`` takes int_0^t Phi(v_s) ds as Phi(root) t
+plus ``weight_between`` of Phi - Phi(root) from v_t to lam.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-from scipy import optimize
 
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
     MechanismDomainError,
-    grey_check,
     largest_root,
+    positivity_threshold,
+    tail_scan,
 )
-from .quadrature import adaptive
+from .quadrature import FINITE, quad
 
 ROOT_TOL = 1e-12
 # initial levels at or above V_CAP count as the boundary condition at infinity
 V_CAP = 1e300
+# an edge whose F is below this share of its scan's total is scanned afresh
+RESCAN_SHARE = 1e-3
+# the relative error of an answer that the panels' error estimates may imply
+ERR_LIMIT = 1e-6
 
 
 class GreyConditionError(ValueError):
@@ -71,6 +70,24 @@ class FlowSolver:
             raise FlowError("closed flow form overflows",
                             {"hook": hook.__name__, "args": args}) from None
 
+    def _edge_times(self, k):
+        """F at the edges theta 2^k, theta 2^(k+1), ... of the scan from theta 2^k."""
+        scan = tail_scan(self.psi, k)
+        if scan.verdict != FINITE:
+            if k == 0:
+                raise GreyConditionError("v from infinity undefined: Grey's condition fails")
+            why = ", as psi overflows below v_t (above a, for F(a))"
+            raise FlowError("scan of 1/psi undecided" + why * (scan.rule == "range-end"),
+                            {"k": k, **scan.evidence()})
+        return scan.remainders()
+
+    def _time(self, root, sign, w_near, w_far):
+        """(int dq/|psi| over the levels root + sign e^u, u from w_near to w_far, abserr)."""
+        def pace(u):        # e^u/|psi|, not e^u (1/|psi|): 1/psi overflows first
+            at = self.psi(root + sign * math.exp(u))
+            return math.exp(u) / abs(at) if at else math.inf
+        return quad(pace, w_near, w_far)
+
     # -- F(a) = int_a^inf dq/psi ------------------------------------------
 
     def tail_time(self, a: float) -> float:
@@ -80,29 +97,22 @@ class FlowSolver:
         closed = self._closed(self.psi.closed_tail_time, a)
         if closed is not None:
             return closed
-        psi = self.psi
-        if not grey_check(psi).is_yes:
-            raise GreyConditionError("v from infinity undefined: Grey's condition fails")
-        at_a = psi(a)
+        times, at_a = self._edge_times(0), self.psi(a)
         if not at_a > 0:
             raise MechanismDomainError(
                 f"tail_time needs psi positive at a, got psi({a}) = {at_a}")
         if math.isinf(at_a):
             raise FlowError("psi overflows at a", {"a": a})
-
-        # u = 1/q turns the improper tail into a proper integral on (0, 1/a];
-        # its integrand 1/(u^2 psi(1/u)) is formed as q/psi(q)*q, since u^2
-        # underflows long before q/psi(q) does
-        def integrand(u):
-            if u <= 0.0:
-                return 0.0
-            q = 1.0 / u
-            value = psi(q)
-            if not math.isfinite(value) or value <= 0.0:
-                return 0.0
-            return q / value * q
-
-        return adaptive(integrand, 0.0, 1.0 / a)
+        # F at the first edge above a, plus the time from a up to it
+        root, theta = largest_root(self.psi), positivity_threshold(self.psi)
+        j = 0 if a < theta else math.floor(math.log2(a / theta)) + 1
+        top = (times[j] if j < len(times) and times[j] >= RESCAN_SHARE * times[0]
+               else self._edge_times(j)[0])
+        between, err = self._time(root, 1.0, math.log(a - root),
+                                  math.log(theta * 2.0 ** j - root))
+        if not err <= ERR_LIMIT * (top + between):
+            raise FlowError("panel error estimate too large", {"a": a, "abserr": err})
+        return top + between
 
     # -- flow from a finite level ------------------------------------------
 
@@ -135,12 +145,7 @@ class FlowSolver:
         # the flow runs toward the root: down from above it, up from below
         sign = 1.0 if lam > root else -1.0
         start = math.log(abs(lam - root))
-
-        def pace(u):            # dq/|psi(q)| at q = root + sign*e^u
-            dq = math.exp(u)
-            return dq / abs(psi(root + sign * dq))
-
-        return self._invert(lambda w: adaptive(pace, w, start) - t, root, sign, start, t)
+        return self._invert(t, root, sign, start, 0.0, -math.inf, start)
 
     # -- flow from infinity ------------------------------------------------
 
@@ -151,63 +156,57 @@ class FlowSolver:
         closed = self._closed(self.psi.closed_v_from_infinity, t)
         if closed is not None:
             return closed
-        if not grey_check(self.psi).is_yes:
-            raise GreyConditionError("v from infinity undefined: Grey's condition fails")
-        root = largest_root(self.psi)
-        return self._invert(lambda w: self.tail_time(root + math.exp(w)) - t,
-                            root, 1.0, math.log(max(1.0, root)), t)
+        root, theta = largest_root(self.psi), positivity_threshold(self.psi)
+        top = math.floor(math.log2(V_CAP / theta))      # theta 2^top <= V_CAP
+        k = 0
+        while k <= top:
+            times = self._edge_times(k)
+            if t >= times[0]:   # below the first edge: the flow from it for the rest of t
+                w = math.log(theta * 2.0 ** k - root)
+                return self._invert(t - times[0], root, 1.0, w, 0.0, -math.inf, w)
+            i = sum(f >= t for f in times) - 1      # F(edge i) >= t > F(edge i + 1)
+            if i + 1 < len(times) and (i == 0 or times[i] >= RESCAN_SHARE * times[0]):
+                lo, hi = (math.log(theta * 2.0 ** (k + j) - root) for j in (i, i + 1))
+                level = self._invert(t, root, 1.0, lo, times[i], lo, hi)
+                if level >= V_CAP:
+                    break
+                return level
+            k += i      # the next scan starts at the last edge with F >= t
+        raise FlowError("v_t lies beyond V_CAP", {"t": t, "v_cap": V_CAP})
 
-    def _invert(self, gap, root, sign, edge, t):
-        """The level root + sign*e^w at which the time gap(w), falling in w, is 0.
-
-        Steps that double from w = edge bracket the sign change, and
-        ``brentq`` solves in w.  A step that lands where psi overflows
-        (upward) or underflows to 0.0 (downward) is halved.
-        """
-        psi = self.psi
-
-        def level(w):
-            return root + sign * math.exp(w)
-
-        top = math.log(V_CAP)
-        upward = gap(edge) > 0          # v_t lies farther from the root than the edge
-        step = 1.0
-        ceiling = None                  # a w where psi overflows
-        while True:
-            if upward and edge >= top:
-                raise FlowError("v_t lies beyond V_CAP",
-                                {"t": t, "v_cap": V_CAP, "root": root})
-            w = min(edge + step, top) if upward else edge - step
-            if not upward and level(w) == root:
-                return root  # the flow sits on the root to float precision
-            at_w = psi(level(w))
-            # 1/psi has no value where psi overflows or underflows to 0.0:
-            # step less far
-            if (not math.isfinite(at_w)) if upward else at_w == 0.0:
-                ceiling = w if upward else None
-                step /= 2.0
-                if edge + step == edge:
-                    raise FlowError("psi overflows below v_t" if upward
-                                    else "psi underflows above v_t",
-                                    {"t": t, "level": level(edge), "root": root})
+    def _invert(self, t, root, sign, w, time, lo, hi):
+        """The level root + sign e^w where the flow has run for time t, given
+        ``time`` at the first w; time falls in w, >= t at lo and < t at hi.
+        Newton steps on log time (from time 0, log1p of Newton's on time)
+        bisect where they leave (lo, hi) and stop at the floor, below which
+        levels round onto the root.  A span where psi vanishes lies past the
+        answer, and at a zero root (psi underflowed there) that raises."""
+        err, underflow, floor = 0.0, False, math.log(math.ulp(root))
+        for _ in range(100):
+            level = root + sign * math.exp(w)
+            rate = math.exp(w) / abs(self.psi(level))       # -dT/dw
+            step = -(math.log1p(t / rate) if time == 0.0
+                     else math.log(t / time) * time / rate)
+            # an error dw in w moves the level by e^w dw: near the root w needs
+            # fewer digits, and none finer than its own spacing
+            xtol = max(ROOT_TOL * abs(level) / math.exp(w), 2.0 * math.ulp(w))
+            if hi - lo <= xtol and underflow:
+                raise FlowError("psi underflows above v_t", {"t": t, "level": level})
+            if abs(step) <= xtol or hi - lo <= xtol:
+                v = root + sign * math.exp(w + step)
+                if abs(self.psi(v)) * err > ERR_LIMIT * v:
+                    raise FlowError("panel error estimate too large", {"t": t, "abserr": err})
+                return v
+            ahead = max(w + step if lo < w + step < hi else 0.5 * (lo + hi), floor)
+            span, span_err = self._time(root, sign, ahead, w)
+            if not math.isfinite(span):
+                lo, underflow = ahead, root == 0.0
                 continue
-            if (gap(w) > 0) != upward:
-                break
-            edge, step = w, 2.0 * step
-        if ceiling is not None:
-            # F misses the time above the level where psi overflows; an
-            # e-fold below that level x the flow spends about x/psi(x)
-            below = w
-            while ceiling - below > 1.0:
-                mid = 0.5 * (below + ceiling)
-                below, ceiling = (mid, ceiling) if math.isfinite(psi(level(mid))) else (below, mid)
-            if level(below) / psi(level(below)) > ROOT_TOL * t:
-                raise FlowError("psi overflows below v_t",
-                                {"t": t, "level": level(ceiling), "root": root})
-        lo, hi = sorted((edge, w))
-        # an error dw in w moves the level by e^w dw: near the root w needs fewer digits
-        xtol = ROOT_TOL * abs(level(hi)) / math.exp(hi)
-        return level(optimize.brentq(gap, lo, hi, xtol=xtol, rtol=ROOT_TOL))
+            w, time, err = ahead, time + span, err + span_err
+            if w == floor and time < t:
+                return root
+            lo, hi, underflow = (w, hi, False) if time >= t else (lo, w, underflow)
+        raise FlowError("flow inversion did not converge", {"t": t, "bracket": (lo, hi)})
 
     # -- probabilities -------------------------------------------------------
 
@@ -238,10 +237,9 @@ class FlowSolver:
         """int_0^t Phi(v_s) ds along the flow from lam, given v_end = v_t(lam):
         Phi(root) t plus int_{v_end}^lam (Phi - Phi(root))/Psi, as dv = -Psi ds.
         That integrand has no pole at a positive root, near which v_end keeps
-        few digits; a level that underflowed to 0 counts as the least normal float."""
+        few digits."""
         rate = phi(largest_root(self.psi))
-        return rate * t + weight_between(self.psi, lambda u: phi(u) - rate,
-                                         max(v_end, sys.float_info.min), lam)
+        return rate * t + weight_between(self.psi, lambda u: phi(u) - rate, v_end, lam)
 
 
 def _ratio_func(psi, phi):
@@ -257,12 +255,20 @@ def _ratio_func(psi, phi):
 
 
 def weight_between(psi, phi, a: float, b: float) -> float:
-    """int_a^b R(u) du computed on a log grid (well conditioned over decades)."""
-    if not (a > 0 and b > 0):
-        raise MechanismDomainError("weight integral needs positive endpoints")
+    """int_a^b R(u) du for a and b on one side of the largest root, in x with
+    u = root + s e^x: well conditioned over decades, and the panels' nodes
+    next to the root carry weights of the size of their distance to it.  An
+    end on the root (or at 0) counts as one float spacing away."""
+    if not (a >= 0 and b >= 0):
+        raise MechanismDomainError("weight integral needs nonnegative endpoints")
+    root = largest_root(psi)
+    sign = 1.0 if max(a, b) > root else -1.0
     R = _ratio_func(psi, phi)
-    return adaptive(lambda z: R(math.exp(z)) * math.exp(z),
-                    math.log(a), math.log(b))
+    ends = (math.log(max(abs(u - root), math.ulp(root))) for u in (a, b))
+    value, err = quad(lambda x: R(root + sign * math.exp(x)) * math.exp(x), *ends)
+    if not err <= ERR_LIMIT * max(1.0, abs(value)):
+        raise FlowError("weight integral unresolved", {"a": a, "b": b, "abserr": err})
+    return sign * value
 
 
 def solver(psi: BranchingMechanism) -> FlowSolver:

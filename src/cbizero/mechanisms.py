@@ -30,7 +30,8 @@ from typing import Callable, Optional
 
 from scipy import optimize
 
-from .quadrature import FINITE, INFINITE, tail_verdict_lower, tail_verdict_upper
+from .quadrature import (FINITE, INCONCLUSIVE, INFINITE, RangeEnd, tail_verdict_lower,
+                         tail_verdict_upper)
 
 
 class MechanismDomainError(ValueError):
@@ -81,6 +82,13 @@ class Verdict:
     @staticmethod
     def inconclusive(evidence: dict) -> "Verdict":
         return Verdict(VerdictValue.INCONCLUSIVE, evidence)
+
+    @staticmethod
+    def of_scan(est, evidence: dict, yes: str = FINITE) -> "Verdict":
+        """Yes when a scan's verdict is ``yes``, No if certain otherwise."""
+        if est.verdict == INCONCLUSIVE:
+            return Verdict.inconclusive(evidence)
+        return Verdict(VerdictValue.YES if est.verdict == yes else VerdictValue.NO, evidence)
 
 
 @dataclass(frozen=True)
@@ -149,11 +157,12 @@ def _loglog_slopes(fn, grid, *, nonpositive_ok=False):
 
 
 def _probe_profile(fn) -> GrowthProfile:
-    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF)
-    # a supercritical psi is negative near 0: no index there, and the
+    # a supercritical psi is negative near 0, and at the first probes at
+    # infinity when its root lies past them: no index there, and the
     # profile is inconclusive so index arithmetic abstains
+    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF, nonpositive_ok=True)
     lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO, nonpositive_ok=True)
-    inconclusive = (math.isnan(lo_0) or hi_inf - lo_inf > _PROBE_SPREAD
+    inconclusive = (math.isnan(lo_0 + lo_inf) or hi_inf - lo_inf > _PROBE_SPREAD
                     or hi_0 - lo_0 > _PROBE_SPREAD)
     return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, exact=False,
                          inconclusive=inconclusive)
@@ -711,19 +720,15 @@ def largest_root(psi) -> float:
     root = psi.closed_root()
     if root is not None:
         return root
-    theta = positivity_threshold(psi)
-    hi = theta
-    lo = theta / 2.0
-    for _ in range(1000):
+    hi = positivity_threshold(psi)
+    lo = hi / 2.0
+    while lo >= 1e-290:
         # bracket on the sign alone: an exact 0.0 may be psi underflowing
-        value = psi(lo)
-        if value < 0:
+        if psi(lo) < 0:
             # the root lies in [lo, 2 lo]: a tolerance scaled by lo keeps tiny roots
             return optimize.brentq(psi, lo, hi, xtol=1e-14 * lo, rtol=1e-14)
         hi = lo
         lo /= 2.0
-        if lo < 1e-290:
-            return 0.0
     return 0.0
 
 
@@ -738,20 +743,24 @@ def immigration_drift(phi) -> float:
 
 
 def _safe_recip(value: float) -> float:
+    """1/|value|, inf at 0; an overflowed value ends a scan's range."""
+    if math.isinf(value):
+        raise RangeEnd
     return math.inf if value == 0.0 else 1.0 / abs(value)
 
 
 @lru_cache(maxsize=512)
+def tail_scan(psi, k: int = 0):
+    """The panel scan of int_a^inf dq/psi from a = theta 2^k, theta the
+    positivity threshold.  Its range ends where psi overflows."""
+    start = positivity_threshold(psi) * 2.0 ** k
+    return tail_verdict_upper(lambda q: _safe_recip(psi(q)), start)
+
+
 def grey_check(psi) -> Verdict:
     """Does int^inf dq/psi(q) converge (extinction in finite time)?"""
-    theta = positivity_threshold(psi)
-    est = tail_verdict_upper(lambda q: _safe_recip(psi(q)), theta)
-    evidence = {"theta": theta, **est.evidence()}
-    if est.verdict == FINITE:
-        return Verdict.yes(evidence)
-    if est.verdict == INFINITE:
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
+    est = tail_scan(psi)
+    return Verdict.of_scan(est, {"theta": positivity_threshold(psi), **est.evidence()})
 
 
 @lru_cache(maxsize=512)
@@ -765,12 +774,7 @@ def conservativity_check(psi) -> Verdict:
     if root > 0:
         stop = root / 2.0
     est = tail_verdict_lower(lambda q: _safe_recip(psi(q)), stop)
-    evidence = {"stop": stop, **est.evidence()}
-    if est.verdict == INFINITE:
-        return Verdict.yes(evidence)
-    if est.verdict == FINITE:
-        return Verdict.no(evidence)
-    return Verdict.inconclusive(evidence)
+    return Verdict.of_scan(est, {"stop": stop, **est.evidence()}, yes=INFINITE)
 
 
 def is_compound_poisson(phi) -> Verdict:

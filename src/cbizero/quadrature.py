@@ -36,17 +36,21 @@ panels integrates both, where nesting a quadrature of R inside every
 call of the integrand would cost a whole rule per node.  W sits in an
 exponent, so its error estimate is held to ``REL_TOL`` in absolute
 terms.
+
+An integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
+where psi overflows): the scan's range ends at the last whole panel and
+the end-of-scan rule decides.  ``quad`` takes a finite range as one
+panel, bisected where it misses ``REL_TOL``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy import integrate
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -72,37 +76,34 @@ class TailEstimate:
 
     ``abserr`` sums the panel rules' error estimates (the truncated tail
     is not in it); ``unresolved_panels`` counts the pieces that missed
-    the tolerance at the bisection cap.
+    the tolerance at the bisection cap; ``tail`` is the part past the last.
     """
 
     verdict: str
     total: float
-    panels_used: int
-    last_contributions: tuple
+    contributions: tuple
     rule: str
     abserr: float = 0.0
     unresolved_panels: int = 0
+    tail: float = 0.0
+
+    @property
+    def panels_used(self) -> int:
+        return len(self.contributions)
+
+    def remainders(self) -> list:
+        """The integral from each panel edge on, summed from the far end:
+        the tail plus the later panels."""
+        return list(accumulate(reversed(self.contributions), initial=self.tail))[::-1]
 
     def evidence(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "total": self.total,
-            "panels": self.panels_used,
-            "rule": self.rule,
-            "last_contributions": list(self.last_contributions),
-            "abserr": self.abserr,
-            "unresolved_panels": self.unresolved_panels,
-        }
+        return {"verdict": self.verdict, "total": self.total, "panels": self.panels_used,
+                "rule": self.rule, "last_contributions": list(self.contributions[-5:]),
+                "abserr": self.abserr, "unresolved_panels": self.unresolved_panels}
 
 
-def adaptive(f, a, b, *, rel_tol=REL_TOL):
-    """Adaptive quadrature of f over [a, b] (orientation preserved)."""
-    if a == b:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(f, a, b, epsabs=1e-300, epsrel=rel_tol, limit=200)
-    return value
+class RangeEnd(Exception):
+    """Raised by an integrand that has no value at its argument."""
 
 
 # --- the panel rule ----------------------------------------------------------
@@ -190,41 +191,52 @@ def _panel(f, weight, lo, hi, w_edge, upward, depth):
     return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
+def quad(f, a, b):
+    """(int_a^b f, its error estimate) on one bisected panel, orientation kept."""
+    value, err, _, _ = _panel(f, None, min(a, b), max(a, b), 0.0, True, 0)
+    return (value if a < b else -value), err
+
+
 # --- the verdict protocol --------------------------------------------------------
 
 def _ratios(contributions):
-    out = []
-    for prev, cur in zip(contributions, contributions[1:]):
-        if prev <= 0.0:
-            return None
-        out.append(cur / prev)
-    return out
+    if any(c <= 0.0 for c in contributions[:-1]):
+        return None
+    return [cur / prev for prev, cur in zip(contributions, contributions[1:])]
 
 
-def _decide(contributions, total):
-    """Apply the verdict rules to the contribution sequence seen so far.
+def _decide(contributions, total, at_end=False):
+    """Apply the verdict rules to the contribution sequence seen so far;
+    ``at_end``, once the panels are spent, adds the relaxed rule.
 
-    Returns (verdict, tail_estimate, rule) or None when no rule fires yet.
+    Returns (verdict, rule, tail_estimate) or None when no rule fires yet.
     """
     if total > SUM_BLOWUP or math.isinf(total):
-        return INFINITE, math.inf, "sum-blowup"
+        return INFINITE, "sum-blowup", math.inf
     if len(contributions) < WINDOW + 1:
         return None
     window = contributions[-(WINDOW + 1):]
     # Dead tail: the integrand has effectively run out of mass.
     if total > 0 and all(c <= total * EXHAUSTED_FRACTION for c in window):
-        return FINITE, 0.0, "exhausted"
+        return FINITE, "exhausted"
     if total == 0.0 and all(c == 0.0 for c in window):
-        return FINITE, 0.0, "exhausted"
+        return FINITE, "exhausted"
     ratios = _ratios(window)
     if ratios is None:
         return None
     if all(r >= 1.0 - 1e-9 for r in ratios) and window[-1] > 0:
-        return INFINITE, math.inf, "non-decreasing"
+        return INFINITE, "non-decreasing", math.inf
     if all(r <= GEOMETRIC_RATIO for r in ratios):
         high, low = (window[-1] * r / (1.0 - r) for r in (max(ratios), min(ratios)))
         if total > 0 and high - low < REL_TOL * total:
-            return FINITE, _tail(window[-1], ratios, high - low), "geometric"
+            return FINITE, "geometric", _tail(window[-1], ratios, high - low)
+    # Stable sub-unit ratio: geometric decay too slow for the strict rule
+    # but still conclusive.  An upward-drifting ratio (harmonic-type decay
+    # creeping toward 1) stays inconclusive.
+    if at_end and (all(r <= RATIO_CEILING for r in ratios)
+                   and ratios[-1] <= ratios[0] + RATIO_DRIFT):
+        r = max(ratios)
+        return FINITE, "slow-geometric", window[-1] * r / (1.0 - r)
     return None
 
 
@@ -239,52 +251,36 @@ def _tail(last, ratios, spread):
     return last * r / (1.0 - r) + min(max(drift, -spread), spread)
 
 
-def _decide_at_end(contributions, total):
-    """Relaxed convergence rule once all panels are spent."""
-    if len(contributions) < WINDOW + 1:
-        return None
-    window = contributions[-(WINDOW + 1):]
-    ratios = _ratios(window)
-    if ratios is None:
-        return None
-    # Stable sub-unit ratio: geometric decay too slow for the strict rule
-    # but still conclusive.  An upward-drifting ratio (harmonic-type decay
-    # creeping toward 1) stays inconclusive.
-    if all(r <= RATIO_CEILING for r in ratios) and ratios[-1] <= ratios[0] + RATIO_DRIFT:
-        r = max(ratios)
-        tail = window[-1] * r / (1.0 - r)
-        return FINITE, tail, "slow-geometric"
-    return None
-
-
 def _run_panels(f, panels, weight, upward):
     contributions = []
     total = abserr = 0.0
     unresolved = 0
     w_edge = 0.0
 
-    def estimate(verdict, value, rule):
-        return TailEstimate(verdict, value, len(contributions),
-                            tuple(contributions[-5:]), rule, abserr, unresolved)
+    def estimate(verdict, rule, tail=0.0):
+        return TailEstimate(verdict, total + tail, tuple(contributions), rule, abserr,
+                            unresolved, tail)
 
+    rule = "no-rule"
     for lo, hi in panels:
-        c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0)
+        try:
+            c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0)
+        except RangeEnd:
+            rule = "range-end"
+            break
         abserr += err
         unresolved += missed
         if math.isnan(c):
-            return estimate(INCONCLUSIVE, total, "nan-contribution")
+            return estimate(INCONCLUSIVE, "nan-contribution")
         contributions.append(c)
         total += c
         decided = _decide(contributions, total)
         if decided is not None:
-            verdict, tail, rule = decided
-            return estimate(verdict, math.inf if verdict == INFINITE else total + tail,
-                            rule)
-    decided = _decide_at_end(contributions, total)
+            return estimate(*decided)
+    decided = _decide(contributions, total, at_end=True)
     if decided is not None:
-        verdict, tail, rule = decided
-        return estimate(verdict, total + tail, rule)
-    return estimate(INCONCLUSIVE, total, "no-rule")
+        return estimate(*decided)
+    return estimate(INCONCLUSIVE, rule)
 
 
 def tail_verdict_upper(f, start, *, weight=None):

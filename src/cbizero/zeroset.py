@@ -35,7 +35,6 @@ from .classify import (
     _inner_estimate,
     _outer_estimate,
     _over,
-    _scan_verdict,
     classify_zero_state,
 )
 from .flow import _ratio_func, solver
@@ -178,7 +177,7 @@ class _WeightTransform:
     def transform_at_zero(self):
         """(value, verdict) for int_0^inf exp(W(t)) dt."""
         value, scan = self.transform(0.0)
-        return value, _scan_verdict(scan, scan.evidence())
+        return value, Verdict.of_scan(scan, scan.evidence())
 
 
 @lru_cache(maxsize=256)

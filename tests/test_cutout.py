@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from cbizero.cutout import (
@@ -33,7 +34,6 @@ from cbizero.mechanisms import (
     scale_immigration,
 )
 from cbizero.ou import ou_sampler
-from cbizero.quadrature import adaptive
 from cbizero.zeroset import least_squares_line
 
 FELLER = StableBranching(d=1.0, alpha=2.0)
@@ -367,10 +367,10 @@ class TestCumulativeTail:
         S = lambda y: min(1.0, s.tail(y) / s.rate)
         # G at every knot, then at eps/2 and every segment's midpoint
         at_knots = s.eps + np.concatenate(([0.0], np.cumsum(
-            [adaptive(S, a, b, rel_tol=1e-12)
+            [quad(S, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
              for a, b in zip(knots[:-1], knots[1:])])))
         mids = np.sqrt(knots[:-1] * knots[1:])
-        at_mids = at_knots[:-1] + [adaptive(S, a, m, rel_tol=1e-12)
+        at_mids = at_knots[:-1] + [quad(S, a, m, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                                    for a, m in zip(knots[:-1], mids)]
         x = np.concatenate(([0.5 * s.eps], knots, mids))
         ref = np.concatenate(([0.5 * s.eps], at_knots, at_mids))
@@ -441,8 +441,8 @@ class TestKernelsAgree:
                 return math.exp(-s.rate * t)
             return math.exp(-s.rate * s.eps - 0.25 * (t - s.eps)) * s.eps / t
 
-        exact = (adaptive(uncovered, 0.0, s.eps)
-                 + adaptive(uncovered, s.eps, T))
+        exact = (quad(uncovered, 0.0, s.eps, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                 + quad(uncovered, s.eps, T, epsabs=0.0, epsrel=1e-12, limit=200)[0])
         values = _uncovered_measures(kernel, s, T, reps, 32)
         se = values.std(ddof=1) / math.sqrt(reps)
         assert abs(values.mean() - exact) < Z_LEVEL_1E6 * se

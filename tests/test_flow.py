@@ -354,6 +354,8 @@ class TestCustomCopyOracle:
 # --- edges that only the numeric flow of an undeclared mechanism reaches ----
 
 Q2 = FlowSolver(psi=CustomBranching(eval=lambda q: q * q))
+# F(a) = 50 a^-0.02; psi overflows near 1e302, past V_CAP = 1e300
+SLOW = FlowSolver(psi=CustomBranching(eval=lambda q: q * q ** 0.02))
 GRID = [10.0 ** (k / 4.0) for k in range(-8, 9)]
 
 
@@ -409,6 +411,20 @@ class TestNumericFlowEdges:
     def test_overflow_below_v_t_still_raises(self):
         with pytest.raises(FlowError, match="overflows below v_t"):
             Q2.v_from_infinity(1e-160)
+
+    def test_tail_time_keeps_the_range_where_psi_overflows(self):
+        # q^1.02 overflows near 1e302, yet F(1e299) = 50e-5.98 = 5.2e-5 has
+        # most of its mass above that: reading 1/psi as 0 there gave 7.2e-6
+        try:
+            got = SLOW.tail_time(1e299)
+        except FlowError:
+            return
+        assert got == pytest.approx(50.0 * 1e299 ** -0.02, rel=1e-9)
+
+    def test_boundary_flow_past_v_cap_raises(self):
+        # v_t = (50/t)^50 = 5e6^50, about 1e335, lies past V_CAP
+        with pytest.raises(FlowError):
+            SLOW.v_from_infinity(1e-5)
 
 
 FLOW_FAMILIES = st.one_of(

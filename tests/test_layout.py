@@ -4,12 +4,16 @@ The library asks a mechanism for its facts instead of dispatching on
 its family, so no ``isinstance`` names a concrete family class.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name.  The flow solver holds only its
-mechanism, and every numeric flow inversion goes through one ``brentq``.
-QUADPACK (``quadrature.adaptive``) serves only the flow's proper
-integrals; every other integral is a scan of the panel rule.
+mechanism, and every numeric flow inversion goes through one solve,
+``FlowSolver._invert``.  Every integral runs on the panel rule: no
+module imports ``scipy.integrate``, and importing the package does not
+load it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,13 +73,34 @@ def test_flow_solver_holds_only_its_mechanism():
     assert fields == ["psi"]
 
 
-def test_flow_has_one_brentq_call():
-    calls = [node.lineno for node in ast.walk(TREES["flow.py"])
-             if isinstance(node, ast.Call) and "brentq" in _named_classes(node.func)]
-    assert len(calls) == 1
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_adaptive_is_called_only_in_flow():
-    callers = {name for name, tree in TREES.items() for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and "adaptive" in _named_classes(node.func)}
-    assert callers == {"flow.py"}
+def test_flow_has_one_root_solve_site():
+    # no scipy root finder, and the one iterate-to-a-level loop is _invert's
+    # (v_from_infinity's while loop walks scans, it does not solve)
+    tree = TREES["flow.py"]
+    assert not any(name.startswith("scipy") for name in _imported_modules(tree))
+    solvers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.For) for node in ast.walk(fn))]
+    assert solvers == ["_invert"]
+
+
+def test_no_module_imports_scipy_integrate():
+    offenders = {name for name, tree in TREES.items() for module in _imported_modules(tree)
+                 if module.startswith("scipy.integrate")}
+    assert offenders == set()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "import sys, cbizero; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest, linregress
 
 from cbizero.classify import RECURRENT, TRIVIAL_POINT
@@ -20,7 +21,6 @@ from cbizero.ou import (
     pushforward_samples,
     sample_ou_cutout,
 )
-from cbizero.quadrature import adaptive
 from cbizero.zeroset import lamperti_kappa
 
 
@@ -74,8 +74,9 @@ class TestCuttingMeasure:
 
     def test_tail_integrates_density(self):
         for alpha, z in ((2.0, 0.3), (1.5, 1.7), (1.2, 0.05)):
-            quad = adaptive(lambda v: cutting_density(v, alpha), z, math.inf)
-            assert quad == pytest.approx(cutting_tail(z, alpha), rel=1e-9)
+            value = quad(lambda v: cutting_density(v, alpha), z, math.inf,
+                         epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert value == pytest.approx(cutting_tail(z, alpha), rel=1e-9)
 
     def test_large_lag_asymptotics(self):
         beta = 0.5
@@ -212,7 +213,7 @@ class TestSampleOUCutout:
                                   - (t - eps))
             return math.exp(-n)
 
-        exact = adaptive(survival, 0.0, T)
+        exact = quad(survival, 0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)[0]
         vals = [statistics(sample_ou_cutout(alpha, T, eps, s),
                            [1.0, 0.01])["lebesgue"] for s in range(150)]
         assert float(np.mean(vals)) == pytest.approx(exact, rel=0.08)
