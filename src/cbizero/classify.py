@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .flow import FlowError, _ratio_func, solver, weight_between
 from .mechanisms import (
     BranchingMechanism,
@@ -217,22 +219,21 @@ def stationary_exists(psi, phi) -> Verdict:
 
 # --- criterion integrals ----------------------------------------------------
 
-def _over(den: float) -> float:
-    """1/Psi as the criterion integrands read it: NaN where Psi <= 0."""
-    if den <= 0.0 or math.isnan(den):
-        return math.nan
-    return 1.0 / den
+def _over(den):
+    """1/Psi over an array, as the criterion integrands read it: NaN where
+    Psi <= 0 or is NaN."""
+    return np.where(den > 0.0, 1.0 / den, math.nan)
 
 
 def _outer_estimate(psi, phi, theta):
     """Divergence verdict for int_theta^inf exp(W(z)) dz/Psi(z), W(z)=int_theta^z R."""
-    return tail_verdict_upper(lambda z: _over(psi(z)), theta,
+    return tail_verdict_upper(lambda z: _over(psi.values(z)), theta,
                               weight=_ratio_func(psi, phi))
 
 
 def _inner_estimate(psi, phi, theta, floor):
     """Divergence verdict for int_floor^theta exp(-int_x^theta R) dx/Psi(x)."""
-    return tail_verdict_lower(lambda x: _over(psi(x)), theta, floor=floor,
+    return tail_verdict_lower(lambda x: _over(psi.values(x)), theta, floor=floor,
                               weight=_ratio_func(psi, phi))
 
 

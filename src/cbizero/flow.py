@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -84,8 +86,8 @@ class FlowSolver:
     def _time(self, root, sign, w_near, w_far):
         """(int dq/|psi| over the levels root + sign e^u, u from w_near to w_far, abserr)."""
         def pace(u):        # e^u/|psi|, not e^u (1/|psi|): 1/psi overflows first
-            at = self.psi(root + sign * math.exp(u))
-            return math.exp(u) / abs(at) if at else math.inf
+            e = np.exp(u)
+            return e / np.abs(self.psi.values(root + sign * e))
         return quad(pace, w_near, w_far)
 
     # -- F(a) = int_a^inf dq/psi ------------------------------------------
@@ -239,18 +241,22 @@ class FlowSolver:
         That integrand has no pole at a positive root, near which v_end keeps
         few digits."""
         rate = phi(largest_root(self.psi))
-        return rate * t + weight_between(self.psi, lambda u: phi(u) - rate, v_end, lam)
+        return rate * t + weight_between(self.psi, lambda u: phi.values(u) - rate,
+                                         v_end, lam)
 
 
 def _ratio_func(psi, phi):
-    """R = Phi/Psi as a function of the level: inf where Psi is 0, 0 where both are."""
+    """R = Phi/Psi over an array of levels: inf where Psi is 0, 0 where both
+    are, 0 where only Psi is inf.  ``phi`` is a mechanism or an array function."""
+    numerator = getattr(phi, "values", phi)
+
     def R(u):
-        den, num = psi(u), phi(u)
-        if den == 0.0:
-            return 0.0 if num == 0.0 else math.inf
-        if math.isinf(den):
-            return math.nan if math.isinf(num) else 0.0
-        return num / den
+        den, num = psi.values(u), numerator(u)
+        ratio = num / den
+        if not den.all():
+            zero = den == 0.0
+            ratio[zero] = np.where(num[zero] == 0.0, 0.0, math.inf)
+        return ratio
     return R
 
 
@@ -265,7 +271,10 @@ def weight_between(psi, phi, a: float, b: float) -> float:
     sign = 1.0 if max(a, b) > root else -1.0
     R = _ratio_func(psi, phi)
     ends = (math.log(max(abs(u - root), math.ulp(root))) for u in (a, b))
-    value, err = quad(lambda x: R(root + sign * math.exp(x)) * math.exp(x), *ends)
+    def integrand(x):
+        e = np.exp(x)
+        return R(root + sign * e) * e
+    value, err = quad(integrand, *ends)
     if not err <= ERR_LIMIT * max(1.0, abs(value)):
         raise FlowError("weight integral unresolved", {"a": a, "b": b, "abserr": err})
     return sign * value

@@ -6,14 +6,16 @@ concave nondecreasing immigration exponent (``phi``, also vanishing at
 0).
 
 Each family is one frozen, callable dataclass that owns what only it
-knows: its growth profile (indices and leading coefficients at infinity
-and at zero), its largest root, its derivative at 0 or its drift, its
-compound-Poisson verdict, its scaling, closed-form flow hooks and its
-spec-string grammar.  The base classes ``BranchingMechanism`` and
+knows: its numpy form over an array of points (``values``), its growth
+profile (indices and leading coefficients at infinity and at zero), its
+largest root, its derivative at 0 or its drift, its compound-Poisson
+verdict, its scaling, closed-form flow hooks and its spec-string
+grammar.  The base classes ``BranchingMechanism`` and
 ``ImmigrationMechanism`` carry the generic route every user-supplied
-mechanism takes: log-log slope probes with an explicit inconclusive
-flag, positivity probes and finite differences.  The module functions
-ask the mechanism, so no caller dispatches on the family.
+mechanism takes: one call per point for ``values``, log-log slope
+probes with an explicit inconclusive flag, positivity probes and finite
+differences.  The module functions ask the mechanism, so no caller
+dispatches on the family.
 
 A small text grammar (``parse_mechanism`` / ``mechanism_spec``) reads
 each family's ``spec_family`` and ``spec_keys`` to round-trip the
@@ -28,6 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
 from scipy import optimize
 
 from .quadrature import (FINITE, INCONCLUSIVE, INFINITE, RangeEnd, tail_verdict_lower,
@@ -208,6 +211,11 @@ class Mechanism:
     def __call__(self, q: float) -> float:
         raise NotImplementedError
 
+    def values(self, qs: np.ndarray) -> np.ndarray:
+        """The exponent at every point of an array, one call per point; a
+        family with a numpy form overrides this."""
+        return np.array([self(q) for q in qs.tolist()], dtype=float)
+
     def profile(self) -> GrowthProfile:
         """Growth profile; probed from log-log slopes unless known."""
         return _probe_profile(self)
@@ -329,6 +337,10 @@ class StableBranching(BranchingMechanism):
         except OverflowError:
             return math.inf
 
+    def values(self, qs):
+        _check_arg(qs.min())
+        return self.d * qs ** self.alpha
+
     def profile(self):
         return GrowthProfile.power(self.alpha, self.d, self.alpha, self.d)
 
@@ -375,6 +387,10 @@ class QuadraticBranching(BranchingMechanism):
     def __call__(self, q: float) -> float:
         _check_arg(q)
         return self.b * q + 0.5 * self.sigma2 * q * q
+
+    def values(self, qs):
+        _check_arg(qs.min())
+        return self.b * qs + 0.5 * self.sigma2 * qs * qs
 
     def profile(self):
         # the leading coefficient at 0 is b, negative when supercritical
@@ -521,6 +537,10 @@ class StableImmigration(ImmigrationMechanism):
         except OverflowError:
             return math.inf
 
+    def values(self, qs):
+        _check_arg(qs.min())
+        return self.dprime * qs ** self.beta
+
     def profile(self):
         return GrowthProfile.power(self.beta, self.dprime, self.beta, self.dprime)
 
@@ -548,6 +568,10 @@ class GammaImmigration(ImmigrationMechanism):
     def __call__(self, q: float) -> float:
         _check_arg(q)
         return self.a * math.log1p(q / self.b)
+
+    def values(self, qs):
+        _check_arg(qs.min())
+        return self.a * np.log1p(qs / self.b)
 
     def profile(self):
         # slowly varying (log) at infinity: index 0, no power coefficient
@@ -637,6 +661,12 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
             except Exception as exc:
                 raise EvaluationError(f"compound Poisson handle failed at q={q}") from exc
         return self.mass * q / (1.0 + q)
+
+    def values(self, qs):
+        if self.tail is not None:
+            return super().values(qs)
+        _check_arg(qs.min())
+        return self.mass * qs / (1.0 + qs)
 
     def profile(self):
         if self.tail is None:
@@ -742,11 +772,11 @@ def immigration_drift(phi) -> float:
     return phi.linear_drift()
 
 
-def _safe_recip(value: float) -> float:
-    """1/|value|, inf at 0; an overflowed value ends a scan's range."""
-    if math.isinf(value):
+def _safe_recip(values):
+    """1/|values|, inf at 0; an overflowed value ends a scan's range."""
+    if np.isinf(values).any():
         raise RangeEnd
-    return math.inf if value == 0.0 else 1.0 / abs(value)
+    return 1.0 / np.abs(values)
 
 
 @lru_cache(maxsize=512)
@@ -754,7 +784,7 @@ def tail_scan(psi, k: int = 0):
     """The panel scan of int_a^inf dq/psi from a = theta 2^k, theta the
     positivity threshold.  Its range ends where psi overflows."""
     start = positivity_threshold(psi) * 2.0 ** k
-    return tail_verdict_upper(lambda q: _safe_recip(psi(q)), start)
+    return tail_verdict_upper(lambda q: _safe_recip(psi.values(q)), start)
 
 
 def grey_check(psi) -> Verdict:
@@ -773,7 +803,7 @@ def conservativity_check(psi) -> Verdict:
         root = 0.0
     if root > 0:
         stop = root / 2.0
-    est = tail_verdict_lower(lambda q: _safe_recip(psi(q)), stop)
+    est = tail_verdict_lower(lambda q: _safe_recip(psi.values(q)), stop)
     return Verdict.of_scan(est, {"stop": stop, **est.evidence()}, yes=INFINITE)
 
 

@@ -7,8 +7,10 @@ boundary, and blind truncation silently picks a side.  Instead the
 domain is split into geometric panels, one octave wide, and the sequence
 of panel contributions is inspected:
 
-* a running sum past ``SUM_BLOWUP``, or contributions that fail to
-  decrease over a full window, certify divergence;
+* a running sum past ``SUM_BLOWUP`` times the scan's first positive
+  contribution, or contributions that fail to decrease over a full
+  window, certify divergence; as every rule compares contributions with
+  each other, f and c f get the same verdict;
 * contributions decaying geometrically certify convergence once the
   tails that the window's largest and smallest ratios give differ by
   less than ``REL_TOL`` of the total; the tail is the last ratio's;
@@ -37,7 +39,10 @@ call of the integrand would cost a whole rule per node.  W sits in an
 exponent, so its error estimate is held to ``REL_TOL`` in absolute
 terms.
 
-An integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
+Integrands and weights take the numpy array of a panel's nodes and
+return an array of values at them, one call per panel; they run under
+``np.errstate(all="ignore")``, so an overflow reads as inf.  An
+integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
 where psi overflows): the scan's range ends at the last whole panel and
 the end-of-scan rule decides.  ``quad`` takes a finite range as one
 panel, bisected where it misses ``REL_TOL``.
@@ -156,14 +161,14 @@ def _panel(f, weight, lo, hi, w_edge, upward, depth):
     maps buffers that nothing else in a classification needs.
     """
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi) + half * _NODES).tolist()
+    xs = 0.5 * (lo + hi) + half * _NODES
     xs[0], xs[-1] = lo, hi
-    try:
-        values = np.array([f(x) for x in xs], dtype=float)
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(xs), dtype=float)
         if weight is None:
             w_far, w_err = w_edge, 0.0
         else:
-            rates = np.array([weight(x) for x in xs], dtype=float)
+            rates = np.asarray(weight(xs), dtype=float)
             run = half * (_CUMULATIVE * rates).sum(axis=1)       # int_lo^x R
             span = float(run[-1])
             w_err = abs(span - half * float((_HALF_WEIGHTS * rates[::2]).sum()))
@@ -171,11 +176,7 @@ def _panel(f, weight, lo, hi, w_edge, upward, depth):
                 w_nodes, w_far = w_edge + run, w_edge + span
             else:
                 w_nodes, w_far = w_edge - (span - run), w_edge - span
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
-    except OverflowError:
-        return math.inf, 0.0, math.inf, 0
-    with np.errstate(over="ignore", invalid="ignore"):
+            values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
         value = half * float((_WEIGHTS * values).sum())
         err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
     if not math.isfinite(value) or not math.isfinite(w_far):
@@ -211,7 +212,9 @@ def _decide(contributions, total, at_end=False):
 
     Returns (verdict, rule, tail_estimate) or None when no rule fires yet.
     """
-    if total > SUM_BLOWUP or math.isinf(total):
+    # blow-up is judged against the scan's own scale, so f and c f agree
+    first = next((c for c in contributions if c > 0.0), math.inf)
+    if total > SUM_BLOWUP * first or math.isinf(total):
         return INFINITE, "sum-blowup", math.inf
     if len(contributions) < WINDOW + 1:
         return None

@@ -136,7 +136,7 @@ class _WeightTransform:
     def lower(self, q, a):
         """(the lower piece at a, the scan behind it): inf when it diverges
         at q = 0, nan when undecided."""
-        phi_q = lambda u: self.phi(u) + q
+        phi_q = lambda u: self.phi.values(u) + q
         if self.root == 0.0:
             scan = _inner_estimate(self.psi, phi_q, a, 0.0)
             # 1 - J carries J/(1 - J) times J's error: a direct scan decided
@@ -150,7 +150,8 @@ class _WeightTransform:
             j = 0.0 if gap == 0.0 else ((self.phi(a) - base) * gap
                                          / (self.psi(a) + (base + q) * gap))
             return (1.0 - j) / (base + q), None
-        parts = tail_verdict_lower(lambda x: (self.phi(x) - base) * _over(self.psi(x)), a,
+        parts = tail_verdict_lower(lambda x: (self.phi.values(x) - base)
+                                   * _over(self.psi.values(x)), a,
                                    floor=self.root, weight=_ratio_func(self.psi, phi_q))
         return ((1.0 - parts.total) / (base + q) if parts.verdict == FINITE else math.nan), parts
 
@@ -167,7 +168,7 @@ class _WeightTransform:
         if a < 2.0 * self.root:
             a = 2.0 * self.root
             s = self.flow.tail_time(a)
-        upper = _outer_estimate(self.psi, lambda u: self.phi(u) + q, a)
+        upper = _outer_estimate(self.psi, lambda u: self.phi.values(u) + q, a)
         if upper.verdict != FINITE:
             return (math.inf if upper.verdict == INFINITE and q == 0.0 else math.nan), upper
         lower, scan = self.lower(q, a)

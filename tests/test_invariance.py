@@ -45,9 +45,6 @@ TIMES = (0.3, 1.0, 3.0)
 LEVELS = (1.5, 4.0)             # above the supercritical root 1
 QS = (0.0, 0.5, 4.0)            # L(0) is 0 for a recurrent zero set
 
-FOUND_12 = pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND 12: a panel sum above SUM_BLOWUP = 1e12 reads as "
-    "divergent, so Grey's test fails at c = 1e-13"))
 FOUND_22 = pytest.mark.xfail(strict=True, reason=(
     "CHANGES.md FOUND 22: the inner criterion scan reads the octaves "
     "between theta and a root of 1e-6 as non-decreasing"))
@@ -110,7 +107,7 @@ def test_time_constant(name, route, exponent):
         assert fast_flow.tail_time(a) == pytest.approx(flow.tail_time(a) / c, rel=1e-9)
 
 
-@pytest.mark.parametrize("route", [pytest.param(r, marks=FOUND_12) for r in ROUTES])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_time_constant_keeps_grey_at_1e_13(name, route):
     psi = _pair(name, route)[0]

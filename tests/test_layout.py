@@ -3,11 +3,13 @@
 The library asks a mechanism for its facts instead of dispatching on
 its family, so no ``isinstance`` names a concrete family class.  Every
 family also defines ``__call__`` in its own body, where the benchmark
-tracer wraps evaluations by class name.  The flow solver holds only its
-mechanism, and every numeric flow inversion goes through one solve,
-``FlowSolver._invert``.  Every integral runs on the panel rule: no
-module imports ``scipy.integrate``, and importing the package does not
-load it.
+tracer wraps evaluations by class name, and every family with a spec
+string but Lamperti (numpy has no ``lgamma``) defines ``values``, its
+numpy form over a panel's nodes, so a panel of a built-in family calls
+no ``__call__``.  The flow solver holds only its mechanism, and every
+numeric flow inversion goes through one solve, ``FlowSolver._invert``.
+Every integral runs on the panel rule: no module imports
+``scipy.integrate``, and importing the package does not load it.
 """
 
 import ast
@@ -17,6 +19,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cbizero import mechanisms
+from cbizero.classify import classify_zero_state
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cbizero"
 BASES = {"BranchingMechanism", "ImmigrationMechanism"}
@@ -64,6 +69,42 @@ def test_family_defines_its_own_call(family):
     body = _family_classes()[family].body
     assert any(isinstance(node, ast.FunctionDef) and node.name == "__call__"
                for node in body)
+
+
+@pytest.mark.parametrize("family", sorted(cls.__name__ for cls in mechanisms._SPEC_FAMILIES
+                                          if cls is not mechanisms.LampertiImmigration))
+def test_family_defines_its_own_values(family):
+    body = _family_classes()[family].body
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "values"
+               for node in body)
+
+
+def _in_a_panel():
+    """Whether the caller of the caller runs inside the panel rule."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code.co_name == "_panel" and frame.f_code.co_filename.endswith(
+                "quadrature.py"):
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_panels_of_built_in_families_call_no_scalar_evaluation(engine_calls, monkeypatch):
+    psi = mechanisms.parse_branching("stable:d=1,alpha=1.8")
+    phi = mechanisms.parse_immigration("stable:d=1,beta=0.9")
+    calls = {"all": 0, "in_panel": 0}
+    for cls in (mechanisms.StableBranching, mechanisms.StableImmigration):
+        def counting(mech, q, _call=cls.__call__):
+            calls["all"] += 1
+            calls["in_panel"] += _in_a_panel()
+            return _call(mech, q)
+        monkeypatch.setattr(cls, "__call__", counting)
+    report = classify_zero_state(psi, phi, numeric_only=True)
+    assert report.zero_class == "Polar"
+    assert engine_calls["panels"] > 0                   # measured 105 with cold caches
+    assert calls["in_panel"] == 0
+    assert calls["all"] <= 10                           # measured 4, outside the panels
 
 
 def test_flow_solver_holds_only_its_mechanism():

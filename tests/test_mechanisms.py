@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cbizero.mechanisms import (
+    BranchingMechanism,
     CompoundPoissonImmigration,
     CustomBranching,
     CustomImmigration,
@@ -106,6 +108,72 @@ class TestEvaluation:
             CustomBranching(eval=lambda q: q + 1.0)
 
 
+# --- evaluation over an array of points ------------------------------------
+
+# 0, then 1e-300 ... 1e300 a decade apart, then the scale of the scans
+NODES = np.concatenate([[0.0], np.logspace(-300, 300, 121), np.linspace(0.05, 8.0, 40)])
+ARRAY_FAMILIES = {
+    "stable-1.3": StableBranching(d=2.5, alpha=1.3),
+    "feller": StableBranching(d=1.0, alpha=2.0),
+    "quadratic": QuadraticBranching(b=-1.0, sigma2=2.0),
+    "drift-only": QuadraticBranching(b=1.0, sigma2=0.0),
+    "stable-0.3": StableImmigration(dprime=1.0, beta=0.3),
+    "drift": StableImmigration(dprime=0.5, beta=1.0),
+    "gamma": GammaImmigration(a=2.0, b=1e-3),
+    "cpp": CompoundPoissonImmigration(mass=2.0),
+}
+# families whose values call the mechanism once per point
+FALLBACK_FAMILIES = {
+    "lamperti": LampertiImmigration(beta=0.5),
+    "cpp-tail": CompoundPoissonImmigration(mass=2.0, tail=lambda q: 2.0 * -math.expm1(-q)),
+}
+
+
+def _undeclared_copy(mech):
+    if isinstance(mech, BranchingMechanism):
+        return CustomBranching(eval=lambda q: mech(q))
+    return CustomImmigration(eval=lambda q: mech(q))
+
+
+COPIES = {f"custom-{name}": _undeclared_copy(mech)
+          for name, mech in {**ARRAY_FAMILIES, **FALLBACK_FAMILIES}.items()}
+EVERY = {**ARRAY_FAMILIES, **FALLBACK_FAMILIES, **COPIES}
+
+
+def _array_and_pointwise(mech):
+    with np.errstate(over="ignore"):
+        array = mech.values(NODES)
+    return array.tolist(), [mech(q) for q in NODES.tolist()]
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("name", sorted(ARRAY_FAMILIES))
+    def test_numpy_form_matches_pointwise_calls(self, name):
+        array, pointwise = _array_and_pointwise(ARRAY_FAMILIES[name])
+        for q, got, want in zip(NODES.tolist(), array, pointwise):
+            if q == 0.0:
+                assert got == want == 0.0
+            elif math.isinf(want):
+                assert got == want, q
+            else:
+                assert abs(got - want) <= 4.0 * math.ulp(want), q
+
+    @pytest.mark.parametrize("name", sorted({**FALLBACK_FAMILIES, **COPIES}))
+    def test_fallback_is_bitwise_pointwise(self, name):
+        array, pointwise = _array_and_pointwise(EVERY[name])
+        assert array == pointwise
+
+    def test_overflow_is_inf(self):
+        with np.errstate(over="ignore"):
+            values = StableBranching(d=1.0, alpha=2.0).values(np.array([1.0, 1e200]))
+        assert values.tolist() == [1.0, math.inf]
+
+    @pytest.mark.parametrize("name", sorted(EVERY))
+    def test_negative_point_rejected(self, name):
+        with pytest.raises(MechanismDomainError):
+            EVERY[name].values(np.array([0.5, -1e-300, 2.0]))
+
+
 class TestIndices:
     def test_stable_exact(self):
         idx = indices(StableBranching(d=1.0, alpha=1.7))
@@ -194,6 +262,16 @@ class TestGreyAndConservativity:
         verdict = grey_check(StableBranching(d=1.0, alpha=1.5))
         assert verdict.is_yes
         assert verdict.evidence["total"] == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("psi", [StableBranching(d=1e-13, alpha=2.0),
+                                     QuadraticBranching(b=0.0, sigma2=2e-13),
+                                     CustomBranching(eval=lambda q: 1e-13 * q * q)],
+                             ids=["stable", "quadratic", "custom"])
+    def test_grey_is_scale_free(self, psi):
+        # int_1^inf dq/psi = 1e13: a large total is not a divergent one
+        verdict = grey_check(psi)
+        assert verdict.is_yes
+        assert verdict.evidence["total"] == pytest.approx(1e13, rel=1e-9)
 
     def test_grey_fails_for_pure_drift(self):
         verdict = grey_check(QuadraticBranching(b=1.0, sigma2=0.0))

@@ -182,6 +182,15 @@ class TestPushforward:
     def test_ks_against_cutting_measure(self):
         assert pushforward_ks(2.0, 1e-3, 10000, 99) < 0.05
 
+    @pytest.mark.parametrize("alpha, eps, n, seed", [(2.0, 1e-3, 10000, 99),
+                                                     (1.5, 0.1, 1, 3), (1.2, 1e-5, 777, 8)])
+    def test_ks_statistic_matches_scipy(self, alpha, eps, n, seed):
+        z = pushforward_samples(alpha, eps, n, seed)[2]
+        log_mass = math.log(math.expm1(eps))
+        want = kstest(z, lambda v: 1.0 - np.exp(log_mass - v - np.log1p(-np.exp(-v))))
+        assert pushforward_ks(alpha, eps, n, seed) == pytest.approx(want.statistic,
+                                                                    rel=1e-15, abs=1e-15)
+
     def test_validation(self):
         with pytest.raises(CutoutError, match="eps"):
             pushforward_samples(2.0, 0.0, 10, 1)

@@ -1,4 +1,7 @@
-"""Octave-panel verdict protocol and its Clenshaw-Curtis panel rule."""
+"""Octave-panel verdict protocol and its Clenshaw-Curtis panel rule.
+
+Integrands take the array of a panel's nodes and return an array.
+"""
 
 import math
 
@@ -41,19 +44,20 @@ RULES = {
                        "slow-geometric", 20.0),
     # all mass on the first two octaves, then nothing; the integrand and
     # its derivative vanish where the mass ends, on a panel edge
-    "exhausted": (lambda z: (4.0 - z) ** 2 if z < 4.0 else 0.0,
-                  lambda x: (8.0 * x - 2.0) ** 2 if x > 0.25 else 0.0, FINITE,
+    "exhausted": (lambda z: np.where(z < 4.0, (4.0 - z) ** 2, 0.0),
+                  lambda x: np.where(x > 0.25, (8.0 * x - 2.0) ** 2, 0.0), FINITE,
                   "exhausted", 9.0),
     "non-decreasing": (lambda z: 1.0 / z, lambda x: 1.0 / x, INFINITE,
                        "non-decreasing", math.inf),
     # growth fast enough to pass SUM_BLOWUP before a full window
     "sum-blowup": (lambda z: z ** 40, lambda x: x ** -40, INFINITE, "sum-blowup",
                    math.inf),
-    "nan-contribution": (lambda z: math.nan, lambda x: math.nan, INCONCLUSIVE,
+    "nan-contribution": (lambda z: np.full_like(z, math.nan),
+                         lambda x: np.full_like(x, math.nan), INCONCLUSIVE,
                          "nan-contribution", 0.0),
     # harmonic-type decay whose ratio creeps toward 1: neither side is certain
-    "no-rule": (lambda z: 1.0 / ((z + 1.0) * math.log(z + 1.0)),
-                lambda x: 1.0 / (x * math.log(2.0 / x)),
+    "no-rule": (lambda z: 1.0 / ((z + 1.0) * np.log(z + 1.0)),
+                lambda x: 1.0 / (x * np.log(2.0 / x)),
                 INCONCLUSIVE, "no-rule", None),
 }
 
@@ -79,8 +83,18 @@ class TestVerdictRules:
         assert (est.verdict, est.rule, est.panels_used) == (FINITE, "geometric", WINDOW + 1)
         assert est.total == pytest.approx(-1.0 / p, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-30, 1e13, 1e200])
+    def test_verdict_is_scale_free(self, scale):
+        # c f gets the verdict of f: a total past SUM_BLOWUP is not divergence
+        est, unit = _upper(lambda z: scale * z ** -3), _upper(lambda z: z ** -3)
+        assert (est.verdict, est.rule, est.panels_used) == (
+            unit.verdict, unit.rule, unit.panels_used)
+        assert est.total == pytest.approx(0.5 * scale, rel=1e-12)
+        blowup = _upper(lambda z: scale * z ** 40)
+        assert (blowup.verdict, blowup.rule) == (INFINITE, "sum-blowup")
+
     def test_zero_integrand_is_exhausted_at_zero(self):
-        for est in (_upper(lambda z: 0.0), _lower(lambda x: 0.0)):
+        for est in (_upper(np.zeros_like), _lower(np.zeros_like)):
             assert (est.verdict, est.rule, est.total) == (FINITE, "exhausted", 0.0)
             assert est.panels_used == WINDOW + 1
 
@@ -90,7 +104,7 @@ class TestVerdictRules:
 
     def test_overflow_reads_as_sum_blowup(self):
         def overflowing(z):
-            return math.exp(z)  # raises OverflowError past z = 709
+            return np.exp(z)    # inf past z = 709
 
         est = tail_verdict_upper(overflowing, 64.0)
         assert (est.verdict, est.rule, est.total) == (INFINITE, "sum-blowup", math.inf)
@@ -146,7 +160,7 @@ class TestPanelRule:
 
     def test_unresolved_jump_is_reported(self):
         jump = math.sqrt(10.0)
-        est = _upper(lambda z: z ** -2 * (1.0 if z < jump else 2.0))
+        est = _upper(lambda z: z ** -2 * np.where(z < jump, 1.0, 2.0))
         assert (est.verdict, est.rule) == (FINITE, "geometric")
         assert est.unresolved_panels >= 1
         assert est.abserr > 0.0
@@ -214,13 +228,13 @@ class TestNoNestedQuadrature:
 
 class TestFiniteRangeAndRangeEnd:
     def test_quad_keeps_orientation(self):
-        value, err = quad(math.exp, 0.0, 1.0)
+        value, err = quad(np.exp, 0.0, 1.0)
         assert value == pytest.approx(math.e - 1.0, rel=1e-14)
         assert err < 1e-12
-        assert quad(math.exp, 1.0, 0.0)[0] == -value
+        assert quad(np.exp, 1.0, 0.0)[0] == -value
 
     def test_quad_bisects_a_wide_range(self):
-        value, err = quad(lambda x: math.exp(-x), 0.0, 200.0)
+        value, err = quad(lambda x: np.exp(-x), 0.0, 200.0)
         assert value == pytest.approx(-math.expm1(-200.0), rel=1e-12)
         assert err <= 1e-9 * value
 
@@ -232,7 +246,7 @@ class TestFiniteRangeAndRangeEnd:
 
     def test_range_end_stops_the_scan(self):
         def ends(z):            # as 1/psi does where psi overflows
-            if z > 2.0 ** 20:
+            if z[-1] > 2.0 ** 20:   # the nodes ascend
                 raise RangeEnd
             return z ** -1.05
 
