@@ -11,14 +11,14 @@ abstains on uncovered boundary configurations.  The numeric route
 evaluates the two criterion integrals
 
     outer:  int_theta^inf exp( int_theta^z R ) dz / Psi(z)
-    inner:  int_v^theta   exp( -int_x^theta R ) dx / Psi(x)
+    inner:  int_v^s       exp( -int_x^s R ) dx / Psi(x)
 
-with R = Phi/Psi and v the largest root of Psi, using the octave-panel
-divergence protocol.  Each is one scan of the panel rule with R as its
-weight: the exponent comes from the rule's cumulative integration at
-the same nodes, so no quadrature runs inside an integrand.  Outer
-divergent means 0 is polar; otherwise the inner integral separates
-transient (finite) from recurrent (infinite).
+with R = Phi/Psi, v the largest root of Psi and s = min(theta, 2 v), or
+theta at v = 0, using the octave-panel divergence protocol.  Each is one
+scan of the panel rule with R as its weight: the exponent comes from the
+rule's cumulative integration at the same nodes, so no quadrature runs
+inside an integrand.  Outer divergent means 0 is polar; otherwise the
+inner integral separates transient (finite) from recurrent (infinite).
 """
 
 from __future__ import annotations
@@ -436,7 +436,9 @@ def classify_zero_state(psi: BranchingMechanism,
     if zero_class is None:
         root = largest_root(psi)
         supercritical = is_supercritical(psi)
-        inner = _inner_estimate(psi, phi, theta, root)
+        # above 2 root the integrand is bounded, so starting there keeps the
+        # verdict and skips octaves where 1/Psi may still grow
+        inner = _inner_estimate(psi, phi, min(theta, 2.0 * root) if root > 0 else theta, root)
         evidence.update(inner=inner.evidence(), root=root, supercritical=supercritical)
         zero_class = {FINITE: TRANSIENT, INFINITE: RECURRENT}.get(inner.verdict,
                                                                  INCONCLUSIVE_CLASS)

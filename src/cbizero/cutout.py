@@ -36,10 +36,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .flow import solver
 from .mechanisms import largest_root
+from .quadrature import brent
 from .zeroset import _gzero_tail, least_squares_line
 
 MAX_EXPECTED_MARKS = 1e8
@@ -113,7 +113,7 @@ class DurationSampler:
 
     ``rate`` is mu_bar(eps); the conditional tail S(t) = mu_bar(t)/rate
     is tabulated log-log on [eps, t_max] (exact for power-law tails) and
-    inverted by interpolation, with scalar bisection beyond the table.
+    inverted by interpolation, with a Brent solve beyond the table.
     ``atom`` is the conditional mass of infinite durations, positive
     exactly when the branching has a positive largest root.
     """
@@ -185,7 +185,7 @@ class DurationSampler:
             hi *= 2.0
             if hi > 1e280:
                 return hi
-        log_t = optimize.brentq(
+        log_t = brent(
             lambda lt: self.tail(math.exp(lt)) / self.rate - u,
             math.log(lo), math.log(hi), xtol=1e-12)
         return math.exp(log_t)

@@ -31,10 +31,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
-from .quadrature import (FINITE, INCONCLUSIVE, INFINITE, RangeEnd, tail_verdict_lower,
-                         tail_verdict_upper)
+from .quadrature import (FINITE, INCONCLUSIVE, INFINITE, RangeEnd, brent,
+                         tail_verdict_lower, tail_verdict_upper)
 
 
 class MechanismDomainError(ValueError):
@@ -756,7 +755,7 @@ def largest_root(psi) -> float:
         # bracket on the sign alone: an exact 0.0 may be psi underflowing
         if psi(lo) < 0:
             # the root lies in [lo, 2 lo]: a tolerance scaled by lo keeps tiny roots
-            return optimize.brentq(psi, lo, hi, xtol=1e-14 * lo, rtol=1e-14)
+            return brent(psi, lo, hi, xtol=1e-14 * lo, rtol=1e-14)
         hi = lo
         lo /= 2.0
     return 0.0

@@ -45,13 +45,15 @@ return an array of values at them, one call per panel; they run under
 integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
 where psi overflows): the scan's range ends at the last whole panel and
 the end-of-scan rule decides.  ``quad`` takes a finite range as one
-panel, bisected where it misses ``REL_TOL``.
+panel, bisected where it misses ``REL_TOL``.  ``brent`` is the package's
+one root solve, a port of scipy's ``brentq`` with the same iterates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -196,6 +198,58 @@ def quad(f, a, b):
     """(int_a^b f, its error estimate) on one bisected panel, orientation kept."""
     value, err, _, _ = _panel(f, None, min(a, b), max(a, b), 0.0, True, 0)
     return (value if a < b else -value), err
+
+
+# --- the root solve ------------------------------------------------------------
+
+def brent(f, a, b, xtol, rtol=4.0 * math.ulp(1.0)):
+    """A root of f between a and b, where f takes opposite signs.
+
+    Brent's method (1973, ch. 4) as scipy's ``brentq`` runs it, step for
+    step, so the iterates agree bitwise.  Raises ValueError for a bracket
+    of one sign or a NaN value, and RuntimeError after 100 iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        # the first pass always enters here, which sets xblk, fblk, spre, scur
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # where C divides by 0 it gets inf or nan, which bisects as inf does
+            with suppress(ZeroDivisionError):
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if not 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            stry = scur = sbis          # bisect
+        spre, scur = scur, stry
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
 # --- the verdict protocol --------------------------------------------------------

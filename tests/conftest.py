@@ -1,8 +1,9 @@
 """Shared fixtures."""
 
 import pytest
+from scipy import optimize
 
-from cbizero import flow, quadrature
+from cbizero import cutout, flow, mechanisms, quadrature
 
 
 @pytest.fixture
@@ -23,3 +24,43 @@ def engine_calls(monkeypatch):
     monkeypatch.setattr(quadrature, "_panel", counting_panel)
     monkeypatch.setattr(flow, "quad", counting_quad)
     return counts
+
+
+@pytest.fixture
+def brent_calls(monkeypatch):
+    """The (args, kwargs) of every ``brent`` solve that ``largest_root``
+    and the duration sampler make, from the test's start on."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return quadrature.brent(*args, **kwargs)
+
+    monkeypatch.setattr(mechanisms, "brent", recording)
+    monkeypatch.setattr(cutout, "brent", recording)
+    return calls
+
+
+def _solve_path(solver, f, a, b, **tols):
+    """A solve's root, or the class of its error, and every point it
+    evaluated f at."""
+    points = []
+
+    def logged(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(logged, a, b, **tols), points
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), points
+
+
+@pytest.fixture
+def brentq_twin():
+    """Runs a solve through ``brent`` and through scipy's ``brentq``, its
+    reference; returns both (root or error class, evaluated points)."""
+    def twin(f, a, b, **tols):
+        return (_solve_path(quadrature.brent, f, a, b, **tols),
+                _solve_path(optimize.brentq, f, a, b, **tols))
+    return twin

@@ -95,6 +95,14 @@ class TestDurationSampler:
         np.testing.assert_allclose(np.exp(custom.log_tail_rev),
                                    np.exp(family.log_tail_rev), rtol=1e-9)
 
+    def test_beyond_table_draws_solve_as_brentq(self, brent_calls, brentq_twin):
+        draws = sample_durations(_short_table_sampler(), 2000, 5)
+        assert len(brent_calls) == np.count_nonzero(draws > 0.1 * (1.0 + 1e-12))
+        assert len(brent_calls) > 500           # S = 0.32 at the table end; measured 607
+        for args, kwargs in brent_calls:
+            ours, reference = brentq_twin(*args, **kwargs)
+            assert ours == reference
+
     def test_draw_count_validated(self):
         s = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, 1e-3)
         with pytest.raises(CutoutError):

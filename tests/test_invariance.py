@@ -45,10 +45,6 @@ TIMES = (0.3, 1.0, 3.0)
 LEVELS = (1.5, 4.0)             # above the supercritical root 1
 QS = (0.0, 0.5, 4.0)            # L(0) is 0 for a recurrent zero set
 
-FOUND_22 = pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND 22: the inner criterion scan reads the octaves "
-    "between theta and a root of 1e-6 as non-decreasing"))
-
 
 def _pair(name, route):
     psi, phi = PAIRS[name]
@@ -136,9 +132,7 @@ def _space_cases():
     for name in sorted(PAIRS):
         for route in ROUTES:
             for k in (1e-3, 10.0, 1e6):
-                broken = (name, route, k) == ("supercritical", "custom", 1e6)
-                yield pytest.param(name, route, k, marks=FOUND_22 if broken else (),
-                                   id=f"{name}-{route}-{k:g}")
+                yield pytest.param(name, route, k, id=f"{name}-{route}-{k:g}")
 
 
 @pytest.mark.parametrize("name, route, k", _space_cases())

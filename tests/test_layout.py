@@ -8,8 +8,10 @@ string but Lamperti (numpy has no ``lgamma``) defines ``values``, its
 numpy form over a panel's nodes, so a panel of a built-in family calls
 no ``__call__``.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
-Every integral runs on the panel rule: no module imports
-``scipy.integrate``, and importing the package does not load it.
+Every integral runs on the panel rule and both bracketed root solves
+(``largest_root`` and the sampler's beyond-table inversion) on
+``quadrature.brent``: no module imports ``scipy``, and importing the
+package or its command line loads no ``scipy`` module.
 """
 
 import ast
@@ -133,15 +135,17 @@ def test_flow_has_one_root_solve_site():
     assert solvers == ["_invert"]
 
 
-def test_no_module_imports_scipy_integrate():
+def test_no_module_imports_scipy():
     offenders = {name for name, tree in TREES.items() for module in _imported_modules(tree)
-                 if module.startswith("scipy.integrate")}
+                 if module.split(".")[0] == "scipy"}
     assert offenders == set()
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = "import sys, cbizero; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    for package in ("cbizero", "cbizero.cli"):
+        probe = (f"import sys, {package}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", package

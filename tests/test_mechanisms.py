@@ -244,6 +244,16 @@ class TestThresholdAndRoots:
         psi = CustomBranching(eval=lambda q: q * q - 3.0 * q)
         assert largest_root(psi) == pytest.approx(3.0, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-100, 1e-6, 1e6, 1e12])
+    def test_custom_root_far_from_one(self, c, brent_calls, brentq_twin):
+        # at c = 1e-100 the solve meets interpolation denominators that
+        # underflow to 0, where it must bisect as brentq does
+        psi = CustomBranching(eval=lambda q: q * q - c * q)
+        assert largest_root(psi) == pytest.approx(c, rel=1e-12)
+        [(args, kwargs)] = brent_calls
+        ours, reference = brentq_twin(*args, **kwargs)
+        assert ours == reference
+
     def test_everywhere_nonpositive_raises(self):
         psi = QuadraticBranching(b=-1.0, sigma2=0.0)
         with pytest.raises(PositivityError):

@@ -256,3 +256,38 @@ class TestFiniteRangeAndRangeEnd:
         short = tail_verdict_upper(ends, 2.0 ** 15)     # 5 panels, too few to decide
         assert (short.verdict, short.rule, short.panels_used) == (
             INCONCLUSIVE, "range-end", 5)
+
+
+class TestBrent:
+    """``brent`` against scipy's ``brentq``: the same root and the same
+    evaluated points, bit for bit, and the same errors."""
+
+    def test_power_law_brackets_match_brentq(self, brentq_twin):
+        rng = np.random.default_rng(20)
+        roots = []
+        for _ in range(2000):
+            root = 10.0 ** rng.uniform(-150.0, 150.0)
+            p = rng.uniform(0.5, 2.0)           # keeps x^p inside the normal range
+            lo = root * 10.0 ** rng.uniform(-3.0, 0.0)
+            hi = root * 10.0 ** rng.uniform(0.0, 3.0)
+            tols = {"xtol": 1e-14 * lo}
+            if rng.random() < 0.5:
+                tols["rtol"] = 1e-14
+            ours, reference = brentq_twin(lambda x: x ** p - root ** p, lo, hi, **tols)
+            assert ours == reference
+            # below roots of about 1e-110 the interpolation's products
+            # underflow, and both may run out of iterations
+            if ours[0] is not RuntimeError:
+                roots.append(ours[0] / root)
+        assert len(roots) > 1900                # measured 1937
+        assert roots == pytest.approx(np.ones(len(roots)), rel=1e-9)
+
+    @pytest.mark.parametrize("f, error", [
+        (lambda x: x * x + 1.0, ValueError),
+        (lambda x: math.nan if x > 0.5 else x - 0.75, ValueError),
+        (lambda x: math.copysign(1.0, x), RuntimeError),    # 2^-100 of 2 is not 1e-300
+    ], ids=["one-sign", "nan", "no-convergence"])
+    def test_errors_match_brentq(self, brentq_twin, f, error):
+        ours, reference = brentq_twin(f, -1.0, 1.0, xtol=1e-300)
+        assert ours == reference
+        assert ours[0] is error
