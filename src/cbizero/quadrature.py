@@ -29,15 +29,17 @@ the ``PANEL_ORDER + 1`` Chebyshev-Lobatto nodes, with the difference to
 the nested rule of half the order as its error estimate.  A panel that
 misses ``REL_TOL`` is bisected, at most ``MAX_BISECTIONS`` times; the
 summed estimates and the count of pieces still unresolved at that depth
-reach the verdict's ``evidence``.  An optional ``weight`` R turns the
-integrand into ``f(x) exp(W(x))`` with W the running integral of R from
-the scan's first edge (``int_start^x R`` upward, ``-int_x^stop R``
-downward).  W comes at every node from the spectral
-cumulative-integration matrix on the same nodes, so one pass over the
-panels integrates both, where nesting a quadrature of R inside every
-call of the integrand would cost a whole rule per node.  W sits in an
-exponent, so its error estimate is held to ``REL_TOL`` in absolute
-terms.
+reach the verdict's ``evidence``.  In a scan an error below ``REL_TOL``
+times ``EXHAUSTED_FRACTION`` of the total so far also passes: such a
+panel is dead to the verdict, and the floor scales with the integrand.
+An optional ``weight`` R turns the integrand into ``f(x) exp(W(x))``
+with W the running integral of R from the scan's first edge
+(``int_start^x R`` upward, ``-int_x^stop R`` downward).  W comes at
+every node from the spectral cumulative-integration matrix on the same
+nodes, so one pass over the panels integrates both, where nesting a
+quadrature of R inside every call of the integrand would cost a whole
+rule per node.  W sits in an exponent, so its error estimate is held to
+``REL_TOL`` in absolute terms.
 
 Integrands and weights take the numpy array of a panel's nodes and
 return an array of values at them, one call per panel; they run under
@@ -154,13 +156,14 @@ _NODES, _WEIGHTS, _CUMULATIVE = _lobatto_rule(PANEL_ORDER)
 _HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
 
 
-def _panel(f, weight, lo, hi, w_edge, upward, depth):
+def _panel(f, weight, lo, hi, w_edge, upward, depth, err_floor=0.0):
     """Integrate one panel, bisecting where the rule misses its tolerance.
 
     ``w_edge`` is W at the edge the scan enters from (lo upward, hi
-    downward).  Returns (value, error estimate, W at the far edge,
-    unresolved pieces).  Sums are elementwise products: a first BLAS dot
-    maps buffers that nothing else in a classification needs.
+    downward); an error up to ``err_floor`` passes at any value.  Returns
+    (value, error estimate, W at the far edge, unresolved pieces).  Sums
+    are elementwise products: a first BLAS dot maps buffers that nothing
+    else in a classification needs.
     """
     half = 0.5 * (hi - lo)
     xs = 0.5 * (lo + hi) + half * _NODES
@@ -183,14 +186,14 @@ def _panel(f, weight, lo, hi, w_edge, upward, depth):
         err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
     if not math.isfinite(value) or not math.isfinite(w_far):
         return value, 0.0, w_far, 0
-    resolved = err <= REL_TOL * abs(value) and w_err <= REL_TOL
+    resolved = err <= max(REL_TOL * abs(value), err_floor) and w_err <= REL_TOL
     if resolved or depth == MAX_BISECTIONS:
         # an error w_err in W is a relative error w_err in the integrand
         return value, err + w_err * abs(value), w_far, 0 if resolved else 1
     mid = 0.5 * (lo + hi)
     first, second = ((lo, mid), (mid, hi)) if upward else ((mid, hi), (lo, mid))
-    v1, e1, w_mid, u1 = _panel(f, weight, *first, w_edge, upward, depth + 1)
-    v2, e2, w_far, u2 = _panel(f, weight, *second, w_mid, upward, depth + 1)
+    v1, e1, w_mid, u1 = _panel(f, weight, *first, w_edge, upward, depth + 1, err_floor)
+    v2, e2, w_far, u2 = _panel(f, weight, *second, w_mid, upward, depth + 1, err_floor)
     return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
@@ -321,7 +324,10 @@ def _run_panels(f, panels, weight, upward):
     rule = "no-rule"
     for lo, hi in panels:
         try:
-            c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0)
+            # a panel carrying under EXHAUSTED_FRACTION of the total is dead
+            # to the verdict: its error need not fall below REL_TOL of that
+            c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0,
+                                            REL_TOL * EXHAUSTED_FRACTION * abs(total))
         except RangeEnd:
             rule = "range-end"
             break

@@ -194,7 +194,8 @@ def laplace_exponent(psi, phi, q: float) -> float:
     """
     if q < 0.0:
         raise MechanismDomainError("Laplace argument must be nonnegative")
-    _require_subordinator(psi, phi)
+    if _require_subordinator(psi, phi) == RECURRENT and q == 0.0:
+        return 0.0                  # an unbounded zero set: int exp(W) diverges
     machine = _transform_machine(psi, phi)
     value, _ = machine.transform_at_zero if q == 0.0 else machine.transform(q)
     # only a bounded zero set has a finite transform at q = 0
@@ -283,7 +284,7 @@ def subordinator_summary(psi, phi,
                          drift_probe: float = DRIFT_PROBE) -> SubordinatorSummary:
     """Sampled view of the zero-set subordinator: L values, index fit,
     drift diagnostic, and the killed verdict."""
-    _require_subordinator(psi, phi)
+    cls = _require_subordinator(psi, phi)
     qs = sorted(set(float(q) for q in q_values))
     if len(qs) < 2 or qs[0] <= 0.0:
         raise MechanismDomainError("need at least two positive sample points")
@@ -301,10 +302,12 @@ def subordinator_summary(psi, phi,
 
     drift = laplace_exponent(psi, phi, drift_probe) / drift_probe
 
-    machine = _transform_machine(psi, phi)
-    value, certified = machine.transform_at_zero
-    l_zero = 1.0 / value            # 0.0 for an unbounded set, nan if undecided
-    killed = Verdict.yes({"l_zero": l_zero}) if certified.is_yes else certified
+    if cls == RECURRENT:            # unbounded: the subordinator is not killed
+        l_zero, killed = 0.0, Verdict.no({"zero_class": cls})
+    else:
+        value, certified = _transform_machine(psi, phi).transform_at_zero
+        l_zero = 1.0 / value        # nan if undecided
+        killed = Verdict.yes({"l_zero": l_zero}) if certified.is_yes else certified
 
     return SubordinatorSummary(
         l_samples=samples, gamma_fit=slope, gamma_residual=residual,

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import inspect
+
 import pytest
 from scipy import optimize
 
@@ -8,18 +10,21 @@ from cbizero import cutout, flow, mechanisms, quadrature
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts of the panel rule's panels (bisected pieces included) and of
-    the flow's finite-range ``quad`` calls, from the test's start on."""
-    counts = {"panels": 0, "quad": 0}
+    """Counts of the panel rule's panels (bisected pieces included), of the
+    pieces alone (depth > 0) and of the flow's finite-range ``quad`` calls,
+    from the test's start on."""
+    counts = {"panels": 0, "pieces": 0, "quad": 0}
     panel, finite = quadrature._panel, flow.quad
+    signature = inspect.signature(panel)
 
-    def counting_panel(*args):
+    def counting_panel(*args, **kwargs):
         counts["panels"] += 1
-        return panel(*args)
+        counts["pieces"] += signature.bind(*args, **kwargs).arguments["depth"] > 0
+        return panel(*args, **kwargs)
 
-    def counting_quad(*args):
+    def counting_quad(*args, **kwargs):
         counts["quad"] += 1
-        return finite(*args)
+        return finite(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_panel", counting_panel)
     monkeypatch.setattr(flow, "quad", counting_quad)

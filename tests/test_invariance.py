@@ -5,7 +5,8 @@ Three exact relations (Kawazu & Watanabe 1971) must hold on every route:
 * time constant: c psi runs the flow c times faster, so v_t of c psi is
   v_{ct} of psi, F = tail_time scales by 1/c, and the checks on psi
   (Grey, conservativity, supercriticality, largest root) do not move;
-* time change: (c psi, c phi) keeps the zero class;
+* time change: (c psi, c phi) keeps the zero class, and since its W is
+  W(c .) - W(c), its Laplace exponent is L_c(q) = c e^{W(c)} L(q/c);
 * space scaling: (psi(k .)/k, phi(k .)) are the mechanisms of kX, whose
   zero set is that of X, so the zero class and L(q) do not move.
 
@@ -14,6 +15,8 @@ as built-in families and as undeclared custom copies.  A case that a
 known defect breaks is an ``xfail(strict=True)`` naming its CHANGES.md
 entry, so that the mend shows.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +33,7 @@ from cbizero.mechanisms import (
     grey_check,
     largest_root,
 )
-from cbizero.zeroset import laplace_exponent
+from cbizero.zeroset import laplace_exponent, log_weight
 
 # (branching, immigration with a non-polar zero set) for each family
 PAIRS = {
@@ -46,12 +49,14 @@ LEVELS = (1.5, 4.0)             # above the supercritical root 1
 QS = (0.0, 0.5, 4.0)            # L(0) is 0 for a recurrent zero set
 
 
+def _copies(psi, phi):
+    """Undeclared custom copies of a pair."""
+    return CustomBranching(eval=lambda q: psi(q)), CustomImmigration(eval=lambda q: phi(q))
+
+
 def _pair(name, route):
     psi, phi = PAIRS[name]
-    if route == "custom":
-        return (CustomBranching(eval=lambda q: psi(q)),
-                CustomImmigration(eval=lambda q: phi(q)))
-    return psi, phi
+    return _copies(psi, phi) if route == "custom" else (psi, phi)
 
 
 def _time_scaled(psi, c):
@@ -126,6 +131,26 @@ def test_time_change_of_the_undeclared_supercritical_drift_pair(c):
     psi = CustomBranching(eval=lambda u: c * (u * u - u))
     phi = CustomImmigration(eval=lambda u: 0.25 * c * u)
     assert classify_zero_state(psi, phi).zero_class == "Transient"
+
+
+# transient pairs, L(0) > 0: Feller and the supercritical pair with sqrt(q),
+# and stable 1.5 with a beta = 0.3 immigration
+TIME_CHANGED = {
+    "feller": PAIRS["feller"],
+    "supercritical": PAIRS["supercritical"],
+    "stable-1.5": (StableBranching(d=1.0, alpha=1.5), StableImmigration(dprime=1.0, beta=0.3)),
+}
+
+
+@pytest.mark.parametrize("c", [1e-3, 10.0])
+@pytest.mark.parametrize("name", sorted(TIME_CHANGED))
+def test_time_change_scales_the_exponent(name, c):
+    psi, phi = _copies(*TIME_CHANGED[name])
+    scaled = _time_scaled(psi, c), _immigration_scaled(phi, c)
+    factor = c * math.exp(log_weight(psi, phi, c))
+    for q in (0.25, 1.0, 4.0, 16.0):
+        assert laplace_exponent(*scaled, q) / laplace_exponent(psi, phi, q / c) == (
+            pytest.approx(factor, rel=1e-9))
 
 
 def _space_cases():

@@ -175,6 +175,27 @@ class TestPanelRule:
         assert 0.0 <= est.abserr <= 1e-9 * est.total
 
 
+class TestScanErrorFloor:
+    """A scan accepts a panel whose error is below REL_TOL * EXHAUSTED_FRACTION
+    of the total so far: the panels the exhausted rule reads as dead are not
+    refined, and as the floor scales with the total, f and c f agree."""
+
+    @pytest.mark.parametrize("c", [5.0, 50.0])
+    def test_dead_panels_are_not_bisected_at_any_scale(self, c, engine_calls):
+        # int_0^1 k x^-2 exp(-c (1/x - 1)) dx = k/c: the weight R = c/x^2
+        # kills the integrand like exp(-c/x) toward 0
+        seen = set()
+        for k in (1e-6, 1.0, 1e6):
+            engine_calls["pieces"] = 0
+            est = _lower(lambda x: k / (x * x), weight=lambda x: c / (x * x))
+            assert (est.verdict, est.rule) == (FINITE, "exhausted")
+            assert est.total == pytest.approx(k / c, rel=1e-13)
+            seen.add((engine_calls["pieces"], est.unresolved_panels))
+        assert len(seen) == 1
+        if c == 5.0:
+            assert seen == {(0, 0)}
+
+
 class TestWeightedCriterionIntegrals:
     """psi = q^2 with phi = c q: R = c/q and W = c log(z/theta) in closed form."""
 

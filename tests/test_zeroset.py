@@ -79,6 +79,15 @@ class TestLaplaceExponent:
     def test_zero_argument_recurrent_is_zero(self):
         assert laplace_exponent(FELLER, HALF_DRIFT, 0.0) == 0.0
 
+    def test_zero_argument_recurrent_needs_no_scan(self):
+        # the class decides L(0): the q = 0 scan of this recurrent pair would
+        # end no-rule after 61 panels whose contributions fall like 1 - c sqrt(x)
+        psi = QuadraticBranching(b=1.0, sigma2=2.0)
+        assert laplace_exponent(psi, ROOT_HALF, 0.0) == 0.0
+        summary = subordinator_summary(psi, ROOT_HALF)
+        assert (summary.l_zero, summary.killed.is_no) == (0.0, True)
+        assert summary.killed.evidence == {"zero_class": "Recurrent"}
+
     def test_heavy_set_has_positive_drift_limit(self):
         q = 1e6
         got = laplace_exponent(FELLER, ROOT_HALF, q) / q
@@ -232,9 +241,9 @@ class TestNoNestedQuadrature:
         psi = CustomBranching(eval=lambda v: v * v)
         phi = CustomImmigration(eval=math.sqrt)
         assert law(psi, phi, 1.0) > 0.0
-        # measured 1 and 184 for laplace_exponent, 2 and 82 for gzero_density
+        # measured 1 and 82 for laplace_exponent, 2 and 82 for gzero_density
         assert engine_calls["quad"] <= 3
-        assert engine_calls["panels"] <= 250
+        assert engine_calls["panels"] <= 100
 
 
 class TestSelfSimilarIndex:
