@@ -34,11 +34,8 @@ from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
     Verdict,
-    branching_derivative_at_zero,
     conservativity_check,
     grey_check,
-    indices,
-    is_compound_poisson,
     largest_root,
     positivity_threshold,
 )
@@ -61,8 +58,6 @@ METHOD_NUMERIC = "NumericIntegral"
 METHOD_FASTPATH = "RVFastPath"
 METHOD_CLOSED = "ClosedForm"
 
-# below this right derivative at 0 the mechanism counts as supercritical
-_SUPERCRITICAL_TOL = -1e-12
 # index comparisons from probed (inexact) data abstain inside this margin
 _BOUNDARY_MARGIN = 1e-3
 
@@ -77,18 +72,16 @@ class ClassificationError(ValueError):
 class RegVarSummary:
     """Power-law profile of the ratio R = Phi/Psi at both ends.
 
-    ``rho`` and ``kappa`` are the indices of R at infinity and at zero;
-    r/k bounds are limsup/liminf of sR(s) there.  None means unknown.
-    ``exact`` is True when every value comes from closed-form family
-    data rather than probes.
+    ``rho`` and ``kappa`` are the indices of R at infinity and at zero,
+    and ``r`` and ``k`` the limits of sR(s) there (s -> infinity and
+    s -> 0).  None means unknown.  ``exact`` is True when every value
+    comes from closed-form family data rather than probes.
     """
 
     rho: Optional[float]
     kappa: Optional[float]
-    r_upper: Optional[float]
-    r_lower: Optional[float]
-    k_upper: Optional[float]
-    k_lower: Optional[float]
+    r: Optional[float]
+    k: Optional[float]
     ind_upper_inf: float
     ind_lower_inf: float
     ind_upper_0: float
@@ -98,8 +91,8 @@ class RegVarSummary:
     def as_dict(self) -> dict:
         return {
             "rho": self.rho, "kappa": self.kappa,
-            "r_upper": self.r_upper, "r_lower": self.r_lower,
-            "k_upper": self.k_upper, "k_lower": self.k_lower,
+            "r_upper": self.r, "r_lower": self.r,
+            "k_upper": self.k, "k_lower": self.k,
             "Ind_upper": self.ind_upper_inf, "Ind_lower": self.ind_lower_inf,
             "ind_upper": self.ind_upper_0, "ind_lower": self.ind_lower_0,
             "exact": self.exact,
@@ -169,20 +162,20 @@ def _ratio_end(psi_end, phi_end):
 
 
 def is_supercritical(psi: BranchingMechanism) -> bool:
-    return branching_derivative_at_zero(psi) < _SUPERCRITICAL_TOL
+    """A positive largest root, so the zero set is bounded.  The root is
+    scale-free: c psi keeps the answer at every c > 0."""
+    return largest_root(psi) > 0
 
 
 def regvar_summary(psi, phi) -> Optional[RegVarSummary]:
     """Index data of R = Phi/Psi; None when a profile is inconclusive."""
-    pp, fp = indices(psi), indices(phi)
+    pp, fp = psi.profile(), phi.profile()
     if pp.inconclusive or fp.inconclusive:
         return None
-    rho, r_bound = _ratio_end(pp.at_inf, fp.at_inf)
-    kappa, k_bound = _ratio_end(pp.at_0, fp.at_0)
+    rho, r = _ratio_end(pp.at_inf, fp.at_inf)
+    kappa, k = _ratio_end(pp.at_0, fp.at_0)
     return RegVarSummary(
-        rho=rho, kappa=kappa,
-        r_upper=r_bound, r_lower=r_bound,
-        k_upper=k_bound, k_lower=k_bound,
+        rho=rho, kappa=kappa, r=r, k=k,
         ind_upper_inf=pp.ind_upper_inf, ind_lower_inf=pp.ind_lower_inf,
         ind_upper_0=pp.ind_upper_0, ind_lower_0=pp.ind_lower_0,
         exact=pp.closed_form and fp.closed_form,
@@ -198,23 +191,14 @@ def heaviness(psi, phi) -> Verdict:
     return Verdict.of_scan(est, {"theta": theta, **est.evidence()})
 
 
-def has_intervals(phi) -> Verdict:
-    """Is the zero set a union of closed nonempty intervals?
-
-    True exactly when the immigration subordinator is compound Poisson
-    (no drift, finite jump measure).
-    """
-    return is_compound_poisson(phi)
-
-
 def stationary_exists(psi, phi) -> Verdict:
-    """Stationary law: nonnegative drift at 0 and int_0 R finite."""
-    deriv = branching_derivative_at_zero(psi)
-    if deriv < _SUPERCRITICAL_TOL:
-        return Verdict.no({"psi_deriv_at_0": deriv, "reason": "supercritical"})
+    """Stationary law: not supercritical and int_0 R finite."""
+    root = largest_root(psi)
+    if is_supercritical(psi):
+        return Verdict.no({"root": root, "reason": "supercritical"})
     theta = positivity_threshold(psi)
     est = tail_verdict_lower(_ratio_func(psi, phi), theta)
-    return Verdict.of_scan(est, {"psi_deriv_at_0": deriv, "theta": theta, **est.evidence()})
+    return Verdict.of_scan(est, {"root": root, "theta": theta, **est.evidence()})
 
 
 # --- criterion integrals ----------------------------------------------------
@@ -245,16 +229,15 @@ def _clip_unit(x: float) -> float:
 
 def _dims_from_summary(summary: RegVarSummary):
     """Interval bounds on the box dimensions from the index data."""
-    if summary.r_upper is None or summary.r_lower is None:
-        return None
-    if math.isinf(summary.r_upper):
-        return None  # polar regime, no dimensions
+    r = summary.r
+    if r is None or math.isinf(r):
+        return None  # unknown, or the polar regime with no dimensions
     ind_up = summary.ind_upper_inf
     ind_lo = summary.ind_lower_inf
     if ind_lo <= 1.0 or ind_up <= 1.0:
         return None
-    upper = 1.0 - summary.r_lower / (ind_up - 1.0)
-    lower = 1.0 - summary.r_upper / (ind_lo - 1.0)
+    upper = 1.0 - r / (ind_up - 1.0)
+    lower = 1.0 - r / (ind_lo - 1.0)
     return _clip_unit(upper), _clip_unit(lower)
 
 
@@ -303,85 +286,62 @@ def rv_fastpath(psi, phi) -> Optional[ZeroSetReport]:
     if summary is None or summary.rho is None:
         return None
     margin = 0.0 if summary.exact else _BOUNDARY_MARGIN
-    rho = summary.rho
+    rho, r = summary.rho, summary.r
 
-    heavy: Optional[Verdict] = None
-    polar: Optional[bool] = None
     if rho > -1.0 + margin:
         polar = True
         heavy = Verdict.no({"rho": rho, "reason": "ratio integral diverges"})
     elif rho < -1.0 - margin:
         polar = False
         heavy = Verdict.yes({"rho": rho, "reason": "ratio integral converges"})
-    elif margin > 0.0:
-        return None  # probed data too close to the boundary
-    else:
-        # rho == -1 exactly: compare sR(s) against the growth indices
-        if summary.r_upper is None or summary.r_lower is None:
-            return None
-        if summary.r_lower >= summary.ind_upper_inf - 1.0:
-            polar = True
-            heavy = Verdict.no({"rho": rho, "r_lower": summary.r_lower})
-        elif summary.r_upper < summary.ind_lower_inf - 1.0:
-            polar = False
-            if summary.r_lower > 0:
-                heavy = Verdict.no({"rho": rho, "r_lower": summary.r_lower,
-                                    "reason": "sR(s) bounded away from 0"})
-            else:
-                heavy = Verdict.inconclusive({"rho": rho, "r_lower": 0.0})
+    elif margin > 0.0 or r is None:
+        return None  # probed data too close to the boundary, or sR(s) unknown
+    # rho == -1 exactly: compare sR(s) against the growth indices
+    elif r >= summary.ind_upper_inf - 1.0:
+        polar = True
+        heavy = Verdict.no({"rho": rho, "r_lower": r})
+    elif r < summary.ind_lower_inf - 1.0:
+        polar = False
+        if r > 0:
+            heavy = Verdict.no({"rho": rho, "r_lower": r,
+                                "reason": "sR(s) bounded away from 0"})
         else:
-            return None  # gap between the polar and non-polar clauses
+            heavy = Verdict.inconclusive({"rho": rho, "r_lower": 0.0})
+    else:
+        return None  # gap between the polar and non-polar clauses
 
-    base = {
-        "regvar": summary.as_dict(),
-        "margin": margin,
-    }
     grey = grey_check(psi)
     if not grey.is_yes:
         return None  # trivial or undecided extinction: fast path does not apply
-    conservative = conservativity_check(psi)
-    intervals = has_intervals(phi)
-    stationary = stationary_exists(psi, phi)
-
+    evidence = {"regvar": summary.as_dict(), "margin": margin}
     if polar:
-        return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=POLAR,
-            heavy=heavy, intervals=intervals, stationary=stationary,
-            dim_upper=None, dim_lower=None, method=METHOD_FASTPATH,
-            evidence=base)
+        return _report(psi, phi, grey, POLAR, heavy, None, METHOD_FASTPATH, evidence)
 
+    k = summary.k
     if is_supercritical(psi):
         zero_class = TRANSIENT
-        base["recurrence_rule"] = "supercritical: zero set is bounded"
+        evidence["recurrence_rule"] = "supercritical: zero set is bounded"
     elif summary.kappa is None:
         return None
     elif summary.kappa < -1.0 - margin:
         zero_class = TRANSIENT
-        base["recurrence_rule"] = "kappa < -1"
+        evidence["recurrence_rule"] = "kappa < -1"
     elif summary.kappa > -1.0 + margin:
         zero_class = RECURRENT
-        base["recurrence_rule"] = "kappa > -1"
-    elif margin > 0.0:
+        evidence["recurrence_rule"] = "kappa > -1"
+    elif margin > 0.0 or k is None:
         return None
+    elif k - summary.ind_lower_0 <= -1.0:
+        zero_class = RECURRENT
+        evidence["recurrence_rule"] = "kappa = -1, k_upper <= ind_lower - 1"
+    elif k - summary.ind_upper_0 > -1.0:
+        zero_class = TRANSIENT
+        evidence["recurrence_rule"] = "kappa = -1, k_lower > ind_upper - 1"
     else:
-        if summary.k_upper is None or summary.k_lower is None:
-            return None
-        if summary.k_upper - summary.ind_lower_0 <= -1.0:
-            zero_class = RECURRENT
-            base["recurrence_rule"] = "kappa = -1, k_upper <= ind_lower - 1"
-        elif summary.k_lower - summary.ind_upper_0 > -1.0:
-            zero_class = TRANSIENT
-            base["recurrence_rule"] = "kappa = -1, k_lower > ind_upper - 1"
-        else:
-            return None
+        return None
 
     dims = _dims_from_summary(summary) if summary.exact else None
-    dim_upper, dim_lower = dims or (None, None)
-    return ZeroSetReport(
-        grey=grey, conservative=conservative, zero_class=zero_class,
-        heavy=heavy, intervals=intervals, stationary=stationary,
-        dim_upper=dim_upper, dim_lower=dim_lower, method=METHOD_FASTPATH,
-        evidence=base)
+    return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_FASTPATH, evidence)
 
 
 # --- main entry ---------------------------------------------------------------
@@ -390,37 +350,39 @@ def _is_zero_immigration(phi) -> bool:
     return phi is None or (phi(1.0) == 0.0 and phi(1e6) == 0.0)
 
 
+def _report(psi, phi, grey, zero_class, heavy, dims, method, evidence) -> ZeroSetReport:
+    """A route's answer, with the verdicts every route shares added:
+    conservativity, intervals (a compound-Poisson phi) and stationarity."""
+    dim_upper, dim_lower = dims or (None, None)
+    return ZeroSetReport(
+        grey=grey, conservative=conservativity_check(psi), zero_class=zero_class,
+        heavy=heavy, intervals=phi.compound_poisson(),
+        stationary=stationary_exists(psi, phi),
+        dim_upper=dim_upper, dim_lower=dim_lower, method=method, evidence=evidence)
+
+
 def classify_zero_state(psi: BranchingMechanism,
                         phi: Optional[ImmigrationMechanism],
                         *, numeric_only: bool = False) -> ZeroSetReport:
     """Full zero-set classification; ``numeric_only`` skips the fast path."""
     grey = grey_check(psi)
-    conservative = conservativity_check(psi)
-
     if _is_zero_immigration(phi):
         note = {"note": "no immigration: started at 0 the process stays at 0"}
         return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=NO_IMMIGRATION,
+            grey=grey, conservative=conservativity_check(psi), zero_class=NO_IMMIGRATION,
             heavy=Verdict.yes(dict(note)), intervals=Verdict.yes(dict(note)),
-            stationary=Verdict.yes(dict(note)) if not is_supercritical(psi)
-            else Verdict.no(dict(note)),
+            stationary=Verdict.no(dict(note)) if is_supercritical(psi)
+            else Verdict.yes(dict(note)),
             dim_upper=1.0, dim_lower=1.0, method=METHOD_CLOSED, evidence=note)
 
-    intervals = has_intervals(phi)
     if grey.is_no:
-        return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=TRIVIAL_POINT,
-            heavy=Verdict.no({"reason": "zero set is the single point 0"}),
-            intervals=intervals, stationary=stationary_exists(psi, phi),
-            dim_upper=0.0, dim_lower=0.0, method=METHOD_CLOSED,
-            evidence={"grey": grey.evidence})
+        return _report(psi, phi, grey, TRIVIAL_POINT,
+                       Verdict.no({"reason": "zero set is the single point 0"}),
+                       (0.0, 0.0), METHOD_CLOSED, {"grey": grey.evidence})
     if grey.is_inconclusive:
-        return ZeroSetReport(
-            grey=grey, conservative=conservative, zero_class=INCONCLUSIVE_CLASS,
-            heavy=Verdict.inconclusive({"reason": "extinction test undecided"}),
-            intervals=intervals, stationary=stationary_exists(psi, phi),
-            dim_upper=None, dim_lower=None, method=METHOD_NUMERIC,
-            evidence={"grey": grey.evidence})
+        return _report(psi, phi, grey, INCONCLUSIVE_CLASS,
+                       Verdict.inconclusive({"reason": "extinction test undecided"}),
+                       None, METHOD_NUMERIC, {"grey": grey.evidence})
 
     if not numeric_only:
         fast = rv_fastpath(psi, phi)
@@ -428,7 +390,6 @@ def classify_zero_state(psi: BranchingMechanism,
             return fast
 
     theta = positivity_threshold(psi)
-    stationary = stationary_exists(psi, phi)
     heavy = heaviness(psi, phi)
     outer = _outer_estimate(psi, phi, theta)
     evidence = {"theta": theta, "outer": outer.evidence()}
@@ -438,7 +399,8 @@ def classify_zero_state(psi: BranchingMechanism,
         supercritical = is_supercritical(psi)
         # above 2 root the integrand is bounded, so starting there keeps the
         # verdict and skips octaves where 1/Psi may still grow
-        inner = _inner_estimate(psi, phi, min(theta, 2.0 * root) if root > 0 else theta, root)
+        inner = _inner_estimate(psi, phi, min(theta, 2.0 * root) if supercritical else theta,
+                                root)
         evidence.update(inner=inner.evidence(), root=root, supercritical=supercritical)
         zero_class = {FINITE: TRANSIENT, INFINITE: RECURRENT}.get(inner.verdict,
                                                                  INCONCLUSIVE_CLASS)
@@ -449,15 +411,11 @@ def classify_zero_state(psi: BranchingMechanism,
             evidence["note"] = ("inner integral diverged for a supercritical "
                                 "mechanism; recurrence is impossible")
 
-    dim_upper = dim_lower = None
+    dims = None
     if zero_class in (TRANSIENT, RECURRENT):
         try:
-            dim_upper, dim_lower, evidence["dims"] = _dims_numeric(psi, phi)
+            upper, lower, evidence["dims"] = _dims_numeric(psi, phi)
+            dims = upper, lower
         except FlowError as exc:    # W unresolved, as where v_1 rounds onto a root
             evidence["dims"] = {"error": str(exc), **exc.evidence}
-
-    return ZeroSetReport(
-        grey=grey, conservative=conservative, zero_class=zero_class,
-        heavy=heavy, intervals=intervals, stationary=stationary,
-        dim_upper=dim_upper, dim_lower=dim_lower, method=METHOD_NUMERIC,
-        evidence=evidence)
+    return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_NUMERIC, evidence)

@@ -14,10 +14,10 @@ grammar.  The base classes ``BranchingMechanism`` and
 ``ImmigrationMechanism`` carry the generic route every user-supplied
 mechanism takes: one call per point for ``values``, log-log slope
 probes with an explicit inconclusive flag, positivity probes and finite
-differences.  The module functions ask the mechanism, so no caller
+differences.  Callers ask the mechanism for these facts, so no caller
 dispatches on the family.
 
-A small text grammar (``parse_mechanism`` / ``mechanism_spec``) reads
+A small text grammar (``parse_mechanism`` / ``mech.spec()``) reads
 each family's ``spec_family`` and ``spec_keys`` to round-trip the
 built-in families for the command line and config files.
 """
@@ -99,17 +99,15 @@ class GrowthProfile:
 
     The lower and upper indices bound the log-log slope at each end;
     ``coeff_inf`` and ``coeff_0`` are the leading coefficients of the
-    power law there, None when unknown.  ``exact`` means the indices are
-    closed form or declared rather than probed, ``closed_form`` that
-    every value is family data, and ``inconclusive`` that the probed
-    slopes spread too widely to name an index.
+    power law there, None when unknown.  ``closed_form`` means every
+    value is family data, and ``inconclusive`` that the probed slopes
+    spread too widely to name an index.
     """
 
     ind_lower_inf: float
     ind_upper_inf: float
     ind_lower_0: float
     ind_upper_0: float
-    exact: bool
     inconclusive: bool
     coeff_inf: Optional[float] = None
     coeff_0: Optional[float] = None
@@ -118,9 +116,8 @@ class GrowthProfile:
     @staticmethod
     def power(ind_inf, coeff_inf, ind_0, coeff_0) -> "GrowthProfile":
         """Closed-form family data: one index and coefficient at each end."""
-        return GrowthProfile(ind_inf, ind_inf, ind_0, ind_0, exact=True,
-                             inconclusive=False, coeff_inf=coeff_inf,
-                             coeff_0=coeff_0, closed_form=True)
+        return GrowthProfile(ind_inf, ind_inf, ind_0, ind_0, inconclusive=False,
+                             coeff_inf=coeff_inf, coeff_0=coeff_0, closed_form=True)
 
     @property
     def at_inf(self):
@@ -166,19 +163,18 @@ def _probe_profile(fn) -> GrowthProfile:
     lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO, nonpositive_ok=True)
     inconclusive = (math.isnan(lo_0 + lo_inf) or hi_inf - lo_inf > _PROBE_SPREAD
                     or hi_0 - lo_0 > _PROBE_SPREAD)
-    return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, exact=False,
-                         inconclusive=inconclusive)
+    return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, inconclusive=inconclusive)
 
 
 def _declared_or_probe(mech) -> GrowthProfile:
     declared = (mech.ind_lower, mech.ind_upper, mech.ind0_lower, mech.ind0_upper)
     if all(v is not None for v in declared):
-        return GrowthProfile(*declared, exact=True, inconclusive=False)
+        return GrowthProfile(*declared, inconclusive=False)
     probed = _probe_profile(mech)
     merged = [d if d is not None else p
               for d, p in zip(declared, (probed.ind_lower_inf, probed.ind_upper_inf,
                                          probed.ind_lower_0, probed.ind_upper_0))]
-    return GrowthProfile(*merged, exact=False, inconclusive=probed.inconclusive)
+    return GrowthProfile(*merged, inconclusive=probed.inconclusive)
 
 
 _THETA_MAX_EXP = 100
@@ -726,11 +722,6 @@ class CustomImmigration(ImmigrationMechanism):
         return self.drift
 
 
-def indices(mech) -> GrowthProfile:
-    """Growth profile of a mechanism; closed form for built-in families."""
-    return mech.profile()
-
-
 @lru_cache(maxsize=512)
 def positivity_threshold(psi) -> float:
     """Smallest power of two >= 1 past which psi stays positive."""
@@ -759,16 +750,6 @@ def largest_root(psi) -> float:
         hi = lo
         lo /= 2.0
     return 0.0
-
-
-def branching_derivative_at_zero(psi) -> float:
-    """Right derivative of psi at 0 (sign decides sub/super-critical)."""
-    return psi.derivative_at_zero()
-
-
-def immigration_drift(phi) -> float:
-    """Linear drift part of the immigration exponent."""
-    return phi.linear_drift()
 
 
 def _safe_recip(values):
@@ -804,11 +785,6 @@ def conservativity_check(psi) -> Verdict:
         stop = root / 2.0
     est = tail_verdict_lower(lambda q: _safe_recip(psi.values(q)), stop)
     return Verdict.of_scan(est, {"stop": stop, **est.evidence()}, yes=INFINITE)
-
-
-def is_compound_poisson(phi) -> Verdict:
-    """Driftless with bounded exponent, i.e. finite jump measure and no drift."""
-    return phi.compound_poisson()
 
 
 def scale_immigration(phi, c: float):
@@ -900,8 +876,3 @@ def parse_immigration(spec: str) -> ImmigrationMechanism:
     if not isinstance(mech, ImmigrationMechanism):
         raise MechanismParseError(f"{spec!r} is not an immigration mechanism", 0)
     return mech
-
-
-def mechanism_spec(mech) -> str:
-    """Inverse of parse_mechanism for the built-in families (round-trip exact)."""
-    return mech.spec()

@@ -43,7 +43,6 @@ from .mechanisms import (
     ImmigrationMechanism,
     MechanismDomainError,
     Verdict,
-    branching_derivative_at_zero,
     largest_root,
 )
 from .quadrature import FINITE, INFINITE, tail_verdict_lower
@@ -124,7 +123,7 @@ class _WeightTransform:
         self.flow = solver(psi)
         self.v1 = self.flow.v_from_infinity(1.0)
         self.root = largest_root(psi)
-        slope = branching_derivative_at_zero(psi)
+        slope = psi.derivative_at_zero()
         # past 1/psi'(0) a subcritical flow decays exponentially and a level
         # octave is a fixed stretch of time, too short to see exp(-q t) fall
         self.horizon = 1.0 / slope if slope > 0.0 else math.inf

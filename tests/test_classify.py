@@ -17,7 +17,6 @@ from cbizero.classify import (
     METHOD_NUMERIC,
     box_dims,
     classify_zero_state,
-    has_intervals,
     heaviness,
     is_supercritical,
     regvar_summary,
@@ -140,6 +139,18 @@ class TestSupercritical:
         assert report.zero_class == TRANSIENT
         assert report.evidence["inner"]["rule"] == "geometric"
 
+    @pytest.mark.parametrize("route", ["family", "custom"])
+    def test_inner_scan_resolves_near_the_root(self, route):
+        # psi = q^2 - q cancels near its root 1; the panels there once ended
+        # hundreds of bisections unresolved (CHANGES.md FOUND 10)
+        psi, phi = SUPER, drift(0.5)
+        if route == "custom":
+            psi, phi = CustomBranching(eval=lambda q: SUPER(q)), CustomImmigration(eval=phi)
+        report = classify_zero_state(psi, phi, numeric_only=True)
+        assert report.zero_class == TRANSIENT
+        assert report.evidence["inner"]["rule"] == "geometric"
+        assert report.evidence["inner"]["unresolved_panels"] == 0
+
     def test_strong_immigration_still_polar(self):
         assert classify_zero_state(SUPER, drift(5.0)).zero_class == POLAR
         assert classify_zero_state(
@@ -210,9 +221,11 @@ class TestComponentVerdicts:
         assert heaviness(FELLER, GammaImmigration(a=1.0, b=1.0)).is_yes
 
     def test_interval_structure(self):
-        assert has_intervals(CompoundPoissonImmigration(mass=1.0)).is_yes
-        assert has_intervals(StableImmigration(dprime=1.0, beta=0.5)).is_no
-        assert has_intervals(GammaImmigration(a=1.0, b=1.0)).is_no
+        # the zero set is a union of intervals exactly for a compound-Poisson phi
+        for phi, intervals in ((CompoundPoissonImmigration(mass=1.0), "Yes"),
+                               (StableImmigration(dprime=1.0, beta=0.5), "No"),
+                               (GammaImmigration(a=1.0, b=1.0), "No")):
+            assert classify_zero_state(FELLER, phi).intervals.value == intervals
 
     def test_stationary_examples(self):
         assert stationary_exists(FELLER, drift(1.0)).is_no
@@ -232,15 +245,15 @@ class TestRegVarSummary:
                            StableImmigration(dprime=1.0, beta=0.5))
         assert s.exact
         assert s.rho == pytest.approx(-1.0)
-        assert s.r_upper == s.r_lower == pytest.approx(0.5)
+        assert s.r == pytest.approx(0.5)
         assert s.kappa == pytest.approx(-1.0)
 
     def test_gamma_pair(self):
         s = regvar_summary(FELLER, GammaImmigration(a=3.0, b=2.0))
         assert s.rho == pytest.approx(-2.0)
-        assert s.r_upper == 0.0
+        assert s.r == 0.0
         assert s.kappa == pytest.approx(-1.0)
-        assert s.k_upper == pytest.approx(1.5)
+        assert s.k == pytest.approx(1.5)
 
     def test_quadratic_supercritical_has_no_zero_profile(self):
         s = regvar_summary(SUPER, drift(1.0))
@@ -308,6 +321,8 @@ class TestNumericAgreement:
         assert numeric.method == METHOD_NUMERIC
         assert numeric.zero_class == fast.zero_class
         assert numeric.heavy.value == fast.heavy.value
+        if "root" in numeric.evidence:
+            assert numeric.evidence["supercritical"] == (numeric.evidence["root"] > 0)
 
 
 class TestScalingMonotonicity:

@@ -19,9 +19,7 @@ from cbizero.mechanisms import (
     StableImmigration,
     conservativity_check,
     grey_check,
-    is_compound_poisson,
     largest_root,
-    mechanism_spec,
     positivity_threshold,
 )
 
@@ -293,7 +291,7 @@ def _assert_agree(family, copy, rel=None):
 class TestCustomCopyOracle:
     """Closed-form family routes against the numeric routes of a custom copy."""
 
-    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=mechanism_spec)
+    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=lambda mech: mech.spec())
     def test_checks_agree(self, psi):
         copy = _branching_copy(psi)
         for check in (positivity_threshold, is_supercritical,
@@ -301,7 +299,7 @@ class TestCustomCopyOracle:
                       lambda m: conservativity_check(m).value):
             _assert_agree(_outcome(check, psi), _outcome(check, copy))
 
-    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=mechanism_spec)
+    @pytest.mark.parametrize("psi", ORACLE_BRANCHING, ids=lambda mech: mech.spec())
     def test_flow_agrees(self, psi):
         family, copy = FlowSolver(psi=psi), FlowSolver(psi=_branching_copy(psi))
         for a in TAIL_LEVELS:
@@ -323,10 +321,10 @@ class TestCustomCopyOracle:
             with pytest.raises(MechanismDomainError):
                 FlowSolver(psi=psi).tail_time(0.7)
 
-    @pytest.mark.parametrize("phi", ORACLE_IMMIGRATION, ids=mechanism_spec)
+    @pytest.mark.parametrize("phi", ORACLE_IMMIGRATION, ids=lambda mech: mech.spec())
     def test_compound_poisson_agrees(self, phi):
         copy = CustomImmigration(eval=lambda q: phi(q))
-        assert is_compound_poisson(copy).value == is_compound_poisson(phi).value
+        assert copy.compound_poisson().value == phi.compound_poisson().value
 
     def test_boundary_flow_edges(self):
         # past ~37 time units the supercritical flow sits on its root 1
@@ -346,7 +344,7 @@ class TestCustomCopyOracle:
 
     # psi(q) underflows to 0.0 near 0, which must not read as a root
     @pytest.mark.parametrize("psi", ORACLE_BRANCHING[:3] + ORACLE_BRANCHING[4:5],
-                             ids=mechanism_spec)
+                             ids=lambda mech: mech.spec())
     def test_copy_root_is_zero(self, psi):
         assert largest_root(_branching_copy(psi)) == 0.0
 
@@ -368,7 +366,7 @@ class TestNumericFlowEdges:
                 t = (2.0 ** k - 1.0) / lam
                 assert Q2.v_from_lambda(t, lam) == pytest.approx(lam / 2.0 ** k, rel=1e-9)
 
-    @pytest.mark.parametrize("family", [FELLER, SUPER], ids=mechanism_spec)
+    @pytest.mark.parametrize("family", [FELLER, SUPER], ids=lambda mech: mech.spec())
     def test_grid_matches_closed_form(self, family):
         copy = FlowSolver(psi=_branching_copy(family))
         closed = FlowSolver(psi=family)

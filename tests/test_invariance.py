@@ -4,9 +4,11 @@ Three exact relations (Kawazu & Watanabe 1971) must hold on every route:
 
 * time constant: c psi runs the flow c times faster, so v_t of c psi is
   v_{ct} of psi, F = tail_time scales by 1/c, and the checks on psi
-  (Grey, conservativity, supercriticality, largest root) do not move;
-* time change: (c psi, c phi) keeps the zero class, and since its W is
-  W(c .) - W(c), its Laplace exponent is L_c(q) = c e^{W(c)} L(q/c);
+  (Grey, conservativity, supercriticality, largest root) do not move,
+  for c out to 10^(+-15);
+* time change: (c psi, c phi) keeps the zero class and the route that
+  decides it, down to c = 1e-15, and since its W is W(c .) - W(c), its
+  Laplace exponent is L_c(q) = c e^{W(c)} L(q/c);
 * space scaling: (psi(k .)/k, phi(k .)) are the mechanisms of kX, whose
   zero set is that of X, so the zero class and L(q) do not move.
 
@@ -19,7 +21,7 @@ entry, so that the mend shows.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbizero.classify import classify_zero_state, is_supercritical
 from cbizero.flow import solver
@@ -93,6 +95,12 @@ def _checks(psi):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", sorted(PAIRS))
 @given(exponent=st.floats(-3.0, 3.0))
+@example(exponent=6.0)
+@example(exponent=-6.0)
+@example(exponent=10.0)
+@example(exponent=-10.0)
+@example(exponent=15.0)
+@example(exponent=-15.0)
 @settings(max_examples=12, deadline=None)
 def test_time_constant(name, route, exponent):
     c = 10.0 ** exponent
@@ -115,14 +123,15 @@ def test_time_constant_keeps_grey_at_1e_13(name, route):
     assert grey_check(_time_scaled(psi, 1e-13)).value == grey_check(psi).value
 
 
-@pytest.mark.parametrize("c", [1e-3, 10.0])
+@pytest.mark.parametrize("c", [1e-3, 10.0, 1e-13, 1e-15])
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_time_change_keeps_the_zero_class(name, route, c):
+    # the route too: supercriticality is read off the root, which c leaves alone
     psi, phi = _pair(name, route)
-    want = classify_zero_state(psi, phi).zero_class
+    want = classify_zero_state(psi, phi)
     scaled = classify_zero_state(_time_scaled(psi, c), _immigration_scaled(phi, c))
-    assert scaled.zero_class == want
+    assert (scaled.zero_class, scaled.method) == (want.zero_class, want.method)
 
 
 @pytest.mark.parametrize("c", [1.0, 10.0])

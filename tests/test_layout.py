@@ -1,7 +1,9 @@
 """Source layout: each mechanism family's knowledge lives in its class.
 
 The library asks a mechanism for its facts instead of dispatching on
-its family, so no ``isinstance`` names a concrete family class.  Every
+its family, so no ``isinstance`` names a concrete family class, and it
+asks the mechanism directly, through no module function that only
+forwards to one of its methods.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name, and every family with a spec
 string but Lamperti (numpy has no ``lgamma``) defines ``values``, its
@@ -107,6 +109,36 @@ def test_panels_of_built_in_families_call_no_scalar_evaluation(engine_calls, mon
     assert engine_calls["panels"] > 0                   # measured 105 with cold caches
     assert calls["in_panel"] == 0
     assert calls["all"] <= 10                           # measured 4, outside the panels
+
+
+def _forwards(fn):
+    """Whether a function's body, past its docstring, is one return that
+    hands its own parameters, unchanged, to a method of one of them or to
+    another function."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    passed = [arg.id for arg in call.args if isinstance(arg, ast.Name)]
+    passed += [kw.value.id for kw in call.keywords if isinstance(kw.value, ast.Name)]
+    if len(passed) != len(call.args) + len(call.keywords):
+        return False
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id in params and sorted([func.value.id, *passed]) == sorted(params)
+    return isinstance(func, ast.Name) and sorted(passed) == sorted(params)
+
+
+@pytest.mark.parametrize("module", ["mechanisms.py", "classify.py"])
+def test_no_module_function_only_forwards(module):
+    offenders = [node.name for node in TREES[module].body
+                 if isinstance(node, ast.FunctionDef) and _forwards(node)]
+    assert offenders == []
 
 
 def test_flow_solver_holds_only_its_mechanism():

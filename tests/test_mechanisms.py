@@ -19,14 +19,9 @@ from cbizero.mechanisms import (
     QuadraticBranching,
     StableBranching,
     StableImmigration,
-    branching_derivative_at_zero,
     conservativity_check,
     grey_check,
-    immigration_drift,
-    indices,
-    is_compound_poisson,
     largest_root,
-    mechanism_spec,
     parse_branching,
     parse_immigration,
     parse_mechanism,
@@ -176,40 +171,42 @@ class TestArrayEvaluation:
 
 class TestIndices:
     def test_stable_exact(self):
-        idx = indices(StableBranching(d=1.0, alpha=1.7))
-        assert idx.exact and not idx.inconclusive
+        idx = StableBranching(d=1.0, alpha=1.7).profile()
+        assert idx.closed_form and not idx.inconclusive
         assert idx.ind_lower_inf == idx.ind_upper_inf == 1.7
         assert idx.ind_lower_0 == idx.ind_upper_0 == 1.7
 
     def test_quadratic_with_diffusion(self):
-        idx = indices(QuadraticBranching(b=1.0, sigma2=2.0))
+        idx = QuadraticBranching(b=1.0, sigma2=2.0).profile()
         assert (idx.ind_lower_inf, idx.ind_upper_inf) == (2.0, 2.0)
         assert (idx.ind_lower_0, idx.ind_upper_0) == (1.0, 1.0)
 
     def test_quadratic_critical_pure_diffusion(self):
-        idx = indices(QuadraticBranching(b=0.0, sigma2=2.0))
+        idx = QuadraticBranching(b=0.0, sigma2=2.0).profile()
         assert (idx.ind_lower_0, idx.ind_upper_0) == (2.0, 2.0)
 
     def test_gamma_slowly_varying_at_infinity(self):
-        idx = indices(GammaImmigration(a=1.0, b=1.0))
+        idx = GammaImmigration(a=1.0, b=1.0).profile()
         assert (idx.ind_lower_inf, idx.ind_upper_inf) == (0.0, 0.0)
         assert (idx.ind_lower_0, idx.ind_upper_0) == (1.0, 1.0)
 
     def test_lamperti(self):
-        idx = indices(LampertiImmigration(beta=0.3))
+        idx = LampertiImmigration(beta=0.3).profile()
         assert (idx.ind_lower_inf, idx.ind_upper_inf) == (0.3, 0.3)
         assert (idx.ind_lower_0, idx.ind_upper_0) == (1.0, 1.0)
 
     def test_custom_declared_indices_trusted(self):
         phi = CustomImmigration(eval=lambda q: q / (1.0 + q), ind_lower=0.0,
                                 ind_upper=0.0, ind0_lower=1.0, ind0_upper=1.0)
-        idx = indices(phi)
-        assert idx.exact and not idx.inconclusive
+        idx = phi.profile()
+        assert not idx.closed_form and not idx.inconclusive
+        assert (idx.ind_lower_inf, idx.ind_upper_inf) == (0.0, 0.0)
+        assert (idx.ind_lower_0, idx.ind_upper_0) == (1.0, 1.0)
 
     def test_custom_probe_recovers_power(self):
         phi = CustomImmigration(eval=lambda q: 2.0 * q ** 0.4 if q > 0 else 0.0)
-        idx = indices(phi)
-        assert not idx.exact
+        idx = phi.profile()
+        assert not idx.closed_form
         assert idx.ind_lower_inf == pytest.approx(0.4, abs=1e-6)
         assert idx.ind_upper_0 == pytest.approx(0.4, abs=1e-6)
         assert not idx.inconclusive
@@ -218,7 +215,7 @@ class TestIndices:
         # log-periodic wobble: slope spread stays above the certainty margin
         phi = CustomBranching(
             eval=lambda q: q ** 1.5 * (1.0 + 0.5 * math.sin(math.log(q))) if q > 0 else 0.0)
-        idx = indices(phi)
+        idx = phi.profile()
         assert idx.inconclusive
 
 
@@ -260,10 +257,10 @@ class TestThresholdAndRoots:
             positivity_threshold(psi)
 
     def test_derivative_at_zero(self):
-        assert branching_derivative_at_zero(StableBranching(d=1.0, alpha=1.5)) == 0.0
-        assert branching_derivative_at_zero(QuadraticBranching(b=-2.0, sigma2=1.0)) == -2.0
+        assert StableBranching(d=1.0, alpha=1.5).derivative_at_zero() == 0.0
+        assert QuadraticBranching(b=-2.0, sigma2=1.0).derivative_at_zero() == -2.0
         psi = CustomBranching(eval=lambda q: 3.0 * q + q * q, deriv0=3.0)
-        assert branching_derivative_at_zero(psi) == 3.0
+        assert psi.derivative_at_zero() == 3.0
 
 
 class TestGreyAndConservativity:
@@ -311,24 +308,24 @@ class TestGreyAndConservativity:
 
 class TestImmigrationStructure:
     def test_drift_detection(self):
-        assert immigration_drift(StableImmigration(dprime=2.0, beta=1.0)) == 2.0
-        assert immigration_drift(StableImmigration(dprime=2.0, beta=0.5)) == 0.0
-        assert immigration_drift(LampertiImmigration(beta=1.0)) == 1.0
-        assert immigration_drift(GammaImmigration(a=1.0, b=1.0)) == 0.0
+        assert StableImmigration(dprime=2.0, beta=1.0).linear_drift() == 2.0
+        assert StableImmigration(dprime=2.0, beta=0.5).linear_drift() == 0.0
+        assert LampertiImmigration(beta=1.0).linear_drift() == 1.0
+        assert GammaImmigration(a=1.0, b=1.0).linear_drift() == 0.0
 
     def test_compound_poisson_family_is_yes(self):
-        assert is_compound_poisson(CompoundPoissonImmigration(mass=1.0)).is_yes
+        assert CompoundPoissonImmigration(mass=1.0).compound_poisson().is_yes
 
     def test_unbounded_exponents_are_no(self):
-        assert is_compound_poisson(GammaImmigration(a=1.0, b=1.0)).is_no
-        assert is_compound_poisson(StableImmigration(dprime=1.0, beta=0.5)).is_no
+        assert GammaImmigration(a=1.0, b=1.0).compound_poisson().is_no
+        assert StableImmigration(dprime=1.0, beta=0.5).compound_poisson().is_no
 
     def test_drift_blocks_compound_poisson(self):
-        assert is_compound_poisson(StableImmigration(dprime=1.0, beta=1.0)).is_no
+        assert StableImmigration(dprime=1.0, beta=1.0).compound_poisson().is_no
 
     def test_custom_bounded_probe_is_yes(self):
         phi = CustomImmigration(eval=lambda q: 2.0 * (1.0 - math.exp(-q)))
-        assert is_compound_poisson(phi).is_yes
+        assert phi.compound_poisson().is_yes
 
     def test_scaling_preserves_family(self):
         phi = scale_immigration(StableImmigration(dprime=1.0, beta=0.5), 3.0)
@@ -342,7 +339,7 @@ class TestImmigrationStructure:
         base = LampertiImmigration(beta=0.5)
         phi = scale_immigration(base, 4.0)
         assert phi(1.0) == pytest.approx(2.0)
-        idx = indices(phi)
+        idx = phi.profile()
         assert idx.ind_lower_inf == 0.5 and idx.ind_lower_0 == 1.0
 
 
@@ -408,27 +405,27 @@ class TestGrammar:
 
     def test_custom_has_no_spec_string(self):
         with pytest.raises(MechanismDomainError):
-            mechanism_spec(CustomBranching(eval=lambda q: q * q))
+            CustomBranching(eval=lambda q: q * q).spec()
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=1.0, max_value=2.0, exclude_min=True))
     def test_stable_branching_roundtrip(self, d, alpha):
         psi = StableBranching(d=d, alpha=alpha)
-        back = parse_branching(mechanism_spec(psi))
+        back = parse_branching(psi.spec())
         assert back == psi
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     def test_stable_immigration_roundtrip(self, d, beta):
         phi = StableImmigration(dprime=d, beta=beta)
-        back = parse_immigration(mechanism_spec(phi))
+        back = parse_immigration(phi.spec())
         assert back == phi
 
     @given(st.floats(min_value=-10, max_value=10),
            st.floats(min_value=1e-3, max_value=10))
     def test_quadratic_roundtrip(self, b, sigma2):
         psi = QuadraticBranching(b=b, sigma2=sigma2)
-        assert parse_branching(mechanism_spec(psi)) == psi
+        assert parse_branching(psi.spec()) == psi
 
     @pytest.mark.parametrize("family", [
         st.builds(GammaImmigration, a=st.floats(min_value=1e-3, max_value=1e3),
@@ -440,4 +437,4 @@ class TestGrammar:
     @given(data=st.data())
     def test_immigration_family_roundtrip(self, family, data):
         phi = data.draw(family)
-        assert parse_immigration(mechanism_spec(phi)) == phi
+        assert parse_immigration(phi.spec()) == phi
