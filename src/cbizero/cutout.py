@@ -22,7 +22,7 @@ Two kernels draw the same law of (uncovered intervals, frontier) exactly:
   so each step draws every such birth by one table inversion, vectorised
   over a batch of busy periods.  Its cost follows the frontier records
   (a few thousand where the sweep draws millions of marks) plus a fixed
-  cost of 0.6-1.6 ms per realization.
+  cost of 0.5-1.5 ms per realization.
 
 `_sweep` runs the ladder when the expected mark count T * rate exceeds
 LADDER_MIN_MARKS and the mark sweep otherwise.
@@ -49,17 +49,17 @@ TABLE_MAX_DECADES = 48
 GZERO_TAIL_BOUND = 1e-3
 
 # Expected marks T * rate above which _sweep runs the ladder.  Median ms
-# per realization, eps = 1e-4, ladder / mark sweep, one process on a
-# 2-vCPU Xeon VM (Python 3.11, numpy 2.4):
+# per realization, eps = 1e-4, ladder / mark sweep, 200 realizations
+# each, one process on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4):
 #
 #   T * rate            750        3e3        1e4        2e4        5e4
-#   feller sqrt(q)   0.63/0.12  0.64/0.43  0.66/1.27  0.61/2.61  0.68/7.79
-#   feller drift     1.57/0.14  1.67/0.34  2.11/1.18  2.98/2.32  3.79/5.80
-#   stable ou 1.8    1.63/0.15  2.09/0.40  2.91/1.13  3.58/2.31  4.37/5.78
+#   feller sqrt(q)   0.49/0.11  0.49/0.26  0.74/0.63  0.65/1.37  0.82/5.07
+#   feller drift     1.25/0.09  1.70/0.27  2.51/0.75  3.20/1.46  3.06/5.20
+#   stable ou 1.8    1.53/0.13  2.30/0.19  2.68/0.71  2.45/1.37  4.00/4.40
 #
-# Transient pairs cross near 5e3, recurrent ones (longer ladders) near
-# 3e4.  Around 2e4 the slower choice costs at most 1.6x for recurrent
-# pairs (just above it) and 4x for transient ones (just below it).
+# Transient pairs cross near 1e4, recurrent ones (longer ladders) near
+# 4e4.  Around 2e4 the slower choice costs at most 2.2x for recurrent
+# pairs (just above it) and 2.1x for transient ones (just below it).
 LADDER_MIN_MARKS = 2e4
 
 _CHUNK = 1 << 18
@@ -113,7 +113,8 @@ class DurationSampler:
 
     ``rate`` is mu_bar(eps); the conditional tail S(t) = mu_bar(t)/rate
     is tabulated log-log on [eps, t_max] (exact for power-law tails) and
-    inverted by interpolation, with a Brent solve beyond the table.
+    inverted by its linear interpolant, found by an indexed search with
+    np.interp's bits, with a Brent solve beyond the table.
     ``atom`` is the conditional mass of infinite durations, positive
     exactly when the branching has a positive largest root.
     """
@@ -166,17 +167,60 @@ class DurationSampler:
         return self._inverse(1.0 - rng.random(n))  # (0, 1]; 1 maps to eps
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        """Durations whose conditional tail S equals u, for u in (0, 1]."""
-        out = np.exp(np.interp(np.log(u), self.log_tail_rev,
-                               self.log_time_rev))
-        np.maximum(out, self.eps, out=out)
-        if self.atom > 0.0:
-            out[u <= self.atom] = math.inf
-        floor = math.exp(self.log_tail_rev[0])
-        beyond = (u < floor) & (u > self.atom)
-        for i in np.nonzero(beyond)[0]:
-            out[i] = self._invert_beyond(float(u[i]))
+        """Durations whose conditional tail S equals u, for u in (0, 1]:
+        exp(np.interp(log u, log_tail_rev, log_time_rev)) bit for bit,
+        clamped to eps, inf at or below the atom, exact below the table.
+        """
+        scale, cells, knots, rows, eps = self._guide
+        x = np.log(u)
+        cell = cells.take((x * scale).astype(np.intp), 1, None, "clip")
+        first = cell[0]
+        row = first + (x >= knots.take(first))
+        slow = cell[1].nonzero()[0]
+        if slow.size:
+            row[slow] = self.log_tail_rev.searchsorted(x[slow], "right")
+        seg = rows.take(row, 1)
+        out = np.maximum(np.exp(seg[1] * (x - seg[0]) + seg[2]), eps)
+        if slow.size:
+            tail = u[slow]
+            if self.atom > 0.0:
+                out[slow[tail <= self.atom]] = math.inf
+            floor = math.exp(self.log_tail_rev[0])
+            for i in slow[(tail < floor) & (tail > self.atom)]:
+                out[i] = self._invert_beyond(float(u[i]))
         return out
+
+    @cached_property
+    def _guide(self):
+        """Indexed search on the log-S axis (Chen & Asau 1974; Devroye
+        1986, III.2.4).  Row r of ``rows`` is np.interp's segment (knot,
+        slope, value) for an x with r knots at or below it, padded with
+        slope 0 below the floor and at the top.  x and every knot land in
+        cell trunc(x * scale), clipped (scale < 0: cell 0 is at the top);
+        that map is monotone, so cells[0] counts the knots in deeper
+        cells, and one comparison with the next knot finds the row.  cells[1] flags for searchsorted the cells
+        with two knots or more (a tail flattening toward an atom) and
+        those that can meet the floor or the atom, checked exactly.
+        """
+        xp, fp = self.log_tail_rev, self.log_time_rev
+        last = 8 * xp.size                     # 8 cells per knot
+        # any positive bound on the span keeps x * scale inside int64
+        scale = -last / max(-float(xp[0]), 1e-3)
+        count = np.bincount(np.minimum((xp * scale).astype(np.intp), last),
+                            minlength=last + 1)
+        slow = count > 1
+        deep = max(xp[0], math.log(self.atom) if self.atom > 0.0 else -1e300)
+        # log u against exp(xp[0]) and the atom: a margin far above the
+        # rounding of log and exp, far below a cell
+        floor_cell = int((deep + 1e-9 * (1.0 - deep)) * scale)
+        slow[min(max(floor_cell, 0), last):] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.diff(fp) / np.diff(xp)  # never read at a repeated knot
+        rows = np.array([np.r_[xp[0], xp], np.r_[0.0, slope, 0.0],
+                         np.r_[fp[0], fp]])
+        # 0-d arrays: a small call spends less on them than on floats
+        return (np.array(scale), np.array([xp.size - np.cumsum(count), slow]),
+                np.append(xp, math.inf), rows, np.array(self.eps))
 
     def _invert_beyond(self, u: float) -> float:
         lo = math.exp(self.log_time_rev[0])

@@ -33,7 +33,7 @@ from cbizero.mechanisms import (
     StableImmigration,
     scale_immigration,
 )
-from cbizero.ou import ou_sampler
+from cbizero.ou import ou_sampler, sample_ou_cutout
 from cbizero.zeroset import least_squares_line
 
 FELLER = StableBranching(d=1.0, alpha=2.0)
@@ -496,6 +496,128 @@ class TestKernelsAgree:
         assert not np.array_equal(a.intervals, c.intervals)
         a.validate()
         c.validate()
+
+
+def _interp_inverse(self, u):
+    """The np.interp inversion: the reference that
+    ``DurationSampler._inverse`` must reproduce bit for bit."""
+    out = np.exp(np.interp(np.log(u), self.log_tail_rev,
+                           self.log_time_rev))
+    np.maximum(out, self.eps, out=out)
+    if self.atom > 0.0:
+        out[u <= self.atom] = math.inf
+    floor = math.exp(self.log_tail_rev[0])
+    beyond = (u < floor) & (u > self.atom)
+    for i in np.nonzero(beyond)[0]:
+        out[i] = self._invert_beyond(float(u[i]))
+    return out
+
+
+class _BeyondProbe(DurationSampler):
+    """Answers -u below the table instead of solving the exact tail, so
+    a comparison sees which draws went there and runs on any table."""
+
+    def _invert_beyond(self, u):
+        return -u
+
+
+def _probe(sampler):
+    return _BeyondProbe(**{f.name: getattr(sampler, f.name)
+                           for f in dataclasses.fields(sampler)})
+
+
+def _edge_queries(sampler, tails):
+    """The knots, their neighbours, u = 1, the floor times (1 +- 1e-12),
+    2^-53, the least double and the atom with its neighbours."""
+    floor = math.exp(sampler.log_tail_rev[0])
+    atom = [sampler.atom, np.nextafter(sampler.atom, 0.0),
+            np.nextafter(sampler.atom, 1.0)] if sampler.atom > 0.0 else []
+    u = np.concatenate((tails, np.nextafter(tails, 0.0),
+                        np.nextafter(tails, 2.0), np.exp(sampler.log_tail_rev),
+                        [1.0, floor * (1.0 + 1e-12), floor * (1.0 - 1e-12),
+                         2.0 ** -53, 5e-324], atom))
+    return u[(u > 0.0) & (u <= 1.0)]
+
+
+def _assert_same_bits(sampler, u):
+    probe = _probe(sampler)
+    assert probe._inverse(u).tobytes() == _interp_inverse(probe, u).tobytes()
+
+
+@st.composite
+def _tail_tables(draw):
+    """Decreasing conditional tails from 1 with repeated knots, steps of
+    one ulp, steep drops, an optional stretch flattening toward an atom
+    and an optional last tail of 0 (the table's 1e-300 floor)."""
+    ratios = draw(st.lists(st.one_of(
+        st.just(1.0), st.just(1.0 - 2.0 ** -52),
+        st.floats(1e-6, 1.0, exclude_max=True)), min_size=1, max_size=60))
+    tails = list(np.cumprod([1.0] + ratios))
+    atom = 0.0
+    if draw(st.booleans()):
+        atom = draw(st.floats(1e-3, 0.9)) * tails[-1]
+        q = draw(st.floats(0.3, 0.95))
+        gap = tails[-1] - atom
+        while gap > 1e-9 * atom:
+            gap *= q
+            tails.append(atom + gap)
+    elif draw(st.booleans()):
+        tails.append(0.0)
+    # knots evenly spaced in log time over at most TABLE_MAX_DECADES
+    decades = draw(st.floats(1e-3, 48.0))
+    eps = draw(st.floats(1e-8, 1.0))
+    times = eps * 10.0 ** np.linspace(0.0, decades, len(tails))
+    sampler = DurationSampler(
+        eps=eps, rate=1.0, atom=atom,
+        log_tail_rev=np.log(np.maximum(tails[::-1], 1e-300)),
+        log_time_rev=np.log(times[::-1]), tail=lambda t: 0.0)
+    return sampler, np.array(tails)
+
+
+class TestIndexedInverse:
+    """The guide's inverse against np.interp, bit for bit."""
+
+    @given(table=_tail_tables(),
+           extra=st.lists(st.floats(5e-324, 1.0), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, table, extra):
+        sampler, tails = table
+        _assert_same_bits(sampler, np.concatenate(
+            (_edge_queries(sampler, tails), extra)))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS) + ["custom q^2"])
+    def test_samplers(self, name):
+        s = (DurationSampler.from_mechanisms(
+                CustomBranching(eval=lambda q: q * q), HALF_DRIFT, 1e-3)
+             if name == "custom q^2" else SAMPLERS[name]())
+        u = 1.0 - _rng(9).random(20_000)
+        _assert_same_bits(s, np.concatenate(
+            (_edge_queries(s, np.exp(s.log_tail_rev)), u, u ** 40)))
+
+
+def _seeded_outputs():
+    """Seeded outputs of every entry point that draws durations."""
+    drift = DurationSampler.from_mechanisms(FELLER, HALF_DRIFT, 1e-3).rate
+    supercritical = QuadraticBranching(b=-1.0, sigma2=2.0)
+    atom_rate = DurationSampler.from_mechanisms(
+        supercritical, ROOT_HALF, 1e-3).rate
+    out = []
+    for seed in range(10):
+        for marks in (0.5 * LADDER_MIN_MARKS, 2.0 * LADDER_MIN_MARKS):
+            out.append(sample_cutout(FELLER, HALF_DRIFT, marks / drift,
+                                     1e-3, seed).intervals)
+            out.append(sample_cutout(supercritical, ROOT_HALF,
+                                     marks / atom_rate, 1e-3, seed).intervals)
+        out.append(sample_ou_cutout(1.8, 10.0, 1e-3, seed).intervals)
+        out.append(sample_ou_cutout(1.8, 100.0, 1e-3, seed).intervals)
+        out.append(empirical_gzero(FELLER, ROOT_HALF, 20, 30.0, 1e-4, seed))
+    return [a.tobytes() for a in out]
+
+
+def test_seeded_realizations_match_the_interp_inverse(monkeypatch):
+    ours = _seeded_outputs()
+    monkeypatch.setattr(DurationSampler, "_inverse", _interp_inverse)
+    assert _seeded_outputs() == ours
 
 
 def test_least_squares_line_matches_linregress():

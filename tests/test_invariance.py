@@ -12,6 +12,9 @@ Three exact relations (Kawazu & Watanabe 1971) must hold on every route:
 * space scaling: (psi(k .)/k, phi(k .)) are the mechanisms of kX, whose
   zero set is that of X, so the zero class and L(q) do not move.
 
+On the transient pairs the last zero g follows both: under the time
+change it is g/c, with density c f(ct), and space scaling leaves f.
+
 Each runs on Feller, quadratic:b=-1,sigma2=2 and stable:d=1,alpha=1.5,
 as built-in families and as undeclared custom copies.  A case that a
 known defect breaks is an ``xfail(strict=True)`` naming its CHANGES.md
@@ -35,7 +38,7 @@ from cbizero.mechanisms import (
     grey_check,
     largest_root,
 )
-from cbizero.zeroset import laplace_exponent, log_weight
+from cbizero.zeroset import gzero_density, laplace_exponent, log_weight
 
 # (branching, immigration with a non-polar zero set) for each family
 PAIRS = {
@@ -177,3 +180,29 @@ def test_space_scaling_keeps_class_and_exponent(name, route, k):
     for q in QS:
         assert laplace_exponent(*scaled, q) == pytest.approx(
             laplace_exponent(psi, phi, q), rel=1e-9)
+
+
+# the pairs with a bounded zero set, whose last zero has a density
+BOUNDED = ("feller", "supercritical")
+
+
+@pytest.mark.parametrize("c", [1e-3, 10.0])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", BOUNDED)
+def test_time_change_scales_the_last_zero_density(name, route, c):
+    psi, phi = _pair(name, route)
+    scaled = _time_scaled(psi, c), _immigration_scaled(phi, c)
+    for t in TIMES:
+        assert gzero_density(*scaled, t) == pytest.approx(
+            c * gzero_density(psi, phi, c * t), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e-3, 10.0, 1e6])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", BOUNDED)
+def test_space_scaling_keeps_the_last_zero_density(name, route, k):
+    psi, phi = _pair(name, route)
+    scaled = _space_scaled(psi, phi, k)
+    for t in TIMES:
+        assert gzero_density(*scaled, t) == pytest.approx(
+            gzero_density(psi, phi, t), rel=1e-9)
