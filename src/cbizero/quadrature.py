@@ -41,13 +41,17 @@ quadrature of R inside every call of the integrand would cost a whole
 rule per node.  W sits in an exponent, so its error estimate is held to
 ``REL_TOL`` in absolute terms.
 
-Integrands and weights take the numpy array of a panel's nodes and
-return an array of values at them, one call per panel; they run under
+Panels are integrated in blocks of ``WINDOW + 1``, the fewest a rule
+can fire on: one call of the integrand, and one of the weight, takes a
+block's nodes; the verdict reads the panels one by one, and a bisected
+panel is a block of its halves.  Integrands and weights take a 1-D array
+of nodes of any length and return one of the same length, under
 ``np.errstate(all="ignore")``, so an overflow reads as inf.  An
 integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
-where psi overflows): the scan's range ends at the last whole panel and
-the end-of-scan rule decides.  ``quad`` takes a finite range as one
-panel, bisected where it misses ``REL_TOL``.  ``brent`` is the package's
+where psi overflows): a block that raises is cut down to that panel,
+the panels before it count first, and there the scan's range ends and
+the end-of-scan rule decides; any other exception propagates from it.
+``quad`` takes a finite range as one panel.  ``brent`` is the package's
 one root solve, a port of scipy's ``brentq`` with the same iterates.
 """
 
@@ -156,34 +160,64 @@ _NODES, _WEIGHTS, _CUMULATIVE = _lobatto_rule(PANEL_ORDER)
 _HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
 
 
-def _panel(f, weight, lo, hi, w_edge, upward, depth, err_floor=0.0):
-    """Integrate one panel, bisecting where the rule misses its tolerance.
-
-    ``w_edge`` is W at the edge the scan enters from (lo upward, hi
-    downward); an error up to ``err_floor`` passes at any value.  Returns
-    (value, error estimate, W at the far edge, unresolved pieces).  Sums
-    are elementwise products: a first BLAS dot maps buffers that nothing
-    else in a classification needs.
-    """
-    half = 0.5 * (hi - lo)
-    xs = 0.5 * (lo + hi) + half * _NODES
+def _nodes(lo, hi):
+    """The rule's nodes on [lo, hi], its ends exact."""
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
     xs[0], xs[-1] = lo, hi
-    with np.errstate(all="ignore"):
-        values = np.asarray(f(xs), dtype=float)
-        if weight is None:
-            w_far, w_err = w_edge, 0.0
-        else:
-            rates = np.asarray(weight(xs), dtype=float)
-            run = half * (_CUMULATIVE * rates).sum(axis=1)       # int_lo^x R
-            span = float(run[-1])
-            w_err = abs(span - half * float((_HALF_WEIGHTS * rates[::2]).sum()))
-            if upward:
-                w_nodes, w_far = w_edge + run, w_edge + span
-            else:
-                w_nodes, w_far = w_edge - (span - run), w_edge - span
-            values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
-        value = half * float((_WEIGHTS * values).sum())
-        err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
+    return xs
+
+
+def _block(f, weight, lo, hi):
+    """f at the nodes of the panels [lo_i, hi_i], a row each, from one call,
+    and with a weight int_lo^x R there and its error per panel, from one.
+    A block that raises comes back cut to its first half, down to one panel."""
+    xs = np.concatenate([_nodes(a, b) for a, b in zip(lo, hi)])
+    try:
+        values = np.asarray(f(xs), dtype=float).reshape(len(lo), -1)
+        rates = None if weight is None else np.asarray(weight(xs), dtype=float)
+    except Exception:
+        if len(lo) == 1:
+            raise
+        return _block(f, weight, lo[:len(lo) // 2], hi[:len(lo) // 2])
+    if rates is None:
+        return values, None, [0.0] * len(lo)
+    rates = rates.reshape(values.shape)
+    half = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
+    run = half[:, None] * (_CUMULATIVE * rates[:, None]).sum(axis=2)       # int_lo^x R
+    w_err = np.abs(run[:, -1] - half * (_HALF_WEIGHTS * rates[:, ::2]).sum(axis=1))
+    return values, run, w_err.tolist()
+
+
+def _sums(values):
+    """The rule's and the nested rule's sums over the last axis, as floats:
+    of products, as a first BLAS dot maps buffers nothing else here needs."""
+    return ((_WEIGHTS * values).sum(axis=-1).tolist(),
+            (_HALF_WEIGHTS * values[..., ::2]).sum(axis=-1).tolist())
+
+
+def _finish(values, run, w_edge, upward):
+    """Each panel's two sums of its values times exp(W), and W at its far
+    edge, from W = ``w_edge`` where the first is entered (lo upward)."""
+    if run is None:
+        w_far = [w_edge] * len(values)
+    else:
+        # one running sum in scan order: the bits of adding panel by panel
+        span = run[:, -1]
+        w_edges = np.cumsum(np.concatenate(([w_edge], span if upward else -span)))
+        w_nodes = (w_edges[:-1, None] + run if upward
+                   else w_edges[:-1, None] - (span[:, None] - run))
+        # scale-free: exp(W) times an exact 0 is 0 at any scale of f
+        values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
+        w_far = w_edges[1:].tolist()
+    return (*_sums(values), w_far)
+
+
+def _panel(f, weight, lo, hi, full, nested, w_err, w_edge, w_far, upward, depth, err_floor):
+    """A panel's (value, error estimate, W at its far edge, unresolved pieces)
+    from its two sums, its halves a block where it misses REL_TOL and the floor."""
+    half = 0.5 * (hi - lo)
+    value = half * full
+    err = abs(value - half * nested)
     if not math.isfinite(value) or not math.isfinite(w_far):
         return value, 0.0, w_far, 0
     resolved = err <= max(REL_TOL * abs(value), err_floor) and w_err <= REL_TOL
@@ -191,15 +225,41 @@ def _panel(f, weight, lo, hi, w_edge, upward, depth, err_floor=0.0):
         # an error w_err in W is a relative error w_err in the integrand
         return value, err + w_err * abs(value), w_far, 0 if resolved else 1
     mid = 0.5 * (lo + hi)
-    first, second = ((lo, mid), (mid, hi)) if upward else ((mid, hi), (lo, mid))
-    v1, e1, w_mid, u1 = _panel(f, weight, *first, w_edge, upward, depth + 1, err_floor)
-    v2, e2, w_far, u2 = _panel(f, weight, *second, w_mid, upward, depth + 1, err_floor)
+    halves = ([lo, mid], [mid, hi]) if upward else ([mid, lo], [hi, mid])
+    (v1, e1, _, u1), (v2, e2, w_far, u2) = _rows(f, weight, *halves, w_edge, upward,
+                                                 depth + 1, lambda: err_floor)
     return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
+def _rows(f, weight, lo, hi, w_edge, upward, depth, floor):
+    """Each ``_panel`` of [lo_i, hi_i] (lists, in scan order), with the floor
+    ``floor()``, in blocks of ``WINDOW + 1`` entered at W = ``w_edge``; a
+    panel's exception comes after those before it.  Callers hold errstate."""
+    start = 0
+    while start < len(lo):
+        los, his = lo[start:start + WINDOW + 1], hi[start:start + WINDOW + 1]
+        values, run, w_errs = _block(f, weight, los, his)
+        start += len(values)
+        full, nested, w_fars = _finish(values, run, w_edge, upward)
+        for j in range(len(values)):
+            row = _panel(f, weight, los[j], his[j], full[j], nested[j], w_errs[j], w_edge,
+                         w_fars[j], upward, depth, floor())
+            yield row
+            if run is not None and row[2] != w_fars[j]:
+                # bisected: the later panels enter from the W its pieces left
+                full[j + 1:], nested[j + 1:], w_fars[j + 1:] = _finish(
+                    values[j + 1:], run[j + 1:], row[2], upward)
+            w_edge = row[2]
+
+
 def quad(f, a, b):
-    """(int_a^b f, its error estimate) on one bisected panel, orientation kept."""
-    value, err, _, _ = _panel(f, None, min(a, b), max(a, b), 0.0, True, 0)
+    """(int_a^b f, its error estimate) on one panel, orientation kept: the
+    panel rule on a block of one, whose values need no block around them."""
+    lo, hi = min(a, b), max(a, b)
+    with np.errstate(all="ignore"):
+        full, nested = _sums(np.asarray(f(_nodes(lo, hi)), dtype=float))
+        # no weight, so W and its error are 0 throughout; depth 0, no floor
+        value, err, _, _ = _panel(f, None, lo, hi, full, nested, 0.0, 0.0, 0.0, True, 0, 0.0)
     return (value if a < b else -value), err
 
 
@@ -276,14 +336,17 @@ def _decide(contributions, total, at_end=False):
     if len(contributions) < WINDOW + 1:
         return None
     window = contributions[-(WINDOW + 1):]
-    # Dead tail: the integrand has effectively run out of mass.
+    # Dead tail: the integrand has effectively run out of mass.  Scale-free:
+    # EXHAUSTED_FRACTION is a fraction of the scan's own total
     if total > 0 and all(c <= total * EXHAUSTED_FRACTION for c in window):
         return FINITE, "exhausted"
+    # scale-free: c times an exact 0 is 0
     if total == 0.0 and all(c == 0.0 for c in window):
         return FINITE, "exhausted"
     ratios = _ratios(window)
     if ratios is None:
         return None
+    # scale-free: a ratio of two contributions carries no unit
     if all(r >= 1.0 - 1e-9 for r in ratios) and window[-1] > 0:
         return INFINITE, "non-decreasing", math.inf
     if all(r <= GEOMETRIC_RATIO for r in ratios):
@@ -311,35 +374,35 @@ def _tail(last, ratios, spread):
     return last * r / (1.0 - r) + min(max(drift, -spread), spread)
 
 
-def _run_panels(f, panels, weight, upward):
+def _run_panels(f, lo, hi, weight, upward):
     contributions = []
     total = abserr = 0.0
     unresolved = 0
-    w_edge = 0.0
 
     def estimate(verdict, rule, tail=0.0):
         return TailEstimate(verdict, total + tail, tuple(contributions), rule, abserr,
                             unresolved, tail)
 
+    # a panel carrying under EXHAUSTED_FRACTION of the total is dead to the
+    # verdict: its error need not fall below REL_TOL of that.  Scale-free:
+    # the floor is a fraction of the scan's own total, as c f's is of c f's
+    rows = _rows(f, weight, lo, hi, 0.0, upward, 0,
+                 lambda: REL_TOL * EXHAUSTED_FRACTION * abs(total))
     rule = "no-rule"
-    for lo, hi in panels:
-        try:
-            # a panel carrying under EXHAUSTED_FRACTION of the total is dead
-            # to the verdict: its error need not fall below REL_TOL of that
-            c, err, w_edge, missed = _panel(f, weight, lo, hi, w_edge, upward, 0,
-                                            REL_TOL * EXHAUSTED_FRACTION * abs(total))
-        except RangeEnd:
-            rule = "range-end"
-            break
-        abserr += err
-        unresolved += missed
-        if math.isnan(c):
-            return estimate(INCONCLUSIVE, "nan-contribution")
-        contributions.append(c)
-        total += c
-        decided = _decide(contributions, total)
-        if decided is not None:
-            return estimate(*decided)
+    try:
+        with np.errstate(all="ignore"):
+            for c, err, _, missed in rows:
+                abserr += err
+                unresolved += missed
+                if math.isnan(c):
+                    return estimate(INCONCLUSIVE, "nan-contribution")
+                contributions.append(c)
+                total += c
+                decided = _decide(contributions, total)
+                if decided is not None:
+                    return estimate(*decided)
+    except RangeEnd:
+        rule = "range-end"
     decided = _decide(contributions, total, at_end=True)
     if decided is not None:
         return estimate(*decided)
@@ -353,8 +416,8 @@ def tail_verdict_upper(f, start, *, weight=None):
     """
     if not start > 0:
         raise ValueError("panel start must be positive")
-    panels = ((start * 2.0 ** k, start * 2.0 ** (k + 1)) for k in range(MAX_PANELS))
-    return _run_panels(f, panels, weight, upward=True)
+    edges = [start * 2.0 ** k for k in range(MAX_PANELS + 1)]
+    return _run_panels(f, edges[:-1], edges[1:], weight, upward=True)
 
 
 def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
@@ -367,6 +430,5 @@ def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
     if not stop > floor:
         raise ValueError("panel stop must exceed the floor")
     span = stop - floor
-    panels = ((floor + span * 2.0 ** -(k + 1), floor + span * 2.0 ** -k)
-              for k in range(MAX_PANELS))
-    return _run_panels(f, panels, weight, upward=False)
+    edges = [floor + span * 2.0 ** -k for k in range(MAX_PANELS + 1)]
+    return _run_panels(f, edges[1:], edges[:-1], weight, upward=False)

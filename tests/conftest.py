@@ -10,9 +10,10 @@ from cbizero import cutout, flow, mechanisms, quadrature
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts of the panel rule's panels (bisected pieces included), of the
-    pieces alone (depth > 0) and of the flow's finite-range ``quad`` calls,
-    from the test's start on."""
+    """Counts of the panels the rule integrates (scan rows, bisected pieces
+    and ``quad`` panels alike, one ``_panel`` each), of the pieces alone
+    (depth > 0) and of the flow's finite-range ``quad`` calls, from the
+    test's start on."""
     counts = {"panels": 0, "pieces": 0, "quad": 0}
     panel, finite = quadrature._panel, flow.quad
     signature = inspect.signature(panel)

@@ -12,6 +12,10 @@ Three exact relations (Kawazu & Watanabe 1971) must hold on every route:
 * space scaling: (psi(k .)/k, phi(k .)) are the mechanisms of kX, whose
   zero set is that of X, so the zero class and L(q) do not move.
 
+Heaviness, the convergence of int^inf Phi/Psi, keeps its verdict under
+both: the time change leaves R = Phi/Psi as it is, and space scaling
+turns it into k R(k .), whose integral is the same.
+
 On the transient pairs the last zero g follows both: under the time
 change it is g/c, with density c f(ct), and space scaling leaves f.
 
@@ -26,7 +30,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbizero.classify import classify_zero_state, is_supercritical
+from cbizero.classify import classify_zero_state, heaviness, is_supercritical
 from cbizero.flow import solver
 from cbizero.mechanisms import (
     CustomBranching,
@@ -135,6 +139,30 @@ def test_time_change_keeps_the_zero_class(name, route, c):
     want = classify_zero_state(psi, phi)
     scaled = classify_zero_state(_time_scaled(psi, c), _immigration_scaled(phi, c))
     assert (scaled.zero_class, scaled.method) == (want.zero_class, want.method)
+
+
+def _same_heaviness(psi, phi, scaled):
+    """The scaled pair keeps heaviness's verdict, and the report keeps its
+    heavy verdict and the route that gave it."""
+    assert heaviness(*scaled).value == heaviness(psi, phi).value
+    want, got = classify_zero_state(psi, phi), classify_zero_state(*scaled)
+    assert (got.heavy.value, got.method) == (want.heavy.value, want.method)
+
+
+@pytest.mark.parametrize("c", [1e-3, 10.0, 1e-13])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_time_change_keeps_heaviness(name, route, c):
+    psi, phi = _pair(name, route)
+    _same_heaviness(psi, phi, (_time_scaled(psi, c), _immigration_scaled(phi, c)))
+
+
+@pytest.mark.parametrize("k", [1e-3, 10.0, 1e6])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_space_scaling_keeps_heaviness(name, route, k):
+    psi, phi = _pair(name, route)
+    _same_heaviness(psi, phi, _space_scaled(psi, phi, k))
 
 
 @pytest.mark.parametrize("c", [1.0, 10.0])

@@ -7,18 +7,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cbizero import quadrature
 from cbizero.classify import _inner_estimate, _outer_estimate, classify_zero_state
-from cbizero.mechanisms import StableBranching, StableImmigration
+from cbizero.mechanisms import (
+    CustomBranching,
+    CustomImmigration,
+    EvaluationError,
+    StableBranching,
+    StableImmigration,
+)
 from cbizero.quadrature import (
+    _CUMULATIVE,
+    _HALF_WEIGHTS,
+    _NODES,
+    _WEIGHTS,
+    EXHAUSTED_FRACTION,
     FINITE,
     INCONCLUSIVE,
     INFINITE,
+    MAX_BISECTIONS,
     MAX_PANELS,
     PANEL_ORDER,
+    REL_TOL,
     WINDOW,
     RangeEnd,
+    TailEstimate,
+    _decide,
     _lobatto_rule,
     quad,
     tail_verdict_lower,
@@ -147,8 +163,9 @@ class TestPanelRule:
     @pytest.mark.parametrize("upward", [True, False])
     def test_panel_carries_weight_across_its_edges(self, upward):
         c, lo, hi, edge = 0.7, 3.0, 6.0, 0.25
-        value, err, w_far, unresolved = quadrature._panel(
-            lambda x: 1.0 / (x * x), lambda x: c / x, lo, hi, edge, upward, 0)
+        [(value, err, w_far, unresolved)] = quadrature._rows(
+            lambda x: 1.0 / (x * x), lambda x: c / x, [lo], [hi], edge, upward, 0,
+            lambda: 0.0)
         # W = edge + c log(x/anchor) both ways: int_lo^x R upward from lo,
         # -int_x^hi R downward from hi
         anchor, far = (lo, hi) if upward else (hi, lo)
@@ -277,6 +294,242 @@ class TestFiniteRangeAndRangeEnd:
         short = tail_verdict_upper(ends, 2.0 ** 15)     # 5 panels, too few to decide
         assert (short.verdict, short.rule, short.panels_used) == (
             INCONCLUSIVE, "range-end", 5)
+
+
+# --- the panel-by-panel rule, the reference of the block rule -------------------
+
+def _reference_panel(f, weight, lo, hi, w_edge, upward, depth, err_floor=0.0):
+    """One panel as the rule integrated it before blocks: (value, error
+    estimate, W at the far edge, unresolved pieces)."""
+    half = 0.5 * (hi - lo)
+    xs = 0.5 * (lo + hi) + half * _NODES
+    xs[0], xs[-1] = lo, hi
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(xs), dtype=float)
+        if weight is None:
+            w_far, w_err = w_edge, 0.0
+        else:
+            rates = np.asarray(weight(xs), dtype=float)
+            run = half * (_CUMULATIVE * rates).sum(axis=1)
+            span = float(run[-1])
+            w_err = abs(span - half * float((_HALF_WEIGHTS * rates[::2]).sum()))
+            if upward:
+                w_nodes, w_far = w_edge + run, w_edge + span
+            else:
+                w_nodes, w_far = w_edge - (span - run), w_edge - span
+            values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
+        value = half * float((_WEIGHTS * values).sum())
+        err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
+    if not math.isfinite(value) or not math.isfinite(w_far):
+        return value, 0.0, w_far, 0
+    resolved = err <= max(REL_TOL * abs(value), err_floor) and w_err <= REL_TOL
+    if resolved or depth == MAX_BISECTIONS:
+        return value, err + w_err * abs(value), w_far, 0 if resolved else 1
+    mid = 0.5 * (lo + hi)
+    first, second = ((lo, mid), (mid, hi)) if upward else ((mid, hi), (lo, mid))
+    v1, e1, w_mid, u1 = _reference_panel(f, weight, *first, w_edge, upward, depth + 1,
+                                         err_floor)
+    v2, e2, w_far, u2 = _reference_panel(f, weight, *second, w_mid, upward, depth + 1,
+                                         err_floor)
+    return v1 + v2, e1 + e2, w_far, u1 + u2
+
+
+def _reference_run_panels(f, lo, hi, weight, upward):
+    """The scan over the panels [lo_i, hi_i], one panel at a time."""
+    contributions = []
+    total = abserr = 0.0
+    unresolved = 0
+    w_edge = 0.0
+
+    def estimate(verdict, rule, tail=0.0):
+        return TailEstimate(verdict, total + tail, tuple(contributions), rule, abserr,
+                            unresolved, tail)
+
+    rule = "no-rule"
+    for a, b in zip(lo, hi):
+        try:
+            c, err, w_edge, missed = _reference_panel(
+                f, weight, a, b, w_edge, upward, 0, REL_TOL * EXHAUSTED_FRACTION * abs(total))
+        except RangeEnd:
+            rule = "range-end"
+            break
+        abserr += err
+        unresolved += missed
+        if math.isnan(c):
+            return estimate(INCONCLUSIVE, "nan-contribution")
+        contributions.append(c)
+        total += c
+        decided = _decide(contributions, total)
+        if decided is not None:
+            return estimate(*decided)
+    decided = _decide(contributions, total, at_end=True)
+    if decided is not None:
+        return estimate(*decided)
+    return estimate(INCONCLUSIVE, rule)
+
+
+def _bits(est):
+    """Every field of an estimate, floats as their exact hex form."""
+    return (est.verdict, est.rule, est.unresolved_panels, est.total.hex(),
+            tuple(float(c).hex() for c in est.contributions), est.abserr.hex(),
+            est.tail.hex())
+
+
+def _outcome(scan, read):
+    """``read`` of what ``scan`` returns, or the class and message of what it raised."""
+    try:
+        result = scan()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return read(result)
+
+
+def _both(scan, read=_bits):
+    """The outcome of ``scan`` on the block rule and on the reference."""
+    ours = _outcome(scan, read)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_run_panels", _reference_run_panels)
+        return ours, _outcome(scan, read)
+
+
+def _integrand(upward, power, harmonic, jump, cutoff, bad, end):
+    """A test integrand for a scan from 1.  Positions count octaves into
+    the scan: a jump doubles it, past a cutoff it is 0, one half octave
+    holds a bad value, and past ``end`` it raises."""
+    def beyond(z, octaves):
+        return z > 2.0 ** octaves if upward else z < 2.0 ** -octaves
+
+    def f(z):
+        if end is not None and np.any(beyond(z, end[0])):
+            raise end[1]("past the end of the range")
+        values = z ** power
+        if harmonic:
+            values = values / np.log(z + 1.0 if upward else 2.0 / z)
+        if jump is not None:
+            values = np.where(beyond(z, jump), 2.0 * values, values)
+        if cutoff is not None:
+            values = np.where(beyond(z, cutoff), 0.0, values)
+        if bad is not None:
+            values = np.where(beyond(z, bad[0]) & ~beyond(z, bad[0] + 0.5), bad[1], values)
+        return values
+
+    return f, beyond
+
+
+_OCTAVES = st.floats(0.0, MAX_PANELS)
+
+
+class TestBlockRuleMatchesPanelByPanel:
+    """The block rule gives every field of every estimate the bits of the
+    panel-by-panel rule it replaced, or raises what that rule raised."""
+
+    @given(upward=st.booleans(), power=st.floats(-6.0, 6.0), harmonic=st.booleans(),
+           jump=st.none() | _OCTAVES, cutoff=st.none() | _OCTAVES,
+           bad=st.none() | st.tuples(_OCTAVES, st.sampled_from([math.nan, math.inf])),
+           end=st.none() | st.tuples(_OCTAVES, st.sampled_from([RangeEnd, ValueError])),
+           rate=st.none() | st.floats(0.05, 3.0), rate_jump=st.none() | _OCTAVES,
+           scale=st.floats(-30.0, 30.0))
+    @example(True, -3.0, False, None, None, None, None, None, None, 0.0)     # geometric
+    @example(True, -1.05, False, None, None, None, None, None, None, 0.0)    # slow-geometric
+    @example(False, 0.0, False, None, 2.0, None, None, None, None, 0.0)      # exhausted
+    @example(True, -1.0, False, None, None, None, None, None, None, 0.0)     # non-decreasing
+    @example(True, 40.0, False, None, None, None, None, None, None, 0.0)     # sum-blowup
+    @example(False, 0.0, False, None, None, (5.2, math.nan), None, None, None, 0.0)
+    @example(True, -2.0, False, None, None, (14.2, math.inf), None, None, None, 0.0)
+    @example(True, -1.0, True, None, None, None, None, None, None, 0.0)      # no-rule
+    @example(True, -1.05, False, None, None, None, (20.3, RangeEnd), None, None, 0.0)
+    @example(True, -1.05, False, None, None, None, (20.3, ValueError), None, None, 0.0)
+    # a jump bisected in the middle of the second block, then the weight's own jump
+    @example(True, -1.6, False, 14.5, None, None, None, 0.5, None, 0.0)
+    @example(False, 0.0, False, None, None, None, None, 0.5, 3.5, 0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_scans_agree_bitwise(self, upward, power, harmonic, jump, cutoff,
+                                 bad, end, rate, rate_jump, scale):
+        f, beyond = _integrand(upward, power, harmonic, jump, cutoff, bad, end)
+        weight = None
+        if rate is not None:
+            def weight(z):
+                rates = rate / z
+                return rates if rate_jump is None else np.where(
+                    beyond(z, rate_jump), 2.0 * rates, rates)
+
+        def scaled(z):
+            return 10.0 ** scale * f(z)
+
+        verdict = tail_verdict_upper if upward else tail_verdict_lower
+        ours, reference = _both(lambda: verdict(scaled, 1.0, weight=weight))
+        assert ours == reference
+
+    @pytest.mark.parametrize("upward", [True, False])
+    def test_bisected_pieces_enter_from_the_new_weight(self, upward):
+        # the jump at 14.5 octaves is bisected to the cap in the second block's
+        # fourth row, so the rows after it start from W as the pieces left it;
+        # with the weight the integrand decays like 2^-0.1 per octave
+        f, _ = _integrand(upward, -1.6 if upward else -1.4, False, 14.5, None, None, None)
+        verdict = tail_verdict_upper if upward else tail_verdict_lower
+        ours, reference = _both(lambda: verdict(f, 1.0, weight=lambda z: 0.5 / z))
+        assert ours == reference
+        assert ours[2] >= 1 and len(ours[4]) > 15
+
+
+class TestExceptionLocality:
+    """A block whose integrand raises is cut to its first half, down to the
+    panel that raises, and the panels before it are used first: a failure
+    past the panel where the verdict fires changes nothing, and a failure
+    at that panel ends the range or propagates, as panel by panel."""
+
+    @staticmethod
+    def _exhausting(fail_at, error):
+        # all mass on the first two octaves: the exhausted rule fires at the
+        # 13th panel, the second block's second row
+        def f(z):
+            if np.any(z > 2.0 ** fail_at):
+                raise error("past the deciding panel")
+            return np.where(z < 4.0, (4.0 - z) ** 2, 0.0)
+        return f
+
+    @pytest.mark.parametrize("error", [RangeEnd, ValueError])
+    def test_failure_past_the_verdict_is_not_reached(self, error):
+        ours, reference = _both(lambda: _upper(self._exhausting(14.5, error)))
+        assert ours == reference
+        assert ours[:2] == (FINITE, "exhausted") and len(ours[4]) == 13
+
+    @pytest.mark.parametrize("error, want", [(RangeEnd, "range-end"), (ValueError, None)])
+    def test_failure_at_the_deciding_panel_ends_as_before(self, error, want):
+        ours, reference = _both(lambda: _upper(self._exhausting(12.5, error)))
+        assert ours == reference
+        if want is None:
+            assert ours == (ValueError, "past the deciding panel")
+        else:
+            assert ours[:2] == (INCONCLUSIVE, want) and len(ours[4]) == 12
+
+    @staticmethod
+    def _failing_copy(below):
+        """An undeclared supercritical pair, q^2 - q with 0.25 q, whose handle
+        raises ValueError between 0 and ``below``.  Its lowest scan (from
+        0.5 toward 0) decides at 39 panels, down to 2^-40; its block goes
+        on to 2^-45."""
+        def handle(q):
+            if 0.0 < q < below:
+                raise ValueError("no value here")
+            return q * q - q
+        return CustomBranching(eval=handle), CustomImmigration(eval=lambda q: 0.25 * q)
+
+    @pytest.mark.parametrize("numeric_only", [False, True])
+    def test_custom_handle_failing_past_the_verdict(self, numeric_only):
+        def classify():
+            return classify_zero_state(*self._failing_copy(2.0 ** -41.5),
+                                       numeric_only=numeric_only)
+        ours, reference = _both(classify, repr)
+        assert ours == reference and "Transient" in ours
+
+    @pytest.mark.parametrize("numeric_only", [False, True])
+    def test_custom_handle_failing_at_the_deciding_panel(self, numeric_only):
+        def classify():
+            return classify_zero_state(*self._failing_copy(2.0 ** -39.5),
+                                       numeric_only=numeric_only)
+        ours, reference = _both(classify, repr)
+        assert ours == reference and ours[0] is EvaluationError
 
 
 class TestBrent:
