@@ -58,9 +58,13 @@ METHOD_NUMERIC = "NumericIntegral"
 METHOD_FASTPATH = "RVFastPath"
 METHOD_CLOSED = "ClosedForm"
 
-# index comparisons from probed (inexact) data abstain inside this margin
+# index comparisons from probed (inexact) data abstain inside this margin;
+# an index is an exponent, unmoved by a time change c psi, c phi or a space
+# scaling, so an absolute margin on it is scale-free
 _BOUNDARY_MARGIN = 1e-3
 
+# absolute times u of the dimension probes: a time change moves W(u) to
+# W(cu) - W(c), so these are not scale-free (ROADMAP item 2)
 _DIM_PROBES = (1e-4, 1e-6, 1e-8)
 
 
@@ -134,10 +138,11 @@ class ZeroSetReport:
 def _power_index(lower: float, upper: float, coeff: Optional[float]) -> Optional[float]:
     """The one power index at an end of a profile, None when ill-defined."""
     # a negative leading term (a supercritical psi near 0) makes R = Phi/Psi
-    # negative there, which no power law describes
+    # negative there, which no power law describes; a sign is scale-free
     if coeff is not None and coeff < 0:
         return None
-    # probe slopes carry float jitter; only a real spread means unequal indices
+    # probe slopes carry float jitter; only a real spread means unequal
+    # indices, and indices do not move under scaling
     if upper - lower <= 1e-6:
         return 0.5 * (lower + upper)
     return None
@@ -206,6 +211,7 @@ def stationary_exists(psi, phi) -> Verdict:
 def _over(den):
     """1/Psi over an array, as the criterion integrands read it: NaN where
     Psi <= 0 or is NaN."""
+    # a sign test: c Psi > 0 exactly where Psi > 0
     return np.where(den > 0.0, 1.0 / den, math.nan)
 
 
@@ -251,24 +257,14 @@ def _dims_numeric(psi, phi):
     return _clip_unit(hi), _clip_unit(lo), {"samples": samples, "spread": hi - lo}
 
 
-def box_dims(psi, phi, zero_class: Optional[str] = None):
-    """Upper and lower box-counting dimension of the zero set.
-
-    Only defined for transient or recurrent classes; raises otherwise.
-    ``zero_class`` skips re-classification when the caller already has it.
-    """
-    if zero_class is None:
-        zero_class = classify_zero_state(psi, phi).zero_class
-    if zero_class not in (TRANSIENT, RECURRENT):
+def box_dims(psi, phi):
+    """Upper and lower box-counting dimension of the zero set, as its
+    report gives them; raises unless the class is transient or recurrent."""
+    report = classify_zero_state(psi, phi)
+    if report.zero_class not in (TRANSIENT, RECURRENT):
         raise ClassificationError(
-            f"dimensions undefined for zero-set class {zero_class}")
-    summary = regvar_summary(psi, phi)
-    if summary is not None and summary.exact:
-        dims = _dims_from_summary(summary)
-        if dims is not None:
-            return dims
-    upper, lower, _ = _dims_numeric(psi, phi)
-    return upper, lower
+            f"dimensions undefined for zero-set class {report.zero_class}")
+    return report.dim_upper, report.dim_lower
 
 
 # --- fast path ---------------------------------------------------------------
@@ -296,7 +292,9 @@ def rv_fastpath(psi, phi) -> Optional[ZeroSetReport]:
         heavy = Verdict.yes({"rho": rho, "reason": "ratio integral converges"})
     elif margin > 0.0 or r is None:
         return None  # probed data too close to the boundary, or sR(s) unknown
-    # rho == -1 exactly: compare sR(s) against the growth indices
+    # rho == -1 exactly: compare sR(s) against the growth indices; the
+    # limits of sR(s) do not move under a time change or a space scaling,
+    # so these absolute comparisons (and r > 0 below) are scale-free
     elif r >= summary.ind_upper_inf - 1.0:
         polar = True
         heavy = Verdict.no({"rho": rho, "r_lower": r})
@@ -347,12 +345,16 @@ def rv_fastpath(psi, phi) -> Optional[ZeroSetReport]:
 # --- main entry ---------------------------------------------------------------
 
 def _is_zero_immigration(phi) -> bool:
+    # exact zeros: c phi and phi(k .) vanish exactly where phi does
     return phi is None or (phi(1.0) == 0.0 and phi(1e6) == 0.0)
 
 
 def _report(psi, phi, grey, zero_class, heavy, dims, method, evidence) -> ZeroSetReport:
     """A route's answer, with the verdicts every route shares added:
-    conservativity, intervals (a compound-Poisson phi) and stationarity."""
+    conservativity, intervals (a compound-Poisson phi) and stationarity,
+    and dimension 1 for a heavy set (Fitzsimmons, Fristedt & Shepp 1985)."""
+    if heavy.is_yes and zero_class in (TRANSIENT, RECURRENT):
+        dims = 1.0, 1.0
     dim_upper, dim_lower = dims or (None, None)
     return ZeroSetReport(
         grey=grey, conservative=conservativity_check(psi), zero_class=zero_class,
@@ -412,10 +414,11 @@ def classify_zero_state(psi: BranchingMechanism,
                                 "mechanism; recurrence is impossible")
 
     dims = None
-    if zero_class in (TRANSIENT, RECURRENT):
+    if zero_class in (TRANSIENT, RECURRENT) and heavy.is_yes:
+        evidence["dims"] = {"rule": "heavy: positive Lebesgue measure, dimension 1"}
+    elif zero_class in (TRANSIENT, RECURRENT):
         try:
-            upper, lower, evidence["dims"] = _dims_numeric(psi, phi)
-            dims = upper, lower
+            *dims, evidence["dims"] = _dims_numeric(psi, phi)
         except FlowError as exc:    # W unresolved, as where v_1 rounds onto a root
             evidence["dims"] = {"error": str(exc), **exc.evidence}
     return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_NUMERIC, evidence)

@@ -42,9 +42,6 @@ REPORT_DIR_ENV = "CBIZERO_REPORT_DIR"
 STOCHASTIC_COMMANDS = frozenset({"simulate", "ou"})
 PUSHFORWARD_POINTS = 10_000
 
-_DEFAULT_FORMAT = {"classify": "json", "vflow": "csv", "laplace": "csv",
-                   "gzero": "csv", "simulate": "csv", "ou": "json"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -135,12 +132,8 @@ def _table_text(rows: Sequence[dict], fmt: str) -> str:
 def _report_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_text(payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("key", "value"))
-    for key, value in payload.items():
-        writer.writerow((key, _cell(value)))
-    return buf.getvalue()
+    return _table_text([{"key": key, "value": value} for key, value in payload.items()],
+                       fmt)
 
 
 def _resolve_out(out: str) -> Path:
@@ -240,12 +233,8 @@ def _run_simulate(config: ExperimentConfig) -> int:
     }
     _write(out_path.with_suffix(".summary.json"), _json_text(summary))
     if config.dump_intervals:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("start", "end"))
-        for lo, hi in first.intervals:
-            writer.writerow((_cell(float(lo)), _cell(float(hi))))
-        _write(out_path.with_suffix(".intervals.csv"), buf.getvalue())
+        rows = [{"start": float(lo), "end": float(hi)} for lo, hi in first.intervals]
+        _write(out_path.with_suffix(".intervals.csv"), _table_text(rows, "csv"))
     return 0
 
 
@@ -392,7 +381,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         numeric_only=getattr(args, "numeric_only", False),
         dump_intervals=getattr(args, "dump_intervals", False),
         out=getattr(args, "out", None),
-        fmt=getattr(args, "format", None) or _DEFAULT_FORMAT[args.command],
+        fmt=getattr(args, "format", "json"),
     )
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flow import solver
+from .flow import FlowError, solver
 from .mechanisms import largest_root
 from .quadrature import brent
 from .zeroset import _gzero_tail, least_squares_line
@@ -223,15 +223,21 @@ class DurationSampler:
                 np.append(xp, math.inf), rows, np.array(self.eps))
 
     def _invert_beyond(self, u: float) -> float:
+        """The duration whose conditional tail is u, below the table: the
+        bound its doubling bracket reached where that passes 1e280 or the
+        tail raises FlowError (a numeric flow, once psi is subnormal)."""
         lo = math.exp(self.log_time_rev[0])
         hi = 2.0 * lo
-        while self.tail(hi) / self.rate >= u:
-            hi *= 2.0
-            if hi > 1e280:
-                return hi
-        log_t = brent(
-            lambda lt: self.tail(math.exp(lt)) / self.rate - u,
-            math.log(lo), math.log(hi), xtol=1e-12)
+        try:
+            while self.tail(hi) / self.rate >= u:
+                hi *= 2.0
+                if hi > 1e280:
+                    return hi
+            log_t = brent(
+                lambda lt: self.tail(math.exp(lt)) / self.rate - u,
+                math.log(lo), math.log(hi), xtol=1e-12)
+        except FlowError:
+            return hi
         return math.exp(log_t)
 
     @cached_property

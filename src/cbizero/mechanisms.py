@@ -13,9 +13,9 @@ verdict, its scaling, closed-form flow hooks and its spec-string
 grammar.  The base classes ``BranchingMechanism`` and
 ``ImmigrationMechanism`` carry the generic route every user-supplied
 mechanism takes: one call per point for ``values``, log-log slope
-probes with an explicit inconclusive flag, positivity probes and finite
-differences.  Callers ask the mechanism for these facts, so no caller
-dispatches on the family.
+probes with an explicit inconclusive flag, positivity probes, finite
+differences and one check that a user handle vanishes at 0.  Callers
+ask the mechanism for these facts, so no caller dispatches on the family.
 
 A small text grammar (``parse_mechanism`` / ``mech.spec()``) reads
 each family's ``spec_family`` and ``spec_keys`` to round-trip the
@@ -133,16 +133,13 @@ _PROBE_ZERO = tuple(10.0 ** (-k) for k in range(8, 1, -1))
 _PROBE_SPREAD = 0.02
 
 
-def _loglog_slopes(fn, grid, *, nonpositive_ok=False):
-    """(min, max) log-log slope of fn over the grid.
-
-    With ``nonpositive_ok`` a finite value <= 0 gives (nan, nan), no
-    slope, instead of an error; NaN and infinite values always raise.
-    """
+def _loglog_slopes(fn, grid):
+    """(min, max) log-log slope of fn over the grid: (nan, nan), no slope,
+    at a finite value <= 0, and an error at a NaN or infinite one."""
     values = []
     for x in grid:
         v = fn(x)
-        if nonpositive_ok and math.isfinite(v) and v <= 0:
+        if math.isfinite(v) and v <= 0:
             return math.nan, math.nan
         if not (v > 0) or math.isinf(v):
             raise EvaluationError(
@@ -159,8 +156,8 @@ def _probe_profile(fn) -> GrowthProfile:
     # a supercritical psi is negative near 0, and at the first probes at
     # infinity when its root lies past them: no index there, and the
     # profile is inconclusive so index arithmetic abstains
-    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF, nonpositive_ok=True)
-    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO, nonpositive_ok=True)
+    lo_inf, hi_inf = _loglog_slopes(fn, _PROBE_INF)
+    lo_0, hi_0 = _loglog_slopes(fn, _PROBE_ZERO)
     inconclusive = (math.isnan(lo_0 + lo_inf) or hi_inf - lo_inf > _PROBE_SPREAD
                     or hi_0 - lo_0 > _PROBE_SPREAD)
     return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, inconclusive=inconclusive)
@@ -304,6 +301,16 @@ class ImmigrationMechanism(Mechanism):
 def _check_arg(q):
     if q < 0:
         raise MechanismDomainError(f"mechanism argument must be >= 0, got {q}")
+
+
+def _check_vanishes(handle, name: str) -> None:
+    """A user-supplied exponent must vanish at 0."""
+    try:
+        at_zero = handle(0.0)
+    except Exception as exc:
+        raise EvaluationError(f"{name} handle failed at 0") from exc
+    if abs(at_zero) > 1e-9:
+        raise MechanismDomainError(f"{name} exponent must vanish at 0, got {at_zero}")
 
 
 @dataclass(frozen=True)
@@ -453,14 +460,13 @@ class QuadraticBranching(BranchingMechanism):
 class CustomBranching(BranchingMechanism):
     """User-supplied branching exponent.
 
-    ``theta`` (positivity threshold), ``deriv0`` (right derivative at 0)
-    and the four growth indices are optional declarations; anything left
-    None is located or probed numerically.
+    ``theta`` (positivity threshold) and the four growth indices are
+    optional declarations; anything left None, the largest root and the
+    derivative at 0 are located, probed or differenced numerically.
     """
 
     eval: Callable[[float], float]
     theta: Optional[float] = None
-    deriv0: Optional[float] = None
     ind_lower: Optional[float] = None
     ind_upper: Optional[float] = None
     ind0_lower: Optional[float] = None
@@ -469,13 +475,7 @@ class CustomBranching(BranchingMechanism):
     def __post_init__(self):
         if self.theta is not None and not self.theta > 0:
             raise MechanismDomainError("declared theta must be positive")
-        try:
-            at_zero = self.eval(0.0)
-        except Exception as exc:
-            raise EvaluationError("custom branching handle failed at 0") from exc
-        if abs(at_zero) > 1e-9:
-            raise MechanismDomainError(
-                f"branching exponent must vanish at 0, got {at_zero}")
+        _check_vanishes(self.eval, "custom branching")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
@@ -499,11 +499,6 @@ class CustomBranching(BranchingMechanism):
             raise PositivityError(
                 f"declared threshold {self.theta} fails the positivity probe")
         return theta
-
-    def derivative_at_zero(self):
-        if self.deriv0 is not None:
-            return self.deriv0
-        return super().derivative_at_zero()
 
 
 @dataclass(frozen=True)
@@ -641,12 +636,7 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
         if not self.mass > 0:
             raise MechanismDomainError(f"compound Poisson mass must be > 0, got {self.mass}")
         if self.tail is not None:
-            try:
-                at_zero = self.tail(0.0)
-            except Exception as exc:
-                raise EvaluationError("compound Poisson handle failed at 0") from exc
-            if abs(at_zero) > 1e-9:
-                raise MechanismDomainError("immigration exponent must vanish at 0")
+            _check_vanishes(self.tail, "compound Poisson")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
@@ -699,12 +689,7 @@ class CustomImmigration(ImmigrationMechanism):
     def __post_init__(self):
         if self.drift < 0:
             raise MechanismDomainError("immigration drift must be >= 0")
-        try:
-            at_zero = self.eval(0.0)
-        except Exception as exc:
-            raise EvaluationError("custom immigration handle failed at 0") from exc
-        if abs(at_zero) > 1e-9:
-            raise MechanismDomainError("immigration exponent must vanish at 0")
+        _check_vanishes(self.eval, "custom immigration")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)

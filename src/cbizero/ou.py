@@ -46,6 +46,13 @@ def _require_cutout_index(alpha: float) -> float:
     return alpha
 
 
+def _require_lag(z: float) -> float:
+    z = float(z)
+    if math.isnan(z) or z <= 0.0:
+        raise MechanismDomainError("lag must be positive")
+    return z
+
+
 @dataclass(frozen=True)
 class StableOUSpec:
     """Ornstein-Uhlenbeck process driven by a strictly stable motion.
@@ -95,9 +102,7 @@ def ou_classify(alpha: float) -> OUClassification:
 def cutting_density(z: float, alpha: float) -> float:
     """Density (1 - beta) e^z / (e^z - 1)^2 of the cutting measure."""
     alpha = _require_cutout_index(alpha)
-    z = float(z)
-    if math.isnan(z) or z <= 0.0:
-        raise MechanismDomainError("lag must be positive")
+    z = _require_lag(z)
     # e^z/(e^z-1)^2 rewritten from e^{-z} so large lags underflow to 0
     # instead of overflowing
     emz = math.exp(-z)
@@ -108,9 +113,7 @@ def cutting_density(z: float, alpha: float) -> float:
 def cutting_tail(z: float, alpha: float) -> float:
     """Mass (1 - beta)/(e^z - 1) of the cutting measure on [z, inf)."""
     alpha = _require_cutout_index(alpha)
-    z = float(z)
-    if math.isnan(z) or z <= 0.0:
-        raise MechanismDomainError("lag must be positive")
+    z = _require_lag(z)
     return (1.0 / alpha) * math.exp(-z) / (-math.expm1(-z))
 
 
@@ -121,9 +124,7 @@ def levy_tail(x: float, alpha: float, scale: float = 1.0) -> float:
     shape matters, so callers pick the scale.
     """
     alpha = _require_cutout_index(alpha)
-    x = float(x)
-    if math.isnan(x) or x <= 0.0:
-        raise MechanismDomainError("lag must be positive")
+    x = _require_lag(x)
     if not scale > 0.0:
         raise MechanismDomainError("scale must be positive")
     log_gap = x + math.log1p(-math.exp(-x))
@@ -131,14 +132,10 @@ def levy_tail(x: float, alpha: float, scale: float = 1.0) -> float:
 
 
 @lru_cache(maxsize=64)
-def _ou_sampler(alpha: float, eps: float) -> DurationSampler:
-    alpha = _require_cutout_index(alpha)
-    return DurationSampler.from_tail(lambda z: cutting_tail(z, alpha), eps)
-
-
 def ou_sampler(alpha: float, eps: float) -> DurationSampler:
     """Duration sampler for the cutting measure restricted to [eps, inf)."""
-    return _ou_sampler(float(alpha), float(eps))
+    alpha = _require_cutout_index(alpha)
+    return DurationSampler.from_tail(lambda z: cutting_tail(z, alpha), eps)
 
 
 def sample_ou_cutout(alpha: float, T: float, eps: float,

@@ -85,10 +85,6 @@ _NO_SUBORDINATOR = {
 
 
 def _require_subordinator(psi, phi) -> str:
-    if phi is None:
-        raise ZeroSetError(
-            "no immigration: the zero set is a terminal ray, not the range "
-            "of a subordinator; run classify for diagnostics")
     cls = _zero_class(psi, phi)
     if cls in _NO_SUBORDINATOR:
         raise ZeroSetError(f"{_NO_SUBORDINATOR[cls]}; run classify for diagnostics")
@@ -279,8 +275,7 @@ def least_squares_line(xs: Sequence[float],
 
 
 def subordinator_summary(psi, phi,
-                         q_values: Sequence[float] = DEFAULT_L_GRID,
-                         drift_probe: float = DRIFT_PROBE) -> SubordinatorSummary:
+                         q_values: Sequence[float] = DEFAULT_L_GRID) -> SubordinatorSummary:
     """Sampled view of the zero-set subordinator: L values, index fit,
     drift diagnostic, and the killed verdict."""
     cls = _require_subordinator(psi, phi)
@@ -299,7 +294,7 @@ def subordinator_summary(psi, phi,
     residual = max(abs(ll - (slope * lq + intercept))
                    for lq, ll in zip(logs_q, logs_l))
 
-    drift = laplace_exponent(psi, phi, drift_probe) / drift_probe
+    drift = laplace_exponent(psi, phi, DRIFT_PROBE) / DRIFT_PROBE
 
     if cls == RECURRENT:            # unbounded: the subordinator is not killed
         l_zero, killed = 0.0, Verdict.no({"zero_class": cls})

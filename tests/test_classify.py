@@ -35,6 +35,7 @@ from cbizero.mechanisms import (
     StableBranching,
     StableImmigration,
 )
+from test_acceptance import classification_grid
 
 FELLER = StableBranching(d=1.0, alpha=2.0)
 SUPER = QuadraticBranching(b=-1.0, sigma2=2.0)
@@ -356,6 +357,44 @@ class TestBoxDims:
     def test_undefined_for_trivial_point(self):
         with pytest.raises(ClassificationError):
             box_dims(QuadraticBranching(b=1.0, sigma2=0.0), drift(1.0))
+
+    # heavy pairs: two transient, one recurrent (gamma), all rho < -1
+    HEAVY = [(FELLER, StableImmigration(dprime=1.0, beta=0.5)),
+             (StableBranching(d=1.0, alpha=1.5), StableImmigration(dprime=1.0, beta=0.3)),
+             (FELLER, GammaImmigration(a=1.0, b=2.0))]
+
+    @staticmethod
+    def _time_changed(psi, phi, c, route):
+        """(c psi, c phi), as families or as undeclared custom copies."""
+        if route == "family":
+            return StableBranching(d=c * psi.d, alpha=psi.alpha), phi.scaled(c)
+        return (CustomBranching(eval=lambda q: c * psi(q)),
+                CustomImmigration(eval=lambda q: c * phi(q)))
+
+    @pytest.mark.parametrize("route", ["family", "custom"])
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("pair", range(len(HEAVY)))
+    def test_heavy_set_has_dimension_one_on_every_route(self, pair, c, route):
+        psi, phi = self._time_changed(*self.HEAVY[pair], c, route)
+        for numeric_only in (False, True):
+            report = classify_zero_state(psi, phi, numeric_only=numeric_only)
+            assert report.heavy.is_yes
+            assert report.zero_class in (TRANSIENT, RECURRENT)
+            assert (report.dim_upper, report.dim_lower) == (1.0, 1.0)
+        assert box_dims(psi, phi) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("route,c", [("family", 1.0), ("custom", 1.0),
+                                         ("custom", 1e-3), ("custom", 1e3)])
+    def test_box_dims_reads_the_report(self, route, c):
+        # the criterion-1 grid, as families and as undeclared copies
+        for alpha, beta, d, dprime in classification_grid():
+            psi, phi = self._time_changed(StableBranching(d=d, alpha=alpha),
+                                          StableImmigration(dprime=dprime, beta=beta),
+                                          c, route)
+            report = classify_zero_state(psi, phi)
+            if report.zero_class == POLAR:
+                continue
+            assert box_dims(psi, phi) == (report.dim_upper, report.dim_lower)
 
     def test_numeric_probes_track_exact_value(self):
         # numeric fallback on a pair whose exact dimension is 0.75

@@ -95,6 +95,19 @@ class TestDurationSampler:
         np.testing.assert_allclose(np.exp(custom.log_tail_rev),
                                    np.exp(family.log_tail_rev), rtol=1e-9)
 
+    def test_beyond_table_inversion_never_raises(self):
+        # the copy's numeric flow fails here and there once psi is subnormal
+        # at its level (t past 1e159), in the doubling or, at u = 4e-163, in
+        # the Brent solve: the answer is the bound the bracket reached
+        us = (1e-30, 1e-100, 4e-163, 1e-200, 1e-300, 5e-324)
+        answers = {}
+        for name, psi in (("family", FELLER), ("copy", CustomBranching(eval=lambda q: q * q))):
+            sampler = DurationSampler.from_mechanisms(psi, HALF_DRIFT, 1e-3)
+            answers[name] = [sampler._invert_beyond(u) for u in us]
+            assert answers[name] == sorted(answers[name])
+        for family, copy in zip(answers["family"][:2], answers["copy"][:2]):
+            assert copy == pytest.approx(family, rel=1e-9)
+
     def test_beyond_table_draws_solve_as_brentq(self, brent_calls, brentq_twin):
         draws = sample_durations(_short_table_sampler(), 2000, 5)
         assert len(brent_calls) == np.count_nonzero(draws > 0.1 * (1.0 + 1e-12))

@@ -3,7 +3,9 @@
 The library asks a mechanism for its facts instead of dispatching on
 its family, so no ``isinstance`` names a concrete family class, and it
 asks the mechanism directly, through no module function that only
-forwards to one of its methods.  Every
+forwards to one of its methods.  The dimensions of a zero set come
+from its classification report, where each route computes them in one
+place.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name, and every family with a spec
 string but Lamperti (numpy has no ``lgamma``) defines ``values``, its
@@ -135,11 +137,21 @@ def _forwards(fn):
     return isinstance(func, ast.Name) and sorted(passed) == sorted(params)
 
 
-@pytest.mark.parametrize("module", ["mechanisms.py", "classify.py"])
+@pytest.mark.parametrize("module", ["mechanisms.py", "classify.py", "ou.py", "cutout.py"])
 def test_no_module_function_only_forwards(module):
     offenders = [node.name for node in TREES[module].body
                  if isinstance(node, ast.FunctionDef) and _forwards(node)]
     assert offenders == []
+
+
+@pytest.mark.parametrize("helper, caller", [("_dims_numeric", "classify_zero_state"),
+                                            ("_dims_from_summary", "rv_fastpath")])
+def test_each_dimension_route_has_one_caller(helper, caller):
+    # box_dims reads the report, so each route's dimensions come from one place
+    users = [f"{name}:{fn.name}" for name, tree in TREES.items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == helper]
+    assert users == [f"classify.py:{caller}"]
 
 
 def test_flow_solver_holds_only_its_mechanism():

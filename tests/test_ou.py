@@ -144,6 +144,7 @@ class TestDurationLaw:
         s = ou_sampler(2.0, 1e-3)
         assert s.rate == pytest.approx(cutting_tail(1e-3, 2.0), rel=1e-12)
         assert s.atom == 0.0
+        assert ou_sampler(2, 1e-3) is s          # one cache entry for 2 and 2.0
 
     def test_conditional_law(self):
         eps = 1e-3
