@@ -19,6 +19,10 @@ scan of the panel rule with R as its weight: the exponent comes from the
 rule's cumulative integration at the same nodes, so no quadrature runs
 inside an integrand.  Outer divergent means 0 is polar; otherwise the
 inner integral separates transient (finite) from recurrent (infinite).
+Each scan reads Psi and Phi once per node, and carries a second stream
+on its panels: heaviness's int_theta^inf R upward, whose panel values
+are the outer weight's spans, and at v = 0 stationarity's int_0^theta R
+downward.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowError, _ratio_func, solver, weight_between
+from .flow import FlowError, _ratio, _ratio_func, solver, weight_between
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -43,6 +47,9 @@ from .quadrature import (
     FINITE,
     INCONCLUSIVE,
     INFINITE,
+    _lower_scans,
+    _settled,
+    _upper_scans,
     tail_verdict_lower,
     tail_verdict_upper,
 )
@@ -189,11 +196,16 @@ def regvar_summary(psi, phi) -> Optional[RegVarSummary]:
 
 # --- component verdicts ----------------------------------------------------
 
+def _scan_verdict(outcome, **where) -> Verdict:
+    """A scan's verdict with ``where`` in its evidence, or its exception raised."""
+    est = _settled(outcome)
+    return Verdict.of_scan(est, {**where, **est.evidence()})
+
+
 def heaviness(psi, phi) -> Verdict:
     """Positive Lebesgue measure of the zero set: does int_theta^inf R converge?"""
     theta = positivity_threshold(psi)
-    est = tail_verdict_upper(_ratio_func(psi, phi), theta)
-    return Verdict.of_scan(est, {"theta": theta, **est.evidence()})
+    return _scan_verdict(tail_verdict_upper(_ratio_func(psi, phi), theta), theta=theta)
 
 
 def stationary_exists(psi, phi) -> Verdict:
@@ -202,8 +214,8 @@ def stationary_exists(psi, phi) -> Verdict:
     if is_supercritical(psi):
         return Verdict.no({"root": root, "reason": "supercritical"})
     theta = positivity_threshold(psi)
-    est = tail_verdict_lower(_ratio_func(psi, phi), theta)
-    return Verdict.of_scan(est, {"root": root, "theta": theta, **est.evidence()})
+    return _scan_verdict(tail_verdict_lower(_ratio_func(psi, phi), theta),
+                         root=root, theta=theta)
 
 
 # --- criterion integrals ----------------------------------------------------
@@ -215,16 +227,29 @@ def _over(den):
     return np.where(den > 0.0, 1.0 / den, math.nan)
 
 
+def _levels(psi, phi):
+    """1/Psi and R = Phi/Psi at an array of levels, from one evaluation of each
+    mechanism there; ``phi`` is a mechanism or an array function."""
+    numerator = getattr(phi, "values", phi)
+
+    def read(u):
+        den = psi.values(u)
+        return _over(den), _ratio(den, numerator(u))
+    return read
+
+
+# the streams of a criterion scan: 1/Psi weighted by R, and R alone
+_CRITERION, _RATIO = (0, 1), (1, None)
+
+
 def _outer_estimate(psi, phi, theta):
     """Divergence verdict for int_theta^inf exp(W(z)) dz/Psi(z), W(z)=int_theta^z R."""
-    return tail_verdict_upper(lambda z: _over(psi.values(z)), theta,
-                              weight=_ratio_func(psi, phi))
+    return _settled(_upper_scans(theta, _levels(psi, phi), [_CRITERION])[0])
 
 
 def _inner_estimate(psi, phi, theta, floor):
     """Divergence verdict for int_floor^theta exp(-int_x^theta R) dx/Psi(x)."""
-    return tail_verdict_lower(lambda x: _over(psi.values(x)), theta, floor=floor,
-                              weight=_ratio_func(psi, phi))
+    return _settled(_lower_scans(theta, floor, _levels(psi, phi), [_CRITERION])[0])
 
 
 # --- dimensions -------------------------------------------------------------
@@ -349,17 +374,19 @@ def _is_zero_immigration(phi) -> bool:
     return phi is None or (phi(1.0) == 0.0 and phi(1e6) == 0.0)
 
 
-def _report(psi, phi, grey, zero_class, heavy, dims, method, evidence) -> ZeroSetReport:
+def _report(psi, phi, grey, zero_class, heavy, dims, method, evidence,
+            stationary=None) -> ZeroSetReport:
     """A route's answer, with the verdicts every route shares added:
     conservativity, intervals (a compound-Poisson phi) and stationarity,
-    and dimension 1 for a heavy set (Fitzsimmons, Fristedt & Shepp 1985)."""
+    unless ``stationary()`` gives it from a scan already run, and dimension 1
+    for a heavy set (Fitzsimmons, Fristedt & Shepp 1985)."""
     if heavy.is_yes and zero_class in (TRANSIENT, RECURRENT):
         dims = 1.0, 1.0
     dim_upper, dim_lower = dims or (None, None)
     return ZeroSetReport(
         grey=grey, conservative=conservativity_check(psi), zero_class=zero_class,
         heavy=heavy, intervals=phi.compound_poisson(),
-        stationary=stationary_exists(psi, phi),
+        stationary=stationary_exists(psi, phi) if stationary is None else stationary(),
         dim_upper=dim_upper, dim_lower=dim_lower, method=method, evidence=evidence)
 
 
@@ -391,18 +418,28 @@ def classify_zero_state(psi: BranchingMechanism,
         if fast is not None:
             return fast
 
+    # each outcome is settled where its standalone verdict ran: heaviness,
+    # the outer and the inner integral here, stationarity in _report
     theta = positivity_threshold(psi)
-    heavy = heaviness(psi, phi)
-    outer = _outer_estimate(psi, phi, theta)
+    read = _levels(psi, phi)
+    # the outer integral's weight R gives heaviness's int_theta^inf R
+    outer, heavy = _upper_scans(theta, read, [_CRITERION, _RATIO])
+    heavy = _scan_verdict(heavy, theta=theta)
+    outer = _settled(outer)
     evidence = {"theta": theta, "outer": outer.evidence()}
     zero_class = {INFINITE: POLAR, INCONCLUSIVE: INCONCLUSIVE_CLASS}.get(outer.verdict)
+    stationary = None
     if zero_class is None:
         root = largest_root(psi)
         supercritical = is_supercritical(psi)
         # above 2 root the integrand is bounded, so starting there keeps the
-        # verdict and skips octaves where 1/Psi may still grow
-        inner = _inner_estimate(psi, phi, min(theta, 2.0 * root) if supercritical else theta,
-                                root)
+        # verdict and skips octaves where 1/Psi may still grow; at root 0 the
+        # inner scan's panels are those of stationarity's int_0^theta R
+        inner, *scan = _lower_scans(min(theta, 2.0 * root) if supercritical else theta, root,
+                                    read, [_CRITERION] if supercritical else [_CRITERION, _RATIO])
+        inner = _settled(inner)
+        if scan:
+            stationary = lambda: _scan_verdict(*scan, root=root, theta=theta)
         evidence.update(inner=inner.evidence(), root=root, supercritical=supercritical)
         zero_class = {FINITE: TRANSIENT, INFINITE: RECURRENT}.get(inner.verdict,
                                                                  INCONCLUSIVE_CLASS)
@@ -421,4 +458,5 @@ def classify_zero_state(psi: BranchingMechanism,
             *dims, evidence["dims"] = _dims_numeric(psi, phi)
         except FlowError as exc:    # W unresolved, as where v_1 rounds onto a root
             evidence["dims"] = {"error": str(exc), **exc.evidence}
-    return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_NUMERIC, evidence)
+    return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_NUMERIC, evidence,
+                   stationary)

@@ -245,19 +245,21 @@ class FlowSolver:
                                          v_end, lam)
 
 
-def _ratio_func(psi, phi):
-    """R = Phi/Psi over an array of levels: inf where Psi is 0, 0 where both
-    are, 0 where only Psi is inf.  ``phi`` is a mechanism or an array function."""
-    numerator = getattr(phi, "values", phi)
+def _ratio(den, num):
+    """R = num/den over arrays of Psi and Phi: inf where Psi is 0, 0 where both
+    are, 0 where only Psi is inf."""
+    ratio = num / den
+    if not den.all():
+        zero = den == 0.0
+        ratio[zero] = np.where(num[zero] == 0.0, 0.0, math.inf)
+    return ratio
 
-    def R(u):
-        den, num = psi.values(u), numerator(u)
-        ratio = num / den
-        if not den.all():
-            zero = den == 0.0
-            ratio[zero] = np.where(num[zero] == 0.0, 0.0, math.inf)
-        return ratio
-    return R
+
+def _ratio_func(psi, phi):
+    """R = Phi/Psi over an array of levels; ``phi`` is a mechanism or an
+    array function."""
+    numerator = getattr(phi, "values", phi)
+    return lambda u: _ratio(psi.values(u), numerator(u))
 
 
 def weight_between(psi, phi, a: float, b: float) -> float:

@@ -12,7 +12,7 @@ largest root, its derivative at 0 or its drift, its compound-Poisson
 verdict, its scaling, closed-form flow hooks and its spec-string
 grammar.  The base classes ``BranchingMechanism`` and
 ``ImmigrationMechanism`` carry the generic route every user-supplied
-mechanism takes: one call per point for ``values``, log-log slope
+mechanism takes: one handle call per point for ``values``, log-log slope
 probes with an explicit inconclusive flag, positivity probes, finite
 differences and one check that a user handle vanishes at 0.  Callers
 ask the mechanism for these facts, so no caller dispatches on the family.
@@ -25,6 +25,7 @@ built-in families for the command line and config files.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -199,13 +200,21 @@ class Mechanism:
 
     spec_family: Optional[str] = None
     spec_keys: dict = {}
+    # the field of a user handle that __call__ wraps
+    _handle_field: Optional[str] = None
 
     def __call__(self, q: float) -> float:
         raise NotImplementedError
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         """The exponent at every point of an array, one call per point; a
-        family with a numpy form overrides this."""
+        family with a numpy form overrides this.  A user handle is called
+        bare; on any exception ``__call__`` redoes the array, which reads
+        an overflow as it does and names the point that failed."""
+        handle = self._handle_field and getattr(self, self._handle_field)
+        if handle is not None and qs.min() >= 0:
+            with suppress(Exception):
+                return np.array([handle(q) for q in qs.tolist()], dtype=float)
         return np.array([self(q) for q in qs.tolist()], dtype=float)
 
     def profile(self) -> GrowthProfile:
@@ -471,6 +480,7 @@ class CustomBranching(BranchingMechanism):
     ind_upper: Optional[float] = None
     ind0_lower: Optional[float] = None
     ind0_upper: Optional[float] = None
+    _handle_field = "eval"
 
     def __post_init__(self):
         if self.theta is not None and not self.theta > 0:
@@ -631,6 +641,7 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
 
     spec_family = "cpp"
     spec_keys = {"mass": "mass"}
+    _handle_field = "tail"
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -685,6 +696,7 @@ class CustomImmigration(ImmigrationMechanism):
     ind_upper: Optional[float] = None
     ind0_lower: Optional[float] = None
     ind0_upper: Optional[float] = None
+    _handle_field = "eval"
 
     def __post_init__(self):
         if self.drift < 0:

@@ -41,27 +41,32 @@ quadrature of R inside every call of the integrand would cost a whole
 rule per node.  W sits in an exponent, so its error estimate is held to
 ``REL_TOL`` in absolute terms.
 
-Panels are integrated in blocks of ``WINDOW + 1``, the fewest a rule
-can fire on: one call of the integrand, and one of the weight, takes a
-block's nodes; the verdict reads the panels one by one, and a bisected
-panel is a block of its halves.  Integrands and weights take a 1-D array
-of nodes of any length and return one of the same length, under
-``np.errstate(all="ignore")``, so an overflow reads as inf.  An
-integrand raises ``RangeEnd`` where it has no value (the flow's 1/psi
-where psi overflows): a block that raises is cut down to that panel,
-the panels before it count first, and there the scan's range ends and
-the end-of-scan rule decides; any other exception propagates from it.
-``quad`` takes a finite range as one panel.  ``brent`` is the package's
-one root solve, a port of scipy's ``brentq`` with the same iterates.
+Panels are read in blocks of ``WINDOW + 1``, the fewest a rule can fire
+on: one call of a read takes a block's nodes and returns the arrays of
+integrands and weights, so that they share one evaluation of what they
+are made of.  A scan serves one or more streams, each an integrand with
+an optional weight among those arrays; it reads blocks while a stream is
+open, and each stream bisects by its own rule and decides by its own
+verdict, whose state grows panel by panel, so it gets the bits of its
+scan alone.  A bisected panel is a block of its halves.  Reads take a
+1-D array of nodes of any length, under ``np.errstate(all="ignore")``,
+so an overflow reads as inf.  A read raises ``RangeEnd`` where it has no
+value (the flow's 1/psi where psi overflows): a block that raises is cut
+down to that panel, the panels before it count first, and there each
+open stream's range ends and the end-of-scan rule decides; any other
+exception is the outcome of the streams that meet it, and a verdict
+raises it.  ``quad`` takes a finite range as one panel.  ``brent`` is
+the package's one root solve, a port of ``brentq`` with its iterates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -161,105 +166,121 @@ _HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
 
 
 def _nodes(lo, hi):
-    """The rule's nodes on [lo, hi], its ends exact."""
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-    xs[0], xs[-1] = lo, hi
+    """The rule's nodes on [lo, hi], its ends exact; for arrays of ends, a row
+    per panel."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    xs = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _NODES
+    xs[..., 0], xs[..., -1] = lo, hi
     return xs
 
 
-def _block(f, weight, lo, hi):
-    """f at the nodes of the panels [lo_i, hi_i], a row each, from one call,
-    and with a weight int_lo^x R there and its error per panel, from one.
-    A block that raises comes back cut to its first half, down to one panel."""
-    xs = np.concatenate([_nodes(a, b) for a, b in zip(lo, hi)])
+def _values(values, half):
+    """Each row's rule value on a panel of half width ``half`` and its distance
+    to the nested rule's: sums of products, as a first BLAS dot maps buffers
+    nothing else here needs."""
+    value = half * (_WEIGHTS * values).sum(axis=-1)
+    return value, np.abs(value - half * (_HALF_WEIGHTS * values[..., ::2]).sum(axis=-1))
+
+
+# panels read at their nodes: their ends (lists, in scan order), half widths,
+# the arrays of a read, a row per panel, and by array k a weight's spans
+_Block = namedtuple("_Block", "lo hi half arrays spans")
+
+
+def _block(read, lo, hi, weights):
+    """The panels [lo_i, hi_i] read at their nodes by one call of ``read``,
+    with int_lo^x of each array k in ``weights`` at the nodes, its span and
+    the span's error.  A block that raises comes back cut to its first half,
+    down to one panel."""
+    xs, half = _nodes(lo, hi), 0.5 * (np.array(hi) - np.array(lo))
     try:
-        values = np.asarray(f(xs), dtype=float).reshape(len(lo), -1)
-        rates = None if weight is None else np.asarray(weight(xs), dtype=float)
+        arrays = [np.asarray(a, dtype=float).reshape(len(lo), -1) for a in read(xs.ravel())]
     except Exception:
         if len(lo) == 1:
             raise
-        return _block(f, weight, lo[:len(lo) // 2], hi[:len(lo) // 2])
-    if rates is None:
-        return values, None, [0.0] * len(lo)
-    rates = rates.reshape(values.shape)
-    half = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
-    run = half[:, None] * (_CUMULATIVE * rates[:, None]).sum(axis=2)       # int_lo^x R
-    w_err = np.abs(run[:, -1] - half * (_HALF_WEIGHTS * rates[:, ::2]).sum(axis=1))
-    return values, run, w_err.tolist()
+        return _block(read, lo[:len(lo) // 2], hi[:len(lo) // 2], weights)
+    spans = {}
+    for k in weights:
+        run = half[:, None] * (_CUMULATIVE * arrays[k][:, None]).sum(axis=2)
+        spans[k] = run, run[:, -1], np.abs(
+            run[:, -1] - half * (_HALF_WEIGHTS * arrays[k][:, ::2]).sum(axis=1))
+    return _Block(lo, hi, half, arrays, spans)
 
 
-def _sums(values):
-    """The rule's and the nested rule's sums over the last axis, as floats:
-    of products, as a first BLAS dot maps buffers nothing else here needs."""
-    return ((_WEIGHTS * values).sum(axis=-1).tolist(),
-            (_HALF_WEIGHTS * values[..., ::2]).sum(axis=-1).tolist())
+def _integrals(block, stream, j, w_edge, upward):
+    """A stream's panels j on of a block entered at W = ``w_edge``, a tuple
+    each: value, error estimate, W at the far edge and W's error estimate."""
+    (f, w), half, arrays, spans = stream, block.half[j:], block.arrays, block.spans
+    if w is None:
+        # W keeps its entry value and has no error; a weight's spans and
+        # their errors are this integrand's values, bit for bit
+        value, err = ((spans[f][1][j:], spans[f][2][j:]) if f in spans
+                      else _values(arrays[f][j:], half))
+        return list(zip(value.tolist(), err.tolist(), repeat(w_edge), repeat(0.0)))
+    run, span, w_err = (a[j:] for a in spans[w])
+    # one running sum in scan order: the bits of adding panel by panel
+    w_edges = np.cumsum(np.concatenate(([w_edge], span if upward else -span)))
+    w_nodes = (w_edges[:-1, None] + run if upward
+               else w_edges[:-1, None] - (span[:, None] - run))
+    values = arrays[f][j:]
+    # scale-free: exp(W) times an exact 0 is 0 at any scale of f
+    value, err = _values(np.where(values == 0.0, 0.0, values * np.exp(w_nodes)), half)
+    return list(zip(value.tolist(), err.tolist(), w_edges[1:].tolist(), w_err.tolist()))
 
 
-def _finish(values, run, w_edge, upward):
-    """Each panel's two sums of its values times exp(W), and W at its far
-    edge, from W = ``w_edge`` where the first is entered (lo upward)."""
-    if run is None:
-        w_far = [w_edge] * len(values)
-    else:
-        # one running sum in scan order: the bits of adding panel by panel
-        span = run[:, -1]
-        w_edges = np.cumsum(np.concatenate(([w_edge], span if upward else -span)))
-        w_nodes = (w_edges[:-1, None] + run if upward
-                   else w_edges[:-1, None] - (span[:, None] - run))
-        # scale-free: exp(W) times an exact 0 is 0 at any scale of f
-        values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
-        w_far = w_edges[1:].tolist()
-    return (*_sums(values), w_far)
-
-
-def _panel(f, weight, lo, hi, full, nested, w_err, w_edge, w_far, upward, depth, err_floor):
-    """A panel's (value, error estimate, W at its far edge, unresolved pieces)
-    from its two sums, its halves a block where it misses REL_TOL and the floor."""
-    half = 0.5 * (hi - lo)
-    value = half * full
-    err = abs(value - half * nested)
-    if not math.isfinite(value) or not math.isfinite(w_far):
-        return value, 0.0, w_far, 0
-    resolved = err <= max(REL_TOL * abs(value), err_floor) and w_err <= REL_TOL
-    if resolved or depth == MAX_BISECTIONS:
-        # an error w_err in W is a relative error w_err in the integrand
-        return value, err + w_err * abs(value), w_far, 0 if resolved else 1
-    mid = 0.5 * (lo + hi)
-    halves = ([lo, mid], [mid, hi]) if upward else ([mid, lo], [hi, mid])
-    (v1, e1, _, u1), (v2, e2, w_far, u2) = _rows(f, weight, *halves, w_edge, upward,
-                                                 depth + 1, lambda: err_floor)
-    return v1 + v2, e1 + e2, w_far, u1 + u2
-
-
-def _rows(f, weight, lo, hi, w_edge, upward, depth, floor):
-    """Each ``_panel`` of [lo_i, hi_i] (lists, in scan order), with the floor
-    ``floor()``, in blocks of ``WINDOW + 1`` entered at W = ``w_edge``; a
-    panel's exception comes after those before it.  Callers hold errstate."""
+def _rows(read, stream, lo, hi, w_edge, upward, depth, floor, block=None):
+    """A stream's (value, error estimate, W at the far edge, unresolved pieces)
+    of each panel [lo_i, hi_i], in blocks of ``WINDOW + 1`` (the first may be
+    given) entered at W = ``w_edge``; a panel that misses REL_TOL and
+    ``floor()`` is a block of its halves, down to MAX_BISECTIONS."""
     start = 0
     while start < len(lo):
-        los, his = lo[start:start + WINDOW + 1], hi[start:start + WINDOW + 1]
-        values, run, w_errs = _block(f, weight, los, his)
-        start += len(values)
-        full, nested, w_fars = _finish(values, run, w_edge, upward)
-        for j in range(len(values)):
-            row = _panel(f, weight, los[j], his[j], full[j], nested[j], w_errs[j], w_edge,
-                         w_fars[j], upward, depth, floor())
+        block = block or _block(read, lo[start:start + WINDOW + 1],
+                                hi[start:start + WINDOW + 1], {stream[1]} - {None})
+        start += len(block.lo)
+        first, rows = 0, _integrals(block, stream, 0, w_edge, upward)
+        for j in range(len(block.lo)):
+            value, err, w_far, w_err = rows[j - first]
+            if not (math.isfinite(value) and math.isfinite(w_far)):
+                row = value, 0.0, w_far, 0
+            else:
+                resolved = (err <= REL_TOL * abs(value) or err <= floor()) and w_err <= REL_TOL
+                if resolved or depth == MAX_BISECTIONS:
+                    # an error w_err in W is a relative error w_err in the integrand
+                    row = value, err + w_err * abs(value), w_far, 0 if resolved else 1
+                else:
+                    row = _bisect(read, stream, block.lo[j], block.hi[j], w_edge, upward,
+                                  depth, floor)
+                    if row[2] != w_far:
+                        # the later panels enter from the W its pieces left
+                        first, rows = j + 1, _integrals(block, stream, j + 1, row[2], upward)
             yield row
-            if run is not None and row[2] != w_fars[j]:
-                # bisected: the later panels enter from the W its pieces left
-                full[j + 1:], nested[j + 1:], w_fars[j + 1:] = _finish(
-                    values[j + 1:], run[j + 1:], row[2], upward)
             w_edge = row[2]
+        block = None
+
+
+def _bisect(read, stream, lo, hi, w_edge, upward, depth, floor):
+    """A panel's row from its two halves, integrated as a block one level deeper."""
+    mid = 0.5 * (lo + hi)
+    halves = ([lo, mid], [mid, hi]) if upward else ([mid, lo], [hi, mid])
+    (v1, e1, _, u1), (v2, e2, w_far, u2) = _rows(read, stream, *halves, w_edge, upward,
+                                                 depth + 1, floor)
+    return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
 def quad(f, a, b):
     """(int_a^b f, its error estimate) on one panel, orientation kept: the
-    panel rule on a block of one, whose values need no block around them."""
+    panel rule on f's values at the nodes, with no block around them."""
     lo, hi = min(a, b), max(a, b)
     with np.errstate(all="ignore"):
-        full, nested = _sums(np.asarray(f(_nodes(lo, hi)), dtype=float))
-        # no weight, so W and its error are 0 throughout; depth 0, no floor
-        value, err, _, _ = _panel(f, None, lo, hi, full, nested, 0.0, 0.0, 0.0, True, 0, 0.0)
+        value, err = map(float, _values(np.asarray(f(_nodes(lo, hi)), dtype=float),
+                                        0.5 * (hi - lo)))
+        if not math.isfinite(value):
+            err = 0.0
+        elif not err <= REL_TOL * abs(value):
+            # no weight, so W and its error are 0 throughout; no floor
+            value, err, _, _ = _bisect(lambda xs: (f(xs),), (0, None), lo, hi, 0.0, True, 0,
+                                       lambda: 0.0)
     return (value if a < b else -value), err
 
 
@@ -317,52 +338,6 @@ def brent(f, a, b, xtol, rtol=4.0 * math.ulp(1.0)):
 
 # --- the verdict protocol --------------------------------------------------------
 
-def _ratios(contributions):
-    if any(c <= 0.0 for c in contributions[:-1]):
-        return None
-    return [cur / prev for prev, cur in zip(contributions, contributions[1:])]
-
-
-def _decide(contributions, total, at_end=False):
-    """Apply the verdict rules to the contribution sequence seen so far;
-    ``at_end``, once the panels are spent, adds the relaxed rule.
-
-    Returns (verdict, rule, tail_estimate) or None when no rule fires yet.
-    """
-    # blow-up is judged against the scan's own scale, so f and c f agree
-    first = next((c for c in contributions if c > 0.0), math.inf)
-    if total > SUM_BLOWUP * first or math.isinf(total):
-        return INFINITE, "sum-blowup", math.inf
-    if len(contributions) < WINDOW + 1:
-        return None
-    window = contributions[-(WINDOW + 1):]
-    # Dead tail: the integrand has effectively run out of mass.  Scale-free:
-    # EXHAUSTED_FRACTION is a fraction of the scan's own total
-    if total > 0 and all(c <= total * EXHAUSTED_FRACTION for c in window):
-        return FINITE, "exhausted"
-    # scale-free: c times an exact 0 is 0
-    if total == 0.0 and all(c == 0.0 for c in window):
-        return FINITE, "exhausted"
-    ratios = _ratios(window)
-    if ratios is None:
-        return None
-    # scale-free: a ratio of two contributions carries no unit
-    if all(r >= 1.0 - 1e-9 for r in ratios) and window[-1] > 0:
-        return INFINITE, "non-decreasing", math.inf
-    if all(r <= GEOMETRIC_RATIO for r in ratios):
-        high, low = (window[-1] * r / (1.0 - r) for r in (max(ratios), min(ratios)))
-        if total > 0 and high - low < REL_TOL * total:
-            return FINITE, "geometric", _tail(window[-1], ratios, high - low)
-    # Stable sub-unit ratio: geometric decay too slow for the strict rule
-    # but still conclusive.  An upward-drifting ratio (harmonic-type decay
-    # creeping toward 1) stays inconclusive.
-    if at_end and (all(r <= RATIO_CEILING for r in ratios)
-                   and ratios[-1] <= ratios[0] + RATIO_DRIFT):
-        r = max(ratios)
-        return FINITE, "slow-geometric", window[-1] * r / (1.0 - r)
-    return None
-
-
 def _tail(last, ratios, spread):
     """The tail after ``last``: the last ratio's, corrected by at most
     ``spread`` where the last three ratios still converge geometrically
@@ -374,39 +349,144 @@ def _tail(last, ratios, spread):
     return last * r / (1.0 - r) + min(max(drift, -spread), spread)
 
 
-def _run_panels(f, lo, hi, weight, upward):
-    contributions = []
-    total = abserr = 0.0
-    unresolved = 0
+class _Scan:
+    """A stream's verdict state, kept as its contributions come; ``outcome``
+    is its estimate once a rule fires, or the exception it met."""
 
-    def estimate(verdict, rule, tail=0.0):
-        return TailEstimate(verdict, total + tail, tuple(contributions), rule, abserr,
-                            unresolved, tail)
+    def __init__(self):
+        self.contributions, self.ratios, self.outcome = [], [], None
+        self.total = self.abserr = self.w_edge = 0.0
+        self.unresolved, self.first = 0, math.inf        # the first positive one
 
-    # a panel carrying under EXHAUSTED_FRACTION of the total is dead to the
-    # verdict: its error need not fall below REL_TOL of that.  Scale-free:
-    # the floor is a fraction of the scan's own total, as c f's is of c f's
-    rows = _rows(f, weight, lo, hi, 0.0, upward, 0,
-                 lambda: REL_TOL * EXHAUSTED_FRACTION * abs(total))
-    rule = "no-rule"
-    try:
-        with np.errstate(all="ignore"):
-            for c, err, _, missed in rows:
-                abserr += err
-                unresolved += missed
-                if math.isnan(c):
-                    return estimate(INCONCLUSIVE, "nan-contribution")
-                contributions.append(c)
-                total += c
-                decided = _decide(contributions, total)
-                if decided is not None:
-                    return estimate(*decided)
-    except RangeEnd:
-        rule = "range-end"
-    decided = _decide(contributions, total, at_end=True)
-    if decided is not None:
-        return estimate(*decided)
-    return estimate(INCONCLUSIVE, rule)
+    def err_floor(self):
+        # a panel carrying under EXHAUSTED_FRACTION of the total is dead to
+        # the verdict: its error need not fall below REL_TOL of that.  Scale-
+        # free: the floor is a fraction of the scan's own total
+        return REL_TOL * EXHAUSTED_FRACTION * abs(self.total)
+
+    def read(self, c, err, w_far, missed):
+        """Takes a panel's row; True once the stream has its outcome."""
+        self.abserr += err
+        self.unresolved += missed
+        self.w_edge = w_far
+        if math.isnan(c):
+            return self.close(INCONCLUSIVE, "nan-contribution")
+        if self.contributions:      # a ratio after a contribution <= 0 is NaN
+            prev = self.contributions[-1]
+            self.ratios.append(c / prev if prev > 0.0 else math.nan)
+        if c > 0.0 and self.first == math.inf:
+            self.first = c
+        self.contributions.append(c)
+        self.total += c
+        decided = self.decide()
+        return decided is not None and self.close(*decided)
+
+    def end(self, rule, exc=None):
+        """The outcome where the panels stop: an exception ``exc`` but RangeEnd,
+        else the end-of-scan rule, or inconclusive by ``rule``."""
+        if exc is None or isinstance(exc, RangeEnd):
+            self.close(*(self.decide(at_end=True) or (INCONCLUSIVE, rule)))
+        else:
+            self.outcome = exc
+
+    def close(self, verdict, rule, tail=0.0):
+        self.outcome = TailEstimate(verdict, self.total + tail, tuple(self.contributions),
+                                    rule, self.abserr, self.unresolved, tail)
+        return True
+
+    def decide(self, at_end=False):
+        """The verdict rules on the contributions so far, with the relaxed one
+        ``at_end``: (verdict, rule, tail), or None while no rule fires."""
+        total, window = self.total, self.contributions[-(WINDOW + 1):]
+        # blow-up is judged against the scan's own scale, so f and c f agree
+        if total > SUM_BLOWUP * self.first or math.isinf(total):
+            return INFINITE, "sum-blowup", math.inf
+        if len(window) < WINDOW + 1:
+            return None
+        # Dead tail: the integrand has effectively run out of mass.  Scale-free:
+        # EXHAUSTED_FRACTION is a fraction of the scan's own total, and c
+        # times an exact 0 is 0
+        if (total > 0 and max(window) <= total * EXHAUSTED_FRACTION
+                or total == 0.0 and min(window) == max(window) == 0.0):
+            return FINITE, "exhausted"
+        ratios = self.ratios[-WINDOW:]
+        if any(map(math.isnan, ratios)):
+            return None         # a contribution <= 0 leaves a ratio undefined
+        high, low = max(ratios), min(ratios)
+        # scale-free: a ratio of two contributions carries no unit
+        if low >= 1.0 - 1e-9 and window[-1] > 0:
+            return INFINITE, "non-decreasing", math.inf
+        if high <= GEOMETRIC_RATIO:
+            upper, lower = (window[-1] * r / (1.0 - r) for r in (high, low))
+            if total > 0 and upper - lower < REL_TOL * total:
+                return FINITE, "geometric", _tail(window[-1], ratios, upper - lower)
+        # Stable sub-unit ratio: geometric decay too slow for the strict rule
+        # but still conclusive.  An upward-drifting ratio (harmonic-type decay
+        # creeping toward 1) stays inconclusive.
+        if at_end and high <= RATIO_CEILING and ratios[-1] <= ratios[0] + RATIO_DRIFT:
+            return FINITE, "slow-geometric", window[-1] * high / (1.0 - high)
+        return None
+
+
+def _run_panels(read, lo, hi, upward, streams):
+    """Each stream's ``TailEstimate``, or the exception it met, from one scan
+    of the panels [lo_i, hi_i] (lists, in scan order); a stream is (index of
+    its integrand in what ``read`` returns, of its weight or None)."""
+    scans = [_Scan() for _ in streams]
+    start = 0
+    with np.errstate(all="ignore"):
+        while start < len(lo) and any(scan.outcome is None for scan in scans):
+            serve = [(stream, scan) for stream, scan in zip(streams, scans)
+                     if scan.outcome is None]
+            try:
+                block = _block(read, lo[start:start + WINDOW + 1], hi[start:start + WINDOW + 1],
+                               {w for (_, w), _ in serve} - {None})
+            except Exception as exc:
+                for _, scan in serve:
+                    scan.end("range-end", exc)
+                break
+            start += len(block.lo)
+            for stream, scan in serve:
+                try:
+                    for row in _rows(read, stream, block.lo, block.hi, scan.w_edge, upward, 0,
+                                     scan.err_floor, block):
+                        if scan.read(*row):
+                            break
+                except Exception as exc:        # from the stream's own bisections
+                    scan.end("range-end", exc)
+    for scan in scans:
+        if scan.outcome is None:
+            scan.end("no-rule")
+    return [scan.outcome for scan in scans]
+
+
+def _settled(outcome):
+    """A scan's estimate, or the exception it met raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _upper_scans(start, read, streams):
+    """``_run_panels`` over the octaves from ``start`` up."""
+    if not start > 0:
+        raise ValueError("panel start must be positive")
+    edges = [start * 2.0 ** k for k in range(MAX_PANELS + 1)]
+    return _run_panels(read, edges[:-1], edges[1:], True, streams)
+
+
+def _lower_scans(stop, floor, read, streams):
+    """``_run_panels`` over the octaves from ``stop`` down toward ``floor``."""
+    if not stop > floor:
+        raise ValueError("panel stop must exceed the floor")
+    edges = [floor + (stop - floor) * 2.0 ** -k for k in range(MAX_PANELS + 1)]
+    return _run_panels(read, edges[1:], edges[:-1], False, streams)
+
+
+def _alone(f, weight):
+    """The read and the one stream of a scan of f, weighted by ``weight``."""
+    reads = (f,) if weight is None else (f, weight)
+    return (lambda xs: tuple(g(xs) for g in reads)), [(0, None if weight is None else 1)]
 
 
 def tail_verdict_upper(f, start, *, weight=None):
@@ -414,10 +494,7 @@ def tail_verdict_upper(f, start, *, weight=None):
 
     With ``weight`` R the integrand is f(z) exp(int_start^z R).
     """
-    if not start > 0:
-        raise ValueError("panel start must be positive")
-    edges = [start * 2.0 ** k for k in range(MAX_PANELS + 1)]
-    return _run_panels(f, edges[:-1], edges[1:], weight, upward=True)
+    return _settled(_upper_scans(start, *_alone(f, weight))[0])
 
 
 def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
@@ -427,8 +504,4 @@ def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
     endpoint singularity at the floor is probed octave by octave.  With
     ``weight`` R the integrand is f(x) exp(-int_x^stop R).
     """
-    if not stop > floor:
-        raise ValueError("panel stop must exceed the floor")
-    span = stop - floor
-    edges = [floor + span * 2.0 ** -k for k in range(MAX_PANELS + 1)]
-    return _run_panels(f, edges[1:], edges[:-1], weight, upward=False)
+    return _settled(_lower_scans(stop, floor, *_alone(f, weight))[0])

@@ -10,24 +10,27 @@ from cbizero import cutout, flow, mechanisms, quadrature
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts of the panels the rule integrates (scan rows, bisected pieces
-    and ``quad`` panels alike, one ``_panel`` each), of the pieces alone
-    (depth > 0) and of the flow's finite-range ``quad`` calls, from the
-    test's start on."""
+    """Counts of the panels the rule integrates (the rows each scan's streams
+    read, bisected pieces and ``quad`` panels alike: each row ``_rows``
+    yields, and one per ``quad`` call), of the pieces alone (depth > 0) and
+    of the flow's finite-range ``quad`` calls, from the test's start on."""
     counts = {"panels": 0, "pieces": 0, "quad": 0}
-    panel, finite = quadrature._panel, flow.quad
-    signature = inspect.signature(panel)
+    rows, finite = quadrature._rows, flow.quad
+    signature = inspect.signature(rows)
 
-    def counting_panel(*args, **kwargs):
-        counts["panels"] += 1
-        counts["pieces"] += signature.bind(*args, **kwargs).arguments["depth"] > 0
-        return panel(*args, **kwargs)
+    def counting_rows(*args, **kwargs):
+        piece = signature.bind(*args, **kwargs).arguments["depth"] > 0
+        for row in rows(*args, **kwargs):
+            counts["panels"] += 1
+            counts["pieces"] += piece
+            yield row
 
     def counting_quad(*args, **kwargs):
         counts["quad"] += 1
+        counts["panels"] += 1
         return finite(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_panel", counting_panel)
+    monkeypatch.setattr(quadrature, "_rows", counting_rows)
     monkeypatch.setattr(flow, "quad", counting_quad)
     return counts
 

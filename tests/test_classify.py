@@ -240,6 +240,41 @@ class TestComponentVerdicts:
         assert got == pytest.approx(2.0 * (1.0 - 0.1), rel=1e-8)
 
 
+def _undeclared(mechanism):
+    """A custom copy of a mechanism that declares nothing about it."""
+    if mechanism.kind == "branching":
+        return CustomBranching(eval=lambda q: mechanism(q))
+    return CustomImmigration(eval=lambda q: mechanism(q))
+
+
+class TestReportMatchesPublicVerdicts:
+    """The numeric route reads heaviness off the outer criterion scan and
+    stationarity off the inner one; the report's verdicts, evidence and all,
+    are those that ``heaviness`` and ``stationary_exists`` give alone."""
+
+    PAIRS = ([(StableBranching(d=d, alpha=alpha), StableImmigration(dprime=dprime, beta=beta))
+              for alpha, beta, d, dprime in classification_grid()]
+             + [(FELLER, LampertiImmigration(beta=0.5)),
+                (StableBranching(d=1.0, alpha=1.5), LampertiImmigration(beta=0.3)),
+                (StableBranching(d=1.0, alpha=1.5), CompoundPoissonImmigration(mass=1.0)),
+                (FELLER, CompoundPoissonImmigration(mass=0.5)),
+                (FELLER, GammaImmigration(a=1.0, b=2.0)),
+                (SUBQUAD, GammaImmigration(a=1.0, b=1.0)),
+                (SUPER, drift(0.5))])
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["family", "undeclared"])
+    def test_report_verdicts_are_the_public_ones(self, copy):
+        classes = set()
+        for psi, phi in self.PAIRS:
+            if copy:
+                psi, phi = _undeclared(psi), _undeclared(phi)
+            report = classify_zero_state(psi, phi, numeric_only=True)
+            classes.add(report.zero_class)
+            assert repr(report.heavy) == repr(heaviness(psi, phi))
+            assert repr(report.stationary) == repr(stationary_exists(psi, phi))
+        assert classes == {POLAR, TRANSIENT, RECURRENT}
+
+
 class TestRegVarSummary:
     def test_stable_pair(self):
         s = regvar_summary(StableBranching(d=2.0, alpha=1.5),

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from cbizero import mechanisms
+from cbizero import mechanisms, quadrature
 from cbizero.classify import classify_zero_state
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cbizero"
@@ -109,9 +109,45 @@ def test_panels_of_built_in_families_call_no_scalar_evaluation(engine_calls, mon
         monkeypatch.setattr(cls, "__call__", counting)
     report = classify_zero_state(psi, phi, numeric_only=True)
     assert report.zero_class == "Polar"
-    assert engine_calls["panels"] > 0                   # measured 105 with cold caches
+    # the numeric scans alone read 83 rows; 105 with cold caches
+    assert engine_calls["panels"] >= 83
     assert calls["in_panel"] == 0
     assert calls["all"] <= 10                           # measured 4, outside the panels
+
+
+PAIRS = {
+    "transient": (mechanisms.StableBranching(d=1.0, alpha=1.5),
+                  mechanisms.StableImmigration(dprime=1.0, beta=0.3)),
+    "recurrent": (mechanisms.StableBranching(d=1.0, alpha=2.0),
+                  mechanisms.StableImmigration(dprime=0.5, beta=1.0)),
+    "recurrent-undeclared": (mechanisms.CustomBranching(eval=lambda q: q * q),
+                             mechanisms.CustomImmigration(eval=lambda q: 0.5 * q)),
+    "polar": (mechanisms.StableBranching(d=1.0, alpha=1.8),
+              mechanisms.StableImmigration(dprime=1.0, beta=0.9)),
+}
+
+
+@pytest.mark.parametrize("pair, zero_class", [("transient", "Transient"),
+                                              ("recurrent", "Recurrent"),
+                                              ("recurrent-undeclared", "Recurrent"),
+                                              ("polar", "Polar")])
+def test_numeric_classification_scans_each_direction_once(pair, zero_class, monkeypatch):
+    # heaviness rides on the outer criterion scan and, for a pair that is not
+    # supercritical, stationarity on the inner one: two panel scans, where a
+    # scan per verdict made four.  A polar pair has no inner scan, so its
+    # stationarity scans alone.  The second classification finds every
+    # cached check warm, so it counts the criterion scans only
+    psi, phi = PAIRS[pair]
+    classify_zero_state(psi, phi, numeric_only=True)
+    scans, run = [], quadrature._run_panels
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_run_panels", counting)
+    assert classify_zero_state(psi, phi, numeric_only=True).zero_class == zero_class
+    assert len(scans) == 2
 
 
 def _forwards(fn):

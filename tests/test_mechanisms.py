@@ -11,6 +11,7 @@ from cbizero.mechanisms import (
     CompoundPoissonImmigration,
     CustomBranching,
     CustomImmigration,
+    EvaluationError,
     GammaImmigration,
     LampertiImmigration,
     MechanismDomainError,
@@ -162,6 +163,50 @@ class TestArrayEvaluation:
         with np.errstate(over="ignore"):
             values = StableBranching(d=1.0, alpha=2.0).values(np.array([1.0, 1e200]))
         assert values.tolist() == [1.0, math.inf]
+
+    @staticmethod
+    def _failing(q):
+        if q == 3.0:
+            raise OverflowError("too large")
+        if q == 5.0:
+            raise ValueError("no value")
+        return 0.5 * q
+
+    @staticmethod
+    def _outcome(evaluate):
+        try:
+            return evaluate()
+        except EvaluationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("make", [
+        lambda h: CustomBranching(eval=h), lambda h: CustomImmigration(eval=h),
+        lambda h: CompoundPoissonImmigration(mass=1.0, tail=h)],
+        ids=["branching", "immigration", "compound-poisson"])
+    def test_failing_handle_reads_as_pointwise_calls(self, make):
+        # a bare handle that raises anywhere hands the array to __call__:
+        # the values, or the error naming the first point that fails, are
+        # those of one call per point
+        mech = make(self._failing)
+        for qs in ([1.0, 2.0], [1.0, 3.0, 4.0], [1.0, 3.0, 5.0, 6.0], [5.0, 3.0],
+                   [3.0, 6.0, 5.0]):
+            assert self._outcome(lambda: mech.values(np.array(qs)).tolist()) == \
+                self._outcome(lambda: [mech(q) for q in qs])
+
+    @pytest.mark.parametrize("custom", [CustomBranching, CustomImmigration])
+    def test_custom_handle_overflow_is_inf_and_errors_name_the_point(self, custom):
+        calls = []
+
+        def handle(q):
+            calls.append(q)
+            return self._failing(q)
+        mech = custom(eval=handle)
+        calls.clear()
+        assert mech.values(np.array([1.0, 2.0])).tolist() == [0.5, 1.0]
+        assert calls == [1.0, 2.0]           # bare: one call per point
+        assert mech.values(np.array([1.0, 3.0, 4.0])).tolist() == [0.5, math.inf, 2.0]
+        with pytest.raises(EvaluationError, match=r"at q=5\.0$"):
+            mech.values(np.array([1.0, 3.0, 5.0, 6.0]))
 
     @pytest.mark.parametrize("name", sorted(EVERY))
     def test_negative_point_rejected(self, name):

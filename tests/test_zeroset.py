@@ -242,8 +242,8 @@ class TestNoNestedQuadrature:
         phi = CustomImmigration(eval=math.sqrt)
         assert law(psi, phi, 1.0) > 0.0
         # measured 1 and 82 for laplace_exponent, 2 and 82 for gzero_density
-        assert engine_calls["quad"] <= 3
-        assert engine_calls["panels"] <= 100
+        assert 1 <= engine_calls["quad"] <= 3
+        assert 70 <= engine_calls["panels"] <= 100
 
 
 class TestSelfSimilarIndex:
