@@ -20,12 +20,14 @@ Two kernels draw the same law of (uncovered intervals, frontier) exactly:
   where G(x) is the integral of the conditional duration tail S over
   [0, x].  G is closed form on the sampler's piecewise power-law table,
   so each step draws every such birth by one table inversion, vectorised
-  over a batch of busy periods.  Its cost follows the frontier records
-  (a few thousand where the sweep draws millions of marks) plus a fixed
-  cost of 0.5-1.5 ms per realization.
+  over the busy periods of a batch of replicates.  Its cost follows the
+  frontier records (a few thousand where the sweep draws millions of
+  marks) plus a fixed cost per step, 0.5-1.5 ms for a lone replicate.
 
-`_sweep` runs the ladder when the expected mark count T * rate exceeds
-LADDER_MIN_MARKS and the mark sweep otherwise.
+`_sweep` runs the ladder on one replicate when the expected mark count
+T * rate exceeds LADDER_MIN_MARKS and the mark sweep otherwise.
+`empirical_gzero` runs its replicates through the ladder in batches at
+any mark count, which spreads the fixed cost of a step over the batch.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ GZERO_TAIL_BOUND = 1e-3
 LADDER_MIN_MARKS = 2e4
 
 _CHUNK = 1 << 18
+# Busy periods per ladder batch in empirical_gzero, which fixes the
+# replicates per batch.  At T_max = 30, eps = 1e-4 (a round of 100
+# periods per replicate, so 81 replicates per batch) 500 replicates reach
+# a tracemalloc peak of 1.3 MB; 1 << 14 reaches 2.4 MB for no gain in
+# time, one batch of all 500 8.1 MB.
+_BATCH_PERIODS = 1 << 13
 _MAX_HORIZON_DOUBLINGS = 16
 
 
@@ -225,17 +233,22 @@ class DurationSampler:
     def _invert_beyond(self, u: float) -> float:
         """The duration whose conditional tail is u, below the table: the
         bound its doubling bracket reached where that passes 1e280 or the
-        tail raises FlowError (a numeric flow, once psi is subnormal)."""
+        tail raises FlowError (a numeric flow, once psi is subnormal); the
+        last knot where u is above the exact tail there (a rounded floor)."""
         lo = math.exp(self.log_time_rev[0])
         hi = 2.0 * lo
+
+        def excess(log_t):
+            return self.tail(math.exp(log_t)) / self.rate - u
+
         try:
+            if excess(math.log(lo)) < 0.0:
+                return lo
             while self.tail(hi) / self.rate >= u:
                 hi *= 2.0
                 if hi > 1e280:
                     return hi
-            log_t = brent(
-                lambda lt: self.tail(math.exp(lt)) / self.rate - u,
-                math.log(lo), math.log(hi), xtol=1e-12)
+            log_t = brent(excess, math.log(lo), math.log(hi), xtol=1e-12)
         except FlowError:
             return hi
         return math.exp(log_t)
@@ -392,27 +405,30 @@ def _ladder_step(sampler: DurationSampler, lo: np.ndarray, hi: np.ndarray,
     return hi + top
 
 
-def _busy_periods(sampler: DurationSampler, gaps: np.ndarray, clock: float,
-                  T: float, rng: np.random.Generator):
+def _busy_periods(sampler: DurationSampler, gaps: np.ndarray,
+                  clock: np.ndarray, T: float, rng: np.random.Generator):
     """Busy periods laid out from clock with the uncovered gaps before
-    each, every period opened by one cut.
+    each, every period opened by one cut; row r of gaps (replicates x
+    periods) and clock[r] are replicate r's.
 
     Returns the lengths, inf for each period dropped once it or an
-    earlier one surely ended past T (it cannot change [0, T] any more),
-    and the ladder states (ids, lo, hi) in the order visited, so that
-    the state where a period first passes a point can be looked up.
+    earlier one of its replicate surely ended past T (it cannot change
+    [0, T] any more), and the ladder states (ids, lo, hi) in the order
+    visited, ids flat indices into gaps, so that the state where a
+    period first passes a point can be looked up.
     """
-    n = gaps.size
-    reach = sampler.sample_array(n, rng)   # frontier so far, then length
-    ids, lo, hi = np.arange(n), np.zeros(n), reach.copy()
+    R, n = gaps.shape
+    reach = sampler.sample_array(gaps.size, rng)   # frontier so far, then length
+    ids, lo, hi = np.arange(gaps.size), np.zeros(gaps.size), reach.copy()
+    span, cols = reach.reshape(R, n), np.arange(n)
+    late = np.ones((R, n + 1), dtype=bool)     # a last column that is always late
     states = []
     while ids.size:
         states.append((ids, lo, hi))
-        born = clock + np.cumsum(gaps + np.concatenate(([0.0], reach[:-1])))
-        late = born + reach > T
-        if late.any():
-            first = int(np.argmax(late))
-            keep = ids < first
+        np.greater(_births(clock, gaps, span) + span, T, out=late[:, :n])
+        # drop a replicate's first late period (n if none) and every later one
+        keep = (cols < late.argmax(axis=1, keepdims=True)).take(ids)
+        if not keep.all():
             reach[ids[~keep]] = math.inf
             ids, lo, hi = ids[keep], lo[keep], hi[keep]
             if not ids.size:
@@ -421,11 +437,21 @@ def _busy_periods(sampler: DurationSampler, gaps: np.ndarray, clock: float,
         going = nxt > hi
         ids, lo, hi = ids[going], hi[going], nxt[going]
         reach[ids] = hi
-    return reach, states
+    return span, states
+
+
+def _births(clock: np.ndarray, gaps: np.ndarray,
+            length: np.ndarray) -> np.ndarray:
+    """Births of each row's busy periods from clock: gap, then period."""
+    born = gaps.copy()
+    born[:, 1:] += length[:, :-1]
+    born.cumsum(axis=1, out=born)
+    born += clock[:, None]
+    return born
 
 
 def _crossing(states, period: int, point: float):
-    """The first ladder state (lo, hi) of a busy period with hi > point."""
+    """The first ladder state (lo, hi) of a period (flat id) with hi > point."""
     for ids, lo, hi in states:
         k = int(np.searchsorted(ids, period))
         if k < ids.size and ids[k] == period and hi[k] > point:
@@ -448,41 +474,59 @@ def _expected_busy_periods(sampler: DurationSampler, horizon: float) -> float:
     return sampler.rate * 0.5 * float(np.dot(np.diff(t), w[1:] + w[:-1]))
 
 
+def _round_size(sampler: DurationSampler, span: float) -> int:
+    """Periods per replicate in a ladder round over span: mean, margin."""
+    m = _expected_busy_periods(sampler, span)
+    return int(1.25 * m + 3.0 * math.sqrt(m) + 16.0)
+
+
+def _ladder(T: float, sampler: DurationSampler, replicates: int,
+            rng: np.random.Generator):
+    """Frontier ladder of a batch of replicates from 0 until each has a
+    busy period ending past T, in rounds of periods with Exp(rate) gaps.
+
+    Yields per round the open replicates, their clocks, their periods'
+    births and deaths (replicates x periods), the index of each one's
+    first period dying past T (the row length if none: it goes on from
+    its last death) and the ladder states.
+    """
+    rows, clock = np.arange(replicates), np.zeros(replicates)
+    while rows.size:
+        n = _round_size(sampler, T - float(clock.min()))
+        gaps = rng.standard_exponential((rows.size, n)) / sampler.rate
+        length, states = _busy_periods(sampler, gaps, clock, T, rng)
+        born = _births(clock, gaps, length)
+        died = born + length
+        late = died > T
+        j = np.where(late.any(axis=1), late.argmax(axis=1), n)
+        yield rows, clock, born, died, j, states
+        going = j == n
+        rows, clock = rows[going], died[going, -1]
+
+
 def _ladder_sweep(T: float, sampler: DurationSampler,
                   rng: np.random.Generator):
-    """Frontier-ladder kernel: busy periods laid out with Exp(rate) gaps."""
+    """Frontier-ladder kernel: the ladder of one replicate."""
     starts, ends = [], []
-    clock = 0.0
-    while True:
-        m = _expected_busy_periods(sampler, T - clock)
-        n = int(1.25 * m + 3.0 * math.sqrt(m) + 16.0)
-        gaps = rng.standard_exponential(n) / sampler.rate
-        length, states = _busy_periods(sampler, gaps, clock, T, rng)
-        born = clock + np.cumsum(gaps + np.concatenate(([0.0], length[:-1])))
-        died = born + length
-        prev = np.concatenate(([clock], died[:-1]))
-        late = np.nonzero(died > T)[0]
-        j = int(late[0]) if late.size else gaps.size
-        last = j if j == gaps.size or born[j] > T else j + 1
+    for _, clock, born, died, j, states in _ladder(T, sampler, 1, rng):
+        born, j = born[0], int(j[0])
+        prev = np.concatenate((clock, died[0, :-1]))
+        last = j if j == born.size or born[j] > T else j + 1
         gap = born[:last] > prev[:last]
         starts.append(prev[:last][gap])
         ends.append(born[:last][gap])
-        if j == gaps.size:
-            clock = float(died[-1])
-            continue
-        if last == j:
-            frontier = float(prev[j])
-        else:
-            # the period straddling T: its cuts born after T do not
-            # count, so redo its first step past T with births up to T
-            point = T - float(born[j])
-            lo, hi = _crossing(states, j, point)
-            if hi < math.inf:
-                hi = float(_ladder_step(sampler, np.array([lo]),
-                                        np.array([hi]),
-                                        np.array([hi - point]), rng)[0])
-            frontier = float(born[j]) + hi
-        return _uncovered(T, starts, ends, frontier), frontier
+    if last == j:
+        frontier = float(prev[j])
+    else:
+        # the period straddling T: its cuts born after T do not
+        # count, so redo its first step past T with births up to T
+        point = T - float(born[j])
+        lo, hi = _crossing(states, j, point)
+        if hi < math.inf:
+            hi = float(_ladder_step(sampler, np.array([lo]), np.array([hi]),
+                                    np.array([hi - point]), rng)[0])
+        frontier = float(born[j]) + hi
+    return _uncovered(T, starts, ends, frontier), frontier
 
 
 def _uncovered(T: float, starts: list, ends: list,
@@ -612,6 +656,12 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     last zero lies at or beyond T) and is redrawn with the horizon
     doubled; coverage at T leaves at most the g-tail mass, which the
     horizon precondition bounds by 10^-3.
+
+    Replicates go through the ladder in batches of about _BATCH_PERIODS
+    busy periods, each on one generator spawned from SeedSequence(seed);
+    a replicate keeps the birth of its period straddling T, its last
+    zero, or inf when none does.  The output is deterministic given seed
+    and n_samples; its first k values are not the k-replicate run.
     """
     if n_samples < 1:
         raise CutoutError("need at least one replicate")
@@ -622,18 +672,21 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
             f"exceeds {GZERO_TAIL_BOUND:.0e}")
     sampler = _cached_sampler(psi, phi, eps)
     master = np.random.SeedSequence(seed)
-    values = np.empty(n_samples)
-    for i, child in enumerate(master.spawn(n_samples)):
-        T = T_max
-        for _ in range(_MAX_HORIZON_DOUBLINGS):
-            if T * sampler.rate > MAX_EXPECTED_MARKS:
-                raise CutoutError("ε too small for horizon")
-            rng = np.random.Generator(np.random.PCG64(child.spawn(1)[0]))
-            intervals, frontier = _sweep(T, sampler, rng)
-            if frontier > T:
-                values[i] = float(intervals[-1, 1])
-                break
-            T *= 2.0
-        else:
-            raise CutoutError("replicate censored at maximal horizon")
-    return values
+    values = np.full(n_samples, math.inf)
+    todo = np.arange(n_samples)
+    T = T_max
+    for _ in range(_MAX_HORIZON_DOUBLINGS):
+        if T * sampler.rate > MAX_EXPECTED_MARKS:
+            raise CutoutError("ε too small for horizon")
+        size = max(1, _BATCH_PERIODS // _round_size(sampler, T))
+        for batch in np.split(todo, range(size, todo.size, size)):
+            rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))
+            for rows, _, born, _, j, _ in _ladder(T, sampler, batch.size, rng):
+                done = j < born.shape[1]
+                g = born[done, j[done]]
+                values[batch[rows[done]]] = np.where(g <= T, g, math.inf)
+        todo = np.flatnonzero(values == math.inf)
+        if not todo.size:
+            return values
+        T *= 2.0
+    raise CutoutError("replicate censored at maximal horizon")

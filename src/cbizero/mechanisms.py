@@ -581,6 +581,23 @@ class GammaImmigration(ImmigrationMechanism):
         return GammaImmigration(a=c * self.a, b=self.b)
 
 
+def _lamperti(q: float, beta: float, lgamma_beta: float) -> float:
+    """Gamma(beta + q) / (Gamma(beta) Gamma(q)) at q >= 0, given lgamma(beta)."""
+    if q == 0.0:
+        return 0.0
+    try:
+        if q >= 1e6:
+            # lgamma(beta + q) - lgamma(q) loses ~log10(q lnq) digits to
+            # cancellation; switch to the ratio expansion, exact to machine
+            # precision here since the q**-2 term is below 1e-16
+            log_ratio = (beta * math.log(q)
+                         + math.log1p(beta * (beta - 1.0) / (2.0 * q)))
+            return math.exp(log_ratio - lgamma_beta)
+        return math.exp(math.lgamma(beta + q) - lgamma_beta - math.lgamma(q))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LampertiImmigration(ImmigrationMechanism):
     """phi(q) = Gamma(beta + q) / (Gamma(beta) * Gamma(q)).
@@ -602,23 +619,14 @@ class LampertiImmigration(ImmigrationMechanism):
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
-        if q == 0.0:
-            return 0.0
-        if q >= 1e6:
-            # lgamma(beta + q) - lgamma(q) loses ~log10(q lnq) digits to
-            # cancellation; switch to the ratio expansion, exact to machine
-            # precision here since the q**-2 term is below 1e-16
-            log_ratio = (self.beta * math.log(q)
-                         + math.log1p(self.beta * (self.beta - 1.0) / (2.0 * q)))
-            try:
-                return math.exp(log_ratio - math.lgamma(self.beta))
-            except OverflowError:
-                return math.inf
-        try:
-            return math.exp(
-                math.lgamma(self.beta + q) - math.lgamma(self.beta) - math.lgamma(q))
-        except OverflowError:
-            return math.inf
+        return _lamperti(q, self.beta, math.lgamma(self.beta))
+
+    def values(self, qs):
+        # numpy has no lgamma: one scalar evaluation per point, with
+        # lgamma(beta) hoisted, so the bits are __call__'s
+        _check_arg(qs.min())
+        lgamma_beta = math.lgamma(self.beta)
+        return np.array([_lamperti(q, self.beta, lgamma_beta) for q in qs.tolist()])
 
     def profile(self):
         return GrowthProfile.power(self.beta, 1.0 / math.gamma(self.beta), 1.0, 1.0)

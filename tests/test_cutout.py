@@ -1,6 +1,7 @@
 """Cutout simulation: duration law, coverage sweep, statistics, g_inf."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from cbizero.cutout import (
     CutoutError,
     DurationSampler,
     UncoveredSet,
+    _cached_sampler,
+    _expected_busy_periods,
     _intersect_pair,
+    _ladder,
     _ladder_sweep,
     _mark_sweep,
     _sweep,
@@ -107,6 +111,17 @@ class TestDurationSampler:
             assert answers[name] == sorted(answers[name])
         for family, copy in zip(answers["family"][:2], answers["copy"][:2]):
             assert copy == pytest.approx(family, rel=1e-9)
+
+    def test_draw_between_exact_tail_and_rounded_floor(self):
+        # S(t_max) = 9.99999999999996e-13 lies below the table's floor
+        # exp(log_tail_rev[0]) = 9.999999999999974e-13: a draw between them
+        # brackets no root and answers the last knot
+        s = _cached_sampler(QuadraticBranching(b=0.0, sigma2=2.0), ROOT_HALF, 1e-4)
+        floor = math.exp(s.log_tail_rev[0])
+        t_max = math.exp(s.log_time_rev[0])
+        u = np.nextafter(floor, 0.0)
+        assert s.tail(t_max) / s.rate < u < floor
+        assert s._inverse(np.array([u])).tolist() == [t_max]
 
     def test_beyond_table_draws_solve_as_brentq(self, brent_calls, brentq_twin):
         draws = sample_durations(_short_table_sampler(), 2000, 5)
@@ -301,6 +316,19 @@ class TestEmpiricalGZero:
             0.1, 3.0)
         assert np.median(g) == pytest.approx(median, rel=0.05)
         assert (g > 1.0).mean() == pytest.approx(3 * math.exp(-2.0), abs=0.02)
+
+    def test_matches_one_sweep_per_replicate(self):
+        # the batched ladder against one _sweep per replicate (the mark
+        # sweep here): a sweep covered at T ends its last uncovered
+        # interval at g; the few censored sweeps (P(g > 30) = 2e-4) drop out
+        sampler = _cached_sampler(FELLER, ROOT_HALF, 1e-3)
+        loop = []
+        for i in range(1000):
+            intervals, frontier = _sweep(30.0, sampler, _rng([35, i]))
+            if frontier > 30.0:
+                loop.append(intervals[-1, 1])
+        batch = empirical_gzero(FELLER, ROOT_HALF, 1000, 30.0, 1e-3, 36)
+        assert stats.ks_2samp(batch, loop, method="asymp").pvalue > 1e-4
 
     def test_deterministic(self):
         a = empirical_gzero(FELLER, ROOT_HALF, 50, 30.0, 1e-3, 99)
@@ -511,6 +539,47 @@ class TestKernelsAgree:
         c.validate()
 
 
+def _batched_ladder_counts(sampler, T, reps, seed):
+    """Per replicate of one batch through the ladder: whether T is
+    uncovered and the number of busy periods opening in [0, T]."""
+    uncovered, opened = np.zeros(reps, dtype=bool), np.zeros(reps)
+    for rows, _, born, _, j, _ in _ladder(T, sampler, reps, _rng(seed)):
+        opened[rows] += (born <= T).sum(axis=1)
+        done = j < born.shape[1]
+        uncovered[rows[done]] = born[done, j[done]] > T
+    return uncovered, opened
+
+
+class TestBatchedLadderLaw:
+    """Identities of the eps-cutout that need no second kernel, on one
+    batch of replicates at a horizon where a quarter to a half of them
+    are uncovered: T is uncovered with probability exp(-rate G(T)), and
+    a birth opens a busy period exactly when it lands on an uncovered
+    point, so the mean count of busy periods opening in [0, T] is rate
+    times the integral of that.
+    The integral is taken by quadrature: _expected_busy_periods, which
+    sizes the ladder's rounds, puts one trapezoid on [0, eps], 7% high
+    here for the atom sampler (rate * eps = 1.025)."""
+
+    @pytest.mark.parametrize("name, T", [("feller sqrt", 0.2), ("atom", 0.15)])
+    def test_uncovered_fraction_and_busy_period_count(self, name, T):
+        s = SAMPLERS[name]()
+        reps = 20_000
+        uncovered, opened = _batched_ladder_counts(s, T, reps, 34)
+
+        def p(t):
+            return math.exp(-s.rate * float(s._cumulative_tail(t)))
+
+        assert 0.2 < p(T) < 0.5
+        assert (abs(uncovered.mean() - p(T))
+                < Z_LEVEL_1E6 * math.sqrt(p(T) * (1.0 - p(T)) / reps))
+        count = s.rate * sum(quad(p, a, b, epsabs=0.0, epsrel=1e-10)[0]
+                             for a, b in ((0.0, s.eps), (s.eps, T)))
+        assert count == pytest.approx(_expected_busy_periods(s, T), rel=0.1)
+        se = opened.std(ddof=1) / math.sqrt(reps)
+        assert abs(opened.mean() - count) < Z_LEVEL_1E6 * se
+
+
 def _interp_inverse(self, u):
     """The np.interp inversion: the reference that
     ``DurationSampler._inverse`` must reproduce bit for bit."""
@@ -625,6 +694,32 @@ def _seeded_outputs():
         out.append(sample_ou_cutout(1.8, 100.0, 1e-3, seed).intervals)
         out.append(empirical_gzero(FELLER, ROOT_HALF, 20, 30.0, 1e-4, seed))
     return [a.tobytes() for a in out]
+
+
+# SHA-256 of the intervals of seeds 0-9, one after the other, as the
+# ladder drew them before it carried replicates in batches
+LADDER_DIGESTS = {
+    "feller drift": "1e215870ed76a8b7cb9d48edf99366cb09497cd34b2a821f3b656cd2ef21a7cd",
+    "atom": "fdc40fb7293933fcea298ab1bce54863d2933ccf67dcc7e88d4598f648f15d2e",
+    "ou 1.8": "3d7995dfd269dc2a6588c9375d38fc09a246a7364b10c8121b2945ea0487b9cd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_DIGESTS))
+def test_ladder_realizations_keep_their_bits(name):
+    supercritical = QuadraticBranching(b=-1.0, sigma2=2.0)
+    draw = {
+        "feller drift": lambda seed: sample_cutout(
+            FELLER, HALF_DRIFT, 2.0 * LADDER_MIN_MARKS / 500.0, 1e-3, seed),
+        "atom": lambda seed: sample_cutout(
+            supercritical, ROOT_HALF, 2.0 * LADDER_MIN_MARKS
+            / _cached_sampler(supercritical, ROOT_HALF, 1e-3).rate, 1e-3, seed),
+        "ou 1.8": lambda seed: sample_ou_cutout(1.8, 100.0, 1e-3, seed),
+    }[name]
+    digest = hashlib.sha256()
+    for seed in range(10):
+        digest.update(draw(seed).intervals.tobytes())
+    assert digest.hexdigest() == LADDER_DIGESTS[name]
 
 
 def test_seeded_realizations_match_the_interp_inverse(monkeypatch):

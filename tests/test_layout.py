@@ -8,9 +8,8 @@ from its classification report, where each route computes them in one
 place.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name, and every family with a spec
-string but Lamperti (numpy has no ``lgamma``) defines ``values``, its
-numpy form over a panel's nodes, so a panel of a built-in family calls
-no ``__call__``.  The flow solver holds only its mechanism, and every
+string defines ``values``, its array form over a panel's nodes, so a
+panel of a built-in family calls no ``__call__``.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
 Every integral runs on the panel rule and both bracketed root solves
 (``largest_root`` and the sampler's beyond-table inversion) on
@@ -77,8 +76,7 @@ def test_family_defines_its_own_call(family):
                for node in body)
 
 
-@pytest.mark.parametrize("family", sorted(cls.__name__ for cls in mechanisms._SPEC_FAMILIES
-                                          if cls is not mechanisms.LampertiImmigration))
+@pytest.mark.parametrize("family", sorted(cls.__name__ for cls in mechanisms._SPEC_FAMILIES))
 def test_family_defines_its_own_values(family):
     body = _family_classes()[family].body
     assert any(isinstance(node, ast.FunctionDef) and node.name == "values"

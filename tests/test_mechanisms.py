@@ -118,7 +118,7 @@ ARRAY_FAMILIES = {
     "gamma": GammaImmigration(a=2.0, b=1e-3),
     "cpp": CompoundPoissonImmigration(mass=2.0),
 }
-# families whose values call the mechanism once per point
+# families whose values are the pointwise calls bit for bit
 FALLBACK_FAMILIES = {
     "lamperti": LampertiImmigration(beta=0.5),
     "cpp-tail": CompoundPoissonImmigration(mass=2.0, tail=lambda q: 2.0 * -math.expm1(-q)),
@@ -158,6 +158,17 @@ class TestArrayEvaluation:
     def test_fallback_is_bitwise_pointwise(self, name):
         array, pointwise = _array_and_pointwise(EVERY[name])
         assert array == pointwise
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.999, 1.0])
+    def test_lamperti_values_match_calls_on_every_branch(self, beta):
+        # q = 0, the lgamma difference below 1e6 and the ratio expansion
+        # from 1e6 on, with the neighbours of the switch
+        edge = np.array([0.0, 5e-324, 1e6, np.nextafter(1e6, 0.0),
+                         np.nextafter(1e6, 2e6), 1e300, math.inf])
+        qs = np.concatenate((edge, 10.0 ** np.random.default_rng(45).uniform(
+            -300.0, 300.0, 20_000)))
+        mech = LampertiImmigration(beta=beta)
+        assert mech.values(qs).tobytes() == np.array([mech(q) for q in qs.tolist()]).tobytes()
 
     def test_overflow_is_inf(self):
         with np.errstate(over="ignore"):
