@@ -563,13 +563,18 @@ def _sweep(T: float, sampler: DurationSampler, rng: np.random.Generator):
     return _mark_sweep(T, sampler, rng)
 
 
+def _check_marks(T: float, sampler: DurationSampler):
+    """Raises where [0, T] expects more than MAX_EXPECTED_MARKS marks."""
+    if T * sampler.rate > MAX_EXPECTED_MARKS:
+        raise CutoutError("ε too small for horizon")
+
+
 def cutout_with_sampler(sampler: DurationSampler, T: float,
                         seed) -> UncoveredSet:
     """One cutout realization driven by an externally built sampler."""
     if T <= 0.0:
         raise CutoutError("horizon must be positive")
-    if T * sampler.rate > MAX_EXPECTED_MARKS:
-        raise CutoutError("ε too small for horizon")
+    _check_marks(T, sampler)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     intervals, _ = _sweep(T, sampler, rng)
     return UncoveredSet(horizon=T, eps=sampler.eps, intervals=intervals,
@@ -676,8 +681,7 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     todo = np.arange(n_samples)
     T = T_max
     for _ in range(_MAX_HORIZON_DOUBLINGS):
-        if T * sampler.rate > MAX_EXPECTED_MARKS:
-            raise CutoutError("ε too small for horizon")
+        _check_marks(T, sampler)
         size = max(1, _BATCH_PERIODS // _round_size(sampler, T))
         for batch in np.split(todo, range(size, todo.size, size)):
             rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))

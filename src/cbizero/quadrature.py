@@ -32,9 +32,9 @@ summed estimates and the count of pieces still unresolved at that depth
 reach the verdict's ``evidence``.  In a scan an error below ``REL_TOL``
 times ``EXHAUSTED_FRACTION`` of the total so far also passes: such a
 panel is dead to the verdict, and the floor scales with the integrand.
-An optional ``weight`` R turns the integrand into ``f(x) exp(W(x))``
-with W the running integral of R from the scan's first edge
-(``int_start^x R`` upward, ``-int_x^stop R`` downward).  W comes at
+A weight R is another array of the stream's read: the integrand becomes
+``f(x) exp(W(x))``, W the running integral of R from the scan's first
+edge (``int_start^x R`` upward, ``-int_x^stop R`` downward).  W comes at
 every node from the spectral cumulative-integration matrix on the same
 nodes, so one pass over the panels integrates both, where nesting a
 quadrature of R inside every call of the integrand would cost a whole
@@ -55,15 +55,15 @@ value (the flow's 1/psi where psi overflows): a block that raises is cut
 down to that panel, the panels before it count first, and there each
 open stream's range ends and the end-of-scan rule decides; any other
 exception is the outcome of the streams that meet it, and a verdict
-raises it.  ``quad`` takes a finite range as one panel.  ``brent`` is
-the package's one root solve, a port of ``brentq`` with its iterates.
+raises it.  ``_rows`` alone integrates and resolves panels: ``quad`` is
+one row of it, a finite range unweighted and with no floor.  ``brent``
+is the package's one root solve, a port of ``brentq`` with its iterates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -166,66 +166,63 @@ _HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
 
 
 def _nodes(lo, hi):
-    """The rule's nodes on [lo, hi], its ends exact; for arrays of ends, a row
-    per panel."""
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    xs = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _NODES
-    xs[..., 0], xs[..., -1] = lo, hi
-    return xs
+    """The rule's nodes on each panel [lo_i, hi_i], a row each, ends exact, and
+    the half widths; on a block's few panels float arithmetic (numpy's bits)
+    costs less than ufunc calls."""
+    half = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
+    xs = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])[:, None] + half[:, None] * _NODES
+    xs[:, 0], xs[:, -1] = lo, hi
+    return xs, half
 
 
-def _values(values, half):
-    """Each row's rule value on a panel of half width ``half`` and its distance
-    to the nested rule's: sums of products, as a first BLAS dot maps buffers
-    nothing else here needs."""
-    value = half * (_WEIGHTS * values).sum(axis=-1)
-    return value, np.abs(value - half * (_HALF_WEIGHTS * values[..., ::2]).sum(axis=-1))
-
-
-# panels read at their nodes: their ends (lists, in scan order), half widths,
-# the arrays of a read, a row per panel, and by array k a weight's spans
-_Block = namedtuple("_Block", "lo hi half arrays spans")
-
+# The sums here are np.add.reduce: ndarray.sum's bits without its Python
+# frame, which costs more than a sum over one panel's nodes.
 
 def _block(read, lo, hi, weights):
-    """The panels [lo_i, hi_i] read at their nodes by one call of ``read``,
-    with int_lo^x of each array k in ``weights`` at the nodes, its span and
-    the span's error.  A block that raises comes back cut to its first half,
-    down to one panel."""
-    xs, half = _nodes(lo, hi), 0.5 * (np.array(hi) - np.array(lo))
+    """The panels [lo_i, hi_i] read at their nodes by one call of ``read``: half
+    widths, the read's arrays, a row per panel, and by array k in ``weights``
+    int_lo^x at the nodes, its span and the span's error (a plain tuple, as a
+    namedtuple's constructor is a frame), halved while it raises, to one panel."""
+    xs, half = _nodes(lo, hi)
     try:
-        arrays = [np.asarray(a, dtype=float).reshape(len(lo), -1) for a in read(xs.ravel())]
+        arrays = []
+        for a in read(xs.ravel()):      # a loop, as a comprehension is a frame
+            arrays.append(np.asarray(a, dtype=float).reshape(len(lo), -1))
     except Exception:
         if len(lo) == 1:
             raise
         return _block(read, lo[:len(lo) // 2], hi[:len(lo) // 2], weights)
     spans = {}
     for k in weights:
-        run = half[:, None] * (_CUMULATIVE * arrays[k][:, None]).sum(axis=2)
+        run = half[:, None] * np.add.reduce(_CUMULATIVE * arrays[k][:, None], 2)
         spans[k] = run, run[:, -1], np.abs(
-            run[:, -1] - half * (_HALF_WEIGHTS * arrays[k][:, ::2]).sum(axis=1))
-    return _Block(lo, hi, half, arrays, spans)
+            run[:, -1] - half * np.add.reduce(_HALF_WEIGHTS * arrays[k][:, ::2], 1))
+    return half, arrays, spans
 
 
 def _integrals(block, stream, j, w_edge, upward):
-    """A stream's panels j on of a block entered at W = ``w_edge``, a tuple
-    each: value, error estimate, W at the far edge and W's error estimate."""
-    (f, w), half, arrays, spans = stream, block.half[j:], block.arrays, block.spans
+    """A stream's panels j on of a block entered at W = ``w_edge``, a tuple each:
+    value, error estimate, W at the far edge and W's error estimate.  Sums of
+    products, as a first BLAS dot maps buffers nothing else here needs."""
+    (f, w), (half, arrays, spans) = stream, block
+    values = arrays[f]
+    if j:
+        half, values = half[j:], values[j:]
     if w is None:
-        # W keeps its entry value and has no error; a weight's spans and
-        # their errors are this integrand's values, bit for bit
-        value, err = ((spans[f][1][j:], spans[f][2][j:]) if f in spans
-                      else _values(arrays[f][j:], half))
-        return list(zip(value.tolist(), err.tolist(), repeat(w_edge), repeat(0.0)))
-    run, span, w_err = (a[j:] for a in spans[w])
-    # one running sum in scan order: the bits of adding panel by panel
-    w_edges = np.cumsum(np.concatenate(([w_edge], span if upward else -span)))
-    w_nodes = (w_edges[:-1, None] + run if upward
-               else w_edges[:-1, None] - (span[:, None] - run))
-    values = arrays[f][j:]
-    # scale-free: exp(W) times an exact 0 is 0 at any scale of f
-    value, err = _values(np.where(values == 0.0, 0.0, values * np.exp(w_nodes)), half)
-    return list(zip(value.tolist(), err.tolist(), w_edges[1:].tolist(), w_err.tolist()))
+        # W keeps its entry value and has no error
+        w_edges, w_errs = repeat(w_edge), repeat(0.0)
+    else:
+        run, span, w_err = (a[j:] for a in spans[w])
+        # one running sum in scan order: the bits of adding panel by panel
+        w_edges = np.cumsum(np.concatenate(([w_edge], span if upward else -span)))
+        w_nodes = (w_edges[:-1, None] + run if upward
+                   else w_edges[:-1, None] - (span[:, None] - run))
+        # scale-free: exp(W) times an exact 0 is 0 at any scale of f
+        values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
+        w_edges, w_errs = w_edges[1:].tolist(), w_err.tolist()
+    value = half * np.add.reduce(_WEIGHTS * values, -1)
+    err = np.abs(value - half * np.add.reduce(_HALF_WEIGHTS * values[:, ::2], -1))
+    return list(zip(value.tolist(), err.tolist(), w_edges, w_errs))
 
 
 def _rows(read, stream, lo, hi, w_edge, upward, depth, floor, block=None):
@@ -237,9 +234,8 @@ def _rows(read, stream, lo, hi, w_edge, upward, depth, floor, block=None):
     while start < len(lo):
         block = block or _block(read, lo[start:start + WINDOW + 1],
                                 hi[start:start + WINDOW + 1], {stream[1]} - {None})
-        start += len(block.lo)
         first, rows = 0, _integrals(block, stream, 0, w_edge, upward)
-        for j in range(len(block.lo)):
+        for j in range(len(block[0])):
             value, err, w_far, w_err = rows[j - first]
             if not (math.isfinite(value) and math.isfinite(w_far)):
                 row = value, 0.0, w_far, 0
@@ -249,13 +245,14 @@ def _rows(read, stream, lo, hi, w_edge, upward, depth, floor, block=None):
                     # an error w_err in W is a relative error w_err in the integrand
                     row = value, err + w_err * abs(value), w_far, 0 if resolved else 1
                 else:
-                    row = _bisect(read, stream, block.lo[j], block.hi[j], w_edge, upward,
+                    row = _bisect(read, stream, lo[start + j], hi[start + j], w_edge, upward,
                                   depth, floor)
                     if row[2] != w_far:
                         # the later panels enter from the W its pieces left
                         first, rows = j + 1, _integrals(block, stream, j + 1, row[2], upward)
             yield row
             w_edge = row[2]
+        start += len(block[0])
         block = None
 
 
@@ -268,19 +265,12 @@ def _bisect(read, stream, lo, hi, w_edge, upward, depth, floor):
     return v1 + v2, e1 + e2, w_far, u1 + u2
 
 
+@np.errstate(all="ignore")       # as a decorator: one Python frame, not three
 def quad(f, a, b):
-    """(int_a^b f, its error estimate) on one panel, orientation kept: the
-    panel rule on f's values at the nodes, with no block around them."""
-    lo, hi = min(a, b), max(a, b)
-    with np.errstate(all="ignore"):
-        value, err = map(float, _values(np.asarray(f(_nodes(lo, hi)), dtype=float),
-                                        0.5 * (hi - lo)))
-        if not math.isfinite(value):
-            err = 0.0
-        elif not err <= REL_TOL * abs(value):
-            # no weight, so W and its error are 0 throughout; no floor
-            value, err, _, _ = _bisect(lambda xs: (f(xs),), (0, None), lo, hi, 0.0, True, 0,
-                                       lambda: 0.0)
+    """(int_a^b f, its error estimate), orientation kept: one row of ``_rows``
+    on [min(a, b), max(a, b)], with no weight and no floor."""
+    [(value, err, _, _)] = _rows(lambda xs: (f(xs),), (0, None), [min(a, b)], [max(a, b)],
+                                 0.0, True, 0, lambda: 0.0)
     return (value if a < b else -value), err
 
 
@@ -428,32 +418,33 @@ class _Scan:
         return None
 
 
+@np.errstate(all="ignore")
 def _run_panels(read, lo, hi, upward, streams):
     """Each stream's ``TailEstimate``, or the exception it met, from one scan
     of the panels [lo_i, hi_i] (lists, in scan order); a stream is (index of
     its integrand in what ``read`` returns, of its weight or None)."""
     scans = [_Scan() for _ in streams]
     start = 0
-    with np.errstate(all="ignore"):
-        while start < len(lo) and any(scan.outcome is None for scan in scans):
-            serve = [(stream, scan) for stream, scan in zip(streams, scans)
-                     if scan.outcome is None]
+    while start < len(lo) and any(scan.outcome is None for scan in scans):
+        serve = [(stream, scan) for stream, scan in zip(streams, scans)
+                 if scan.outcome is None]
+        try:
+            block = _block(read, lo[start:start + WINDOW + 1], hi[start:start + WINDOW + 1],
+                           {w for (_, w), _ in serve} - {None})
+        except Exception as exc:
+            for _, scan in serve:
+                scan.end("range-end", exc)
+            break
+        stop = start + len(block[0])
+        for stream, scan in serve:
             try:
-                block = _block(read, lo[start:start + WINDOW + 1], hi[start:start + WINDOW + 1],
-                               {w for (_, w), _ in serve} - {None})
-            except Exception as exc:
-                for _, scan in serve:
-                    scan.end("range-end", exc)
-                break
-            start += len(block.lo)
-            for stream, scan in serve:
-                try:
-                    for row in _rows(read, stream, block.lo, block.hi, scan.w_edge, upward, 0,
-                                     scan.err_floor, block):
-                        if scan.read(*row):
-                            break
-                except Exception as exc:        # from the stream's own bisections
-                    scan.end("range-end", exc)
+                for row in _rows(read, stream, lo[start:stop], hi[start:stop], scan.w_edge,
+                                 upward, 0, scan.err_floor, block):
+                    if scan.read(*row):
+                        break
+            except Exception as exc:        # from the stream's own bisections
+                scan.end("range-end", exc)
+        start = stop
     for scan in scans:
         if scan.outcome is None:
             scan.end("no-rule")
@@ -483,25 +474,12 @@ def _lower_scans(stop, floor, read, streams):
     return _run_panels(read, edges[1:], edges[:-1], False, streams)
 
 
-def _alone(f, weight):
-    """The read and the one stream of a scan of f, weighted by ``weight``."""
-    reads = (f,) if weight is None else (f, weight)
-    return (lambda xs: tuple(g(xs) for g in reads)), [(0, None if weight is None else 1)]
+def tail_verdict_upper(f, start):
+    """Convergence verdict for int_start^inf f over octave panels."""
+    return _settled(_upper_scans(start, lambda xs: (f(xs),), [(0, None)])[0])
 
 
-def tail_verdict_upper(f, start, *, weight=None):
-    """Convergence verdict for int_start^inf f over octave panels.
-
-    With ``weight`` R the integrand is f(z) exp(int_start^z R).
-    """
-    return _settled(_upper_scans(start, *_alone(f, weight))[0])
-
-
-def tail_verdict_lower(f, stop, *, floor=0.0, weight=None):
-    """Convergence verdict for int_floor^stop f, panelled toward floor.
-
-    Panels shrink geometrically toward ``floor`` (default 0), so an
-    endpoint singularity at the floor is probed octave by octave.  With
-    ``weight`` R the integrand is f(x) exp(-int_x^stop R).
-    """
-    return _settled(_lower_scans(stop, floor, *_alone(f, weight))[0])
+def tail_verdict_lower(f, stop):
+    """Convergence verdict for int_0^stop f, panelled toward 0: an endpoint
+    singularity at 0 is probed octave by octave."""
+    return _settled(_lower_scans(stop, 0.0, lambda xs: (f(xs),), [(0, None)])[0])

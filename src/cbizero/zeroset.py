@@ -37,7 +37,7 @@ from .classify import (
     _over,
     classify_zero_state,
 )
-from .flow import _ratio_func, solver
+from .flow import _ratio, solver
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -45,7 +45,7 @@ from .mechanisms import (
     Verdict,
     largest_root,
 )
-from .quadrature import FINITE, INFINITE, tail_verdict_lower
+from .quadrature import FINITE, INFINITE, _lower_scans, _settled
 
 DEFAULT_L_GRID = (1.0, 10.0, 100.0)
 DRIFT_PROBE = 1e6
@@ -131,9 +131,8 @@ class _WeightTransform:
     def lower(self, q, a):
         """(the lower piece at a, the scan behind it): inf when it diverges
         at q = 0, nan when undecided."""
-        phi_q = lambda u: self.phi.values(u) + q
         if self.root == 0.0:
-            scan = _inner_estimate(self.psi, phi_q, a, 0.0)
+            scan = _inner_estimate(self.psi, lambda u: self.phi.values(u) + q, a, 0.0)
             # 1 - J carries J/(1 - J) times J's error: a direct scan decided
             # by a strict rule goes first
             if scan.verdict == FINITE and (q == 0.0 or scan.rule != "slow-geometric"):
@@ -145,9 +144,11 @@ class _WeightTransform:
             j = 0.0 if gap == 0.0 else ((self.phi(a) - base) * gap
                                          / (self.psi(a) + (base + q) * gap))
             return (1.0 - j) / (base + q), None
-        parts = tail_verdict_lower(lambda x: (self.phi.values(x) - base)
-                                   * _over(self.psi.values(x)), a,
-                                   floor=self.root, weight=_ratio_func(self.psi, phi_q))
+
+        def read(x):    # J's integrand and its weight R_q share one evaluation
+            den, num = self.psi.values(x), self.phi.values(x)
+            return (num - base) * _over(den), _ratio(den, num + q)
+        parts = _settled(_lower_scans(a, self.root, read, [(0, 1)])[0])
         return ((1.0 - parts.total) / (base + q) if parts.verdict == FINITE else math.nan), parts
 
     def transform(self, q: float):

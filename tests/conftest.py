@@ -10,10 +10,10 @@ from cbizero import cutout, flow, mechanisms, quadrature
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts of the panels the rule integrates (the rows each scan's streams
-    read, bisected pieces and ``quad`` panels alike: each row ``_rows``
-    yields, and one per ``quad`` call), of the pieces alone (depth > 0) and
-    of the flow's finite-range ``quad`` calls, from the test's start on."""
+    """Counts of the panels the rule integrates (each row ``_rows`` yields:
+    the rows each scan's streams read, bisected pieces and ``quad`` panels
+    alike), of the pieces alone (depth > 0) and of the flow's finite-range
+    ``quad`` calls, from the test's start on."""
     counts = {"panels": 0, "pieces": 0, "quad": 0}
     rows, finite = quadrature._rows, flow.quad
     signature = inspect.signature(rows)
@@ -27,7 +27,6 @@ def engine_calls(monkeypatch):
 
     def counting_quad(*args, **kwargs):
         counts["quad"] += 1
-        counts["panels"] += 1
         return finite(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_rows", counting_rows)

@@ -550,34 +550,77 @@ def _batched_ladder_counts(sampler, T, reps, seed):
     return uncovered, opened
 
 
+def _uncovered_probability(sampler):
+    """p(t) = exp(-rate G(t)), the chance that t is uncovered: G from the
+    table up to its last knot, and past it by quadrature of the exact
+    tail, from which the kernels thin the offsets there."""
+    table = sampler._cumulative_tail
+
+    def p(t):
+        g = float(table(min(t, table.t_max)))
+        if t > table.t_max:
+            g += quad(lambda y: sampler.tail(y) / sampler.rate, table.t_max, t,
+                      epsabs=0.0, epsrel=1e-10)[0]
+        return math.exp(-sampler.rate * g)
+    return p
+
+
+def _uncovered_at(intervals, points):
+    """Whether each point lies in one of the sorted closed intervals."""
+    i = np.searchsorted(intervals[:, 0], points, "right") - 1
+    return (i >= 0) & (intervals[i, 1] >= points)
+
+
 class TestBatchedLadderLaw:
     """Identities of the eps-cutout that need no second kernel, on one
-    batch of replicates at a horizon where a quarter to a half of them
+    batch of replicates at a horizon where a fifth to a half of them
     are uncovered: T is uncovered with probability exp(-rate G(T)), and
     a birth opens a busy period exactly when it lands on an uncovered
     point, so the mean count of busy periods opening in [0, T] is rate
     times the integral of that.
     The integral is taken by quadrature: _expected_busy_periods, which
     sizes the ladder's rounds, puts one trapezoid on [0, eps], 7% high
-    here for the atom sampler (rate * eps = 1.025)."""
+    here for the atom sampler (rate * eps = 1.025), and keeps G flat
+    past the table's last knot, 15% high for the short table at T = 0.3."""
 
-    @pytest.mark.parametrize("name, T", [("feller sqrt", 0.2), ("atom", 0.15)])
+    # (replicates, seed) per sampler: at T = 0.3, three times the short
+    # table's last knot, most offsets are thinned from the exact tail, one
+    # Python call each, hence fewer replicates
+    RUNS = {"feller sqrt": (20_000, 34), "atom": (20_000, 34),
+            "feller drift": (20_000, 36), "ou 1.8": (20_000, 36),
+            "short table": (5_000, 36)}
+
+    @pytest.mark.parametrize("name, T", [("feller sqrt", 0.2), ("atom", 0.15),
+                                         ("feller drift", 0.003), ("ou 1.8", 0.003),
+                                         ("short table", 0.3)])
     def test_uncovered_fraction_and_busy_period_count(self, name, T):
-        s = SAMPLERS[name]()
-        reps = 20_000
-        uncovered, opened = _batched_ladder_counts(s, T, reps, 34)
-
-        def p(t):
-            return math.exp(-s.rate * float(s._cumulative_tail(t)))
-
+        reps, seed = self.RUNS[name]
+        s = _short_table_sampler() if name == "short table" else SAMPLERS[name]()
+        t_max = s._cumulative_tail.t_max
+        uncovered, opened = _batched_ladder_counts(s, T, reps, seed)
+        p = _uncovered_probability(s)
         assert 0.2 < p(T) < 0.5
         assert (abs(uncovered.mean() - p(T))
                 < Z_LEVEL_1E6 * math.sqrt(p(T) * (1.0 - p(T)) / reps))
-        count = s.rate * sum(quad(p, a, b, epsabs=0.0, epsrel=1e-10)[0]
-                             for a, b in ((0.0, s.eps), (s.eps, T)))
-        assert count == pytest.approx(_expected_busy_periods(s, T), rel=0.1)
+        pieces = ((0.0, s.eps), (s.eps, min(T, t_max)), (t_max, max(T, t_max)))
+        count = s.rate * sum(quad(p, a, b, epsabs=0.0, epsrel=1e-10)[0] for a, b in pieces)
+        if T <= t_max:
+            assert count == pytest.approx(_expected_busy_periods(s, T), rel=0.1)
         se = opened.std(ddof=1) / math.sqrt(reps)
         assert abs(opened.mean() - count) < Z_LEVEL_1E6 * se
+
+    @pytest.mark.parametrize("kernel", [_mark_sweep, _ladder_sweep])
+    def test_uncovered_pairs_are_regenerative(self, kernel):
+        # a cut born before s that covers t > s also covers s, so the
+        # uncovered set starts afresh at s: P(s and t uncovered) is
+        # p(s) p(t - s), which is 0.44 here where independence gives 0.28.
+        # t is the horizon, so the ladder's straddling period is redone
+        s = SAMPLERS["feller sqrt"]()
+        p, points, reps = _uncovered_probability(s), np.array([0.1, 0.11]), 3000
+        both = np.mean([_uncovered_at(kernel(points[1], s, _rng([37, i]))[0], points).all()
+                        for i in range(reps)])
+        want = p(points[0]) * p(points[1] - points[0])
+        assert abs(both - want) < Z_LEVEL_1E6 * math.sqrt(want * (1.0 - want) / reps)
 
 
 def _interp_inverse(self, u):

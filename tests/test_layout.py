@@ -11,6 +11,8 @@ tracer wraps evaluations by class name, and every family with a spec
 string defines ``values``, its array form over a panel's nodes, so a
 panel of a built-in family calls no ``__call__``.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
+Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
+every scan stream and every bisection.
 Every integral runs on the panel rule and both bracketed root solves
 (``largest_root`` and the sampler's beyond-table inversion) on
 ``quadrature.brent``: no module imports ``scipy``, and importing the
@@ -178,14 +180,32 @@ def test_no_module_function_only_forwards(module):
     assert offenders == []
 
 
+def _users(helper):
+    """The functions that name ``helper``, as module:function."""
+    return sorted({f"{name}:{fn.name}" for name, tree in TREES.items()
+                   for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == helper})
+
+
 @pytest.mark.parametrize("helper, caller", [("_dims_numeric", "classify_zero_state"),
                                             ("_dims_from_summary", "rv_fastpath")])
 def test_each_dimension_route_has_one_caller(helper, caller):
     # box_dims reads the report, so each route's dimensions come from one place
-    users = [f"{name}:{fn.name}" for name, tree in TREES.items()
-             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == helper]
-    assert users == [f"classify.py:{caller}"]
+    assert _users(helper) == [f"classify.py:{caller}"]
+
+
+@pytest.mark.parametrize("helper, caller", [("_bisect", "_rows"), ("_WEIGHTS", "_integrals")])
+def test_one_panel_path(helper, caller):
+    # quad, every scan stream and every bisection integrate and resolve a
+    # panel in _rows, and a weight is one more array of a stream's read
+    assert _users(helper) == [f"quadrature.py:{caller}"]
+
+
+@pytest.mark.parametrize("verdict", ["tail_verdict_upper", "tail_verdict_lower"])
+def test_single_stream_verdicts_take_no_options(verdict):
+    fn = next(node for node in TREES["quadrature.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == verdict)
+    assert fn.args.kwonlyargs == [] and fn.args.defaults == []
 
 
 def test_flow_solver_holds_only_its_mechanism():

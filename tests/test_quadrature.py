@@ -54,12 +54,23 @@ from cbizero.quadrature import (
 FELLER = StableBranching(d=1.0, alpha=2.0)
 
 
-def _upper(f, **kw):
-    return tail_verdict_upper(f, 1.0, **kw)
+def _upper(f):
+    return tail_verdict_upper(f, 1.0)
 
 
-def _lower(f, **kw):
-    return tail_verdict_lower(f, 1.0, **kw)
+def _lower(f):
+    return tail_verdict_lower(f, 1.0)
+
+
+def _weighted(upward, f, weight):
+    """The verdict of a scan from 1 of f times exp(W), W the running integral
+    of ``weight``: the stream (0, 1) of a two-array read."""
+    def read(xs):
+        return f(xs), weight(xs)
+
+    scans = (quadrature._upper_scans(1.0, read, [(0, 1)]) if upward
+             else quadrature._lower_scans(1.0, 0.0, read, [(0, 1)]))
+    return quadrature._settled(scans[0])
 
 
 # (integrand on [1, inf), integrand on (0, 1], verdict, rule, closed-form total)
@@ -139,7 +150,7 @@ class TestVerdictRules:
         with pytest.raises(ValueError):
             tail_verdict_upper(lambda z: 1.0, 0.0)
         with pytest.raises(ValueError):
-            tail_verdict_lower(lambda x: 1.0, 1.0, floor=1.0)
+            quadrature._lower_scans(1.0, 1.0, lambda x: (x, x), [(0, 1)])
 
 
 class TestPanelRule:
@@ -217,7 +228,7 @@ class TestScanErrorFloor:
         seen = set()
         for k in (1e-6, 1.0, 1e6):
             engine_calls["pieces"] = 0
-            est = _lower(lambda x: k / (x * x), weight=lambda x: c / (x * x))
+            est = _weighted(False, lambda x: k / (x * x), lambda x: c / (x * x))
             assert (est.verdict, est.rule) == (FINITE, "exhausted")
             assert est.total == pytest.approx(k / c, rel=1e-13)
             seen.add((engine_calls["pieces"], est.unresolved_panels))
@@ -524,7 +535,8 @@ class TestBlockRuleMatchesPanelByPanel:
             return 10.0 ** scale * f(z)
 
         verdict = tail_verdict_upper if upward else tail_verdict_lower
-        ours, reference = _both(lambda: verdict(scaled, 1.0, weight=weight))
+        ours, reference = _both(lambda: verdict(scaled, 1.0) if weight is None
+                                else _weighted(upward, scaled, weight))
         assert ours == reference
 
     @pytest.mark.parametrize("upward", [True, False])
@@ -533,8 +545,7 @@ class TestBlockRuleMatchesPanelByPanel:
         # fourth row, so the rows after it start from W as the pieces left it;
         # with the weight the integrand decays like 2^-0.1 per octave
         f, _ = _integrand(upward, -1.6 if upward else -1.4, False, 14.5, None, None, None)
-        verdict = tail_verdict_upper if upward else tail_verdict_lower
-        ours, reference = _both(lambda: verdict(f, 1.0, weight=lambda z: 0.5 / z))
+        ours, reference = _both(lambda: _weighted(upward, f, lambda z: 0.5 / z))
         assert ours == reference
         assert ours[2] >= 1 and len(ours[4]) > 15
 
@@ -622,8 +633,8 @@ class TestBlockRuleMatchesPanelByPanel:
         # read raises at one node of the panel's first half, which the
         # panel's own nodes miss, so the other stream reads on
         lo, hi = 2.0 ** 14, 2.0 ** 15
-        pieces = quadrature._nodes(lo, 0.5 * (lo + hi))
-        node = next(x for x in pieces[1:-1] if x not in quadrature._nodes(lo, hi))
+        [pieces], _ = quadrature._nodes([lo], [0.5 * (lo + hi)])
+        node = next(x for x in pieces[1:-1] if x not in quadrature._nodes([lo], [hi])[0])
         f1, _ = _integrand(True, -1.6, False, 14.5, None, None, None)
 
         def read(z):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
+from cbizero import quadrature
 from cbizero.mechanisms import (
     CustomBranching,
     CustomImmigration,
@@ -18,6 +19,7 @@ from cbizero.mechanisms import (
 from cbizero.zeroset import (
     ZeroSetError,
     _gzero_tail,
+    _transform_machine,
     gzero_density,
     lamperti_kappa,
     laplace_exponent,
@@ -244,6 +246,33 @@ class TestNoNestedQuadrature:
         # measured 1 and 82 for laplace_exponent, 2 and 82 for gzero_density
         assert 1 <= engine_calls["quad"] <= 3
         assert 70 <= engine_calls["panels"] <= 100
+
+
+class TestEachNodeReadOnce:
+    """The by-parts lower piece toward a positive root reads psi and phi once
+    per block of nodes: its integrand and its weight share one read."""
+
+    @pytest.mark.parametrize("q, want", [(0.0, "0x1.b110a2a5fba48p-1"),
+                                         (1.0, "0x1.c7ca1e0fc0c27p-2")])
+    def test_lower_piece_reads_each_mechanism_once(self, q, want, monkeypatch):
+        machine = _transform_machine(SUPER, ROOT_HALF)       # root 1
+        calls = {"reads": 0, QuadraticBranching: 0, StableImmigration: 0}
+        for family in (QuadraticBranching, StableImmigration):
+            def counting(self, u, values=family.values, family=family):
+                calls[family] += 1
+                return values(self, u)
+            monkeypatch.setattr(family, "values", counting)
+        block = quadrature._block
+
+        def counting_block(*args):
+            calls["reads"] += 1
+            return block(*args)
+        monkeypatch.setattr(quadrature, "_block", counting_block)
+        value, scan = machine.lower(q, 2.0)
+        assert (scan.verdict, scan.rule) == (quadrature.FINITE, "geometric")
+        # the bits the two-call read gave
+        assert value.hex() == want
+        assert calls[QuadraticBranching] == calls[StableImmigration] == calls["reads"] > 0
 
 
 class TestSelfSimilarIndex:
