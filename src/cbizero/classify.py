@@ -71,7 +71,7 @@ METHOD_CLOSED = "ClosedForm"
 _BOUNDARY_MARGIN = 1e-3
 
 # absolute times u of the dimension probes: a time change moves W(u) to
-# W(cu) - W(c), so these are not scale-free (ROADMAP item 2)
+# W(cu) - W(c), so these are not scale-free (ROADMAP item 1)
 _DIM_PROBES = (1e-4, 1e-6, 1e-8)
 
 

@@ -2,10 +2,14 @@
 
 Parses mechanism grammar strings and experiment parameters, dispatches
 to the library, and emits machine-readable reports (JSON or CSV, every
-float carrying 12 significant digits).  Exit codes: 0 success, 1 for
-domain or parse errors (diagnostic on stderr), 2 for an honest
-Inconclusive classification, so harnesses can tell "cannot decide"
-from "wrong".
+float carrying 12 significant digits).  Each option and its default
+live in ``build_parser`` alone, which names each command's handler.
+Inputs are checked by argparse (presence and type), by ``_check_run``
+(reps >= 1, T > 0 and 0 < eps <= T/10, before any mechanism is parsed)
+and by the mechanism classes (parameters finite and in range).  Exit
+codes: 0 success, 1 for usage, domain or parse errors (diagnostic on
+stderr), 2 for an honest Inconclusive classification, so harnesses can
+tell "cannot decide" from "wrong".
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -26,54 +29,14 @@ import numpy as np
 from .classify import INCONCLUSIVE_CLASS, TRIVIAL_POINT, classify_zero_state
 from .cutout import sample_cutout, statistics
 from .flow import FlowError, solver
-from .mechanisms import (
-    EvaluationError,
-    parse_branching,
-    parse_immigration,
-    parse_mechanism,
-)
+from .mechanisms import EvaluationError, parse_branching, parse_immigration
 from .ou import ou_classify, pushforward_ks, sample_ou_cutout
 from .zeroset import gzero_density, laplace_exponent
 
-__all__ = ["ExperimentConfig", "build_parser", "main", "parse_mechanism",
-           "run"]
+__all__ = ["build_parser", "main"]
 
 REPORT_DIR_ENV = "CBIZERO_REPORT_DIR"
-STOCHASTIC_COMMANDS = frozenset({"simulate", "ou"})
 PUSHFORWARD_POINTS = 10_000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully resolved CLI invocation."""
-
-    command: str
-    psi_spec: Optional[str] = None
-    phi_spec: Optional[str] = None
-    T: Optional[float] = None
-    eps: Optional[float] = None
-    reps: Optional[int] = None
-    seed: Optional[int] = None
-    alpha: Optional[float] = None
-    qs: Tuple[float, ...] = ()
-    ts: Tuple[float, ...] = ()
-    lam: float = 1.0
-    numeric_only: bool = False
-    dump_intervals: bool = False
-    out: Optional[str] = None
-    fmt: str = "json"
-
-    def validate(self) -> "ExperimentConfig":
-        if self.command in STOCHASTIC_COMMANDS:
-            if self.seed is None:
-                raise ValueError("seed is mandatory for stochastic commands")
-            if self.reps is None or self.reps < 1:
-                raise ValueError("reps must be at least 1")
-            if self.T is None or not self.T > 0.0:
-                raise ValueError("horizon T must be positive")
-            if self.eps is None or not 0.0 < self.eps <= self.T / 10.0:
-                raise ValueError("eps must lie in (0, T/10]")
-        return self
 
 
 # --- output plumbing ------------------------------------------------------
@@ -148,47 +111,56 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _emit(text: str, config: ExperimentConfig) -> None:
-    if config.out is None:
+def _emit(text: str, out: Optional[str]) -> None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        _write(_resolve_out(config.out), text)
+        _write(_resolve_out(out), text)
 
 
 # --- command handlers -----------------------------------------------------
 
-def _run_classify(config: ExperimentConfig) -> int:
-    psi = parse_branching(config.psi_spec)
-    phi = parse_immigration(config.phi_spec)
+def _check_run(args: argparse.Namespace) -> None:
+    """The bounds of a stochastic command that argparse cannot state."""
+    if args.reps < 1:
+        raise ValueError("reps must be at least 1")
+    if not args.T > 0.0:
+        raise ValueError("horizon T must be positive")
+    if not 0.0 < args.eps <= args.T / 10.0:
+        raise ValueError("eps must lie in (0, T/10]")
+
+
+def _run_classify(args: argparse.Namespace) -> int:
+    psi = parse_branching(args.psi)
+    phi = parse_immigration(args.phi)
     report = classify_zero_state(psi, phi,
-                                 numeric_only=config.numeric_only).as_dict()
-    _emit(_report_text(report, config.fmt), config)
+                                 numeric_only=args.numeric_only).as_dict()
+    _emit(_report_text(report, args.format), args.out)
     return 2 if report["zero_class"] == INCONCLUSIVE_CLASS else 0
 
 
-def _run_vflow(config: ExperimentConfig) -> int:
-    flow = solver(parse_branching(config.psi_spec))
+def _run_vflow(args: argparse.Namespace) -> int:
+    flow = solver(parse_branching(args.psi))
     rows = [{"t": t, "v_t": flow.v_from_infinity(t),
-             "v_t_lambda": flow.v_from_lambda(t, config.lam)}
-            for t in config.ts]
-    _emit(_table_text(rows, config.fmt), config)
+             "v_t_lambda": flow.v_from_lambda(t, args.lam)}
+            for t in args.t]
+    _emit(_table_text(rows, args.format), args.out)
     return 0
 
 
-def _run_laplace(config: ExperimentConfig) -> int:
-    psi = parse_branching(config.psi_spec)
-    phi = parse_immigration(config.phi_spec)
-    rows = [{"q": q, "L": laplace_exponent(psi, phi, q)} for q in config.qs]
-    _emit(_table_text(rows, config.fmt), config)
+def _run_laplace(args: argparse.Namespace) -> int:
+    psi = parse_branching(args.psi)
+    phi = parse_immigration(args.phi)
+    rows = [{"q": q, "L": laplace_exponent(psi, phi, q)} for q in args.q]
+    _emit(_table_text(rows, args.format), args.out)
     return 0
 
 
-def _run_gzero(config: ExperimentConfig) -> int:
-    psi = parse_branching(config.psi_spec)
-    phi = parse_immigration(config.phi_spec)
-    rows = [{"t": t, "density": gzero_density(psi, phi, t)}
-            for t in config.ts]
-    _emit(_table_text(rows, config.fmt), config)
+def _run_gzero(args: argparse.Namespace) -> int:
+    psi = parse_branching(args.psi)
+    phi = parse_immigration(args.phi)
+    rows = [{"t": t, "density": gzero_density(psi, phi, t)} for t in args.t]
+    _emit(_table_text(rows, args.format), args.out)
     return 0
 
 
@@ -202,29 +174,30 @@ def _dimension_grid(T: float, eps: float) -> list:
     return grid
 
 
-def _run_simulate(config: ExperimentConfig) -> int:
-    psi = parse_branching(config.psi_spec)
-    phi = parse_immigration(config.phi_spec)
-    grid = _dimension_grid(config.T, config.eps)
+def _run_simulate(args: argparse.Namespace) -> int:
+    _check_run(args)
+    psi = parse_branching(args.psi)
+    phi = parse_immigration(args.phi)
+    grid = _dimension_grid(args.T, args.eps)
     rows = []
     first = None
-    for i in range(config.reps):
-        rep_seed = config.seed + i
-        uncovered = sample_cutout(psi, phi, config.T, config.eps, rep_seed)
+    for i in range(args.reps):
+        rep_seed = args.seed + i
+        uncovered = sample_cutout(psi, phi, args.T, args.eps, rep_seed)
         if first is None:
             first = uncovered
         stats = statistics(uncovered, grid)
         rows.append({"seed": rep_seed, "lebesgue": stats["lebesgue"],
                      "g_last": stats["g_last"],
                      "dim_fit": stats["dim_fit"]["slope"]})
-    out_path = _resolve_out(config.out)
+    out_path = _resolve_out(args.out)
     _write(out_path, _table_text(rows, "csv"))
 
     slopes = [row["dim_fit"] for row in rows]
     summary = {
-        "psi": config.psi_spec, "phi": config.phi_spec,
-        "T": config.T, "eps": config.eps,
-        "reps": config.reps, "seed": config.seed,
+        "psi": args.psi, "phi": args.phi,
+        "T": args.T, "eps": args.eps,
+        "reps": args.reps, "seed": args.seed,
         "grid_sizes": grid,
         "lebesgue_mean": float(np.mean([r["lebesgue"] for r in rows])),
         "g_last_mean": float(np.mean([r["g_last"] for r in rows])),
@@ -232,45 +205,35 @@ def _run_simulate(config: ExperimentConfig) -> int:
         "dim_fit_sd": float(np.std(slopes)),
     }
     _write(out_path.with_suffix(".summary.json"), _json_text(summary))
-    if config.dump_intervals:
+    if args.dump_intervals:
         rows = [{"start": float(lo), "end": float(hi)} for lo, hi in first.intervals]
         _write(out_path.with_suffix(".intervals.csv"), _table_text(rows, "csv"))
     return 0
 
 
-def _run_ou(config: ExperimentConfig) -> int:
-    classification = ou_classify(config.alpha)
+def _run_ou(args: argparse.Namespace) -> int:
+    _check_run(args)
+    classification = ou_classify(args.alpha)
     if classification.zero_class == TRIVIAL_POINT:
         payload = {"class": classification.zero_class,
                    "dim_theory": classification.dim,
                    "dim_fit": None, "ks_pushforward": None}
     else:
-        grid = _dimension_grid(config.T, config.eps)
+        grid = _dimension_grid(args.T, args.eps)
         slopes = [
-            statistics(sample_ou_cutout(config.alpha, config.T, config.eps,
-                                        config.seed + i),
+            statistics(sample_ou_cutout(args.alpha, args.T, args.eps,
+                                        args.seed + i),
                        grid)["dim_fit"]["slope"]
-            for i in range(config.reps)
+            for i in range(args.reps)
         ]
         payload = {"class": classification.zero_class,
                    "dim_theory": classification.dim,
                    "dim_fit": float(np.mean(slopes)),
                    "ks_pushforward": pushforward_ks(
-                       config.alpha, config.eps, PUSHFORWARD_POINTS,
-                       config.seed)}
-    _emit(_report_text(payload, config.fmt), config)
+                       args.alpha, args.eps, PUSHFORWARD_POINTS,
+                       args.seed)}
+    _emit(_report_text(payload, args.format), args.out)
     return 0
-
-
-_HANDLERS = {"classify": _run_classify, "vflow": _run_vflow,
-             "laplace": _run_laplace, "gzero": _run_gzero,
-             "simulate": _run_simulate, "ou": _run_ou}
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one validated invocation; returns the exit code."""
-    config.validate()
-    return _HANDLERS[config.command](config)
 
 
 # --- argument parsing -----------------------------------------------------
@@ -316,12 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("classify", help="zero-set trichotomy for a pair")
+    p.set_defaults(run=_run_classify)
     _add_pair(p)
     p.add_argument("--numeric-only", action="store_true",
                    help="skip the regular-variation fast path")
     _add_output(p, "json")
 
     p = sub.add_parser("vflow", help="flow tables (t, v_t, v_t(lambda))")
+    p.set_defaults(run=_run_vflow)
     p.add_argument("--psi", required=True)
     p.add_argument("--t", required=True, type=_float_list,
                    help="comma-separated times")
@@ -330,18 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, "csv")
 
     p = sub.add_parser("laplace", help="subordinator Laplace exponent L(q)")
+    p.set_defaults(run=_run_laplace)
     _add_pair(p)
     p.add_argument("--q", required=True, type=_float_list,
                    help="comma-separated arguments")
     _add_output(p, "csv")
 
     p = sub.add_parser("gzero", help="density of the last zero")
+    p.set_defaults(run=_run_gzero)
     _add_pair(p)
     p.add_argument("--t", required=True, type=_float_list,
                    help="comma-separated times")
     _add_output(p, "csv")
 
     p = sub.add_parser("simulate", help="cutout replicates on [0, T]")
+    p.set_defaults(run=_run_simulate)
     _add_pair(p)
     p.add_argument("--T", required=True, type=float)
     p.add_argument("--eps", required=True, type=float,
@@ -355,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write replicate 0's uncovered intervals")
 
     p = sub.add_parser("ou", help="stable OU zero set")
+    p.set_defaults(run=_run_ou)
     p.add_argument("--alpha", required=True, type=float)
     p.add_argument("--T", required=True, type=float)
     p.add_argument("--eps", required=True, type=float)
@@ -365,31 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        psi_spec=getattr(args, "psi", None),
-        phi_spec=getattr(args, "phi", None),
-        T=getattr(args, "T", None),
-        eps=getattr(args, "eps", None),
-        reps=getattr(args, "reps", None),
-        seed=getattr(args, "seed", None),
-        alpha=getattr(args, "alpha", None),
-        qs=tuple(getattr(args, "q", ()) or ()),
-        ts=tuple(getattr(args, "t", ()) or ()),
-        lam=getattr(args, "lam", 1.0),
-        numeric_only=getattr(args, "numeric_only", False),
-        dump_intervals=getattr(args, "dump_intervals", False),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return args.run(args)
     except (ValueError, FlowError, EvaluationError) as exc:
         print(f"cbizero: error: {exc}", file=sys.stderr)
         return 1

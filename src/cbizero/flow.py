@@ -120,9 +120,9 @@ class FlowSolver:
 
     def v_from_lambda(self, t: float, lam: float) -> float:
         """Flow level after time t started from lam (lam at or above V_CAP means infinity)."""
-        if t < 0:
+        if not t >= 0:
             raise MechanismDomainError(f"time must be >= 0, got {t}")
-        if lam < 0:
+        if not lam >= 0:
             raise MechanismDomainError(f"initial level must be >= 0, got {lam}")
         if lam >= V_CAP:
             return self.v_from_infinity(t) if t > 0 else math.inf

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
@@ -203,6 +203,22 @@ class Mechanism:
     # the field of a user handle that __call__ wraps
     _handle_field: Optional[str] = None
 
+    def __post_init__(self):
+        # every number a mechanism is built from is finite and a user
+        # handle vanishes at 0; then the family checks its own range
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (value is None or callable(value) or math.isfinite(value)):
+                raise MechanismDomainError(
+                    f"{type(self).__name__} needs a finite {field.name}, got {value}")
+        handle = self._handle_field and getattr(self, self._handle_field)
+        if handle is not None:
+            _check_vanishes(handle, type(self).__name__)
+        self._check_range()
+
+    def _check_range(self):
+        pass
+
     def __call__(self, q: float) -> float:
         raise NotImplementedError
 
@@ -299,6 +315,8 @@ class ImmigrationMechanism(Mechanism):
     def scaled(self, c: float) -> "ImmigrationMechanism":
         """q -> c * phi(q) as a custom mechanism declaring this profile."""
         idx = self.profile()
+        if idx.inconclusive:  # nothing to declare: the copy probes its own
+            idx = GrowthProfile(None, None, None, None, inconclusive=True)
         return CustomImmigration(
             eval=lambda q, _p=self, _c=c: _c * _p(q),
             drift=c * self.linear_drift(),
@@ -318,7 +336,7 @@ def _check_vanishes(handle, name: str) -> None:
         at_zero = handle(0.0)
     except Exception as exc:
         raise EvaluationError(f"{name} handle failed at 0") from exc
-    if abs(at_zero) > 1e-9:
+    if not abs(at_zero) <= 1e-9:  # NaN fails too
         raise MechanismDomainError(f"{name} exponent must vanish at 0, got {at_zero}")
 
 
@@ -332,7 +350,7 @@ class StableBranching(BranchingMechanism):
     spec_family = "stable"
     spec_keys = {"d": "d", "alpha": "alpha"}
 
-    def __post_init__(self):
+    def _check_range(self):
         if not self.d > 0:
             raise MechanismDomainError(f"stable branching needs d > 0, got {self.d}")
         if not (1.0 < self.alpha <= 2.0):
@@ -389,7 +407,7 @@ class QuadraticBranching(BranchingMechanism):
     spec_family = "quadratic"
     spec_keys = {"b": "b", "sigma2": "sigma2"}
 
-    def __post_init__(self):
+    def _check_range(self):
         if self.sigma2 < 0:
             raise MechanismDomainError(f"sigma2 must be >= 0, got {self.sigma2}")
         if self.sigma2 == 0.0 and self.b == 0.0:
@@ -482,10 +500,9 @@ class CustomBranching(BranchingMechanism):
     ind0_upper: Optional[float] = None
     _handle_field = "eval"
 
-    def __post_init__(self):
+    def _check_range(self):
         if self.theta is not None and not self.theta > 0:
             raise MechanismDomainError("declared theta must be positive")
-        _check_vanishes(self.eval, "custom branching")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
@@ -521,7 +538,7 @@ class StableImmigration(ImmigrationMechanism):
     spec_family = "stable"
     spec_keys = {"d": "dprime", "beta": "beta"}
 
-    def __post_init__(self):
+    def _check_range(self):
         if not self.dprime > 0:
             raise MechanismDomainError(f"stable immigration needs d > 0, got {self.dprime}")
         if not (0.0 < self.beta <= 1.0):
@@ -561,7 +578,7 @@ class GammaImmigration(ImmigrationMechanism):
     spec_family = "gamma"
     spec_keys = {"a": "a", "b": "b"}
 
-    def __post_init__(self):
+    def _check_range(self):
         if not (self.a > 0 and self.b > 0):
             raise MechanismDomainError("gamma immigration needs a > 0 and b > 0")
 
@@ -612,7 +629,7 @@ class LampertiImmigration(ImmigrationMechanism):
     spec_family = "lamperti"
     spec_keys = {"beta": "beta"}
 
-    def __post_init__(self):
+    def _check_range(self):
         if not (0.0 < self.beta <= 1.0):
             raise MechanismDomainError(
                 f"lamperti immigration needs beta in (0, 1], got {self.beta}")
@@ -651,11 +668,9 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
     spec_keys = {"mass": "mass"}
     _handle_field = "tail"
 
-    def __post_init__(self):
+    def _check_range(self):
         if not self.mass > 0:
             raise MechanismDomainError(f"compound Poisson mass must be > 0, got {self.mass}")
-        if self.tail is not None:
-            _check_vanishes(self.tail, "compound Poisson")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
@@ -706,10 +721,9 @@ class CustomImmigration(ImmigrationMechanism):
     ind0_upper: Optional[float] = None
     _handle_field = "eval"
 
-    def __post_init__(self):
+    def _check_range(self):
         if self.drift < 0:
             raise MechanismDomainError("immigration drift must be >= 0")
-        _check_vanishes(self.eval, "custom immigration")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)

@@ -185,7 +185,8 @@ class TestSupercritical:
         assert reasons == ["supercritical", "supercritical"]
 
     def test_nan_near_zero_still_raises(self):
-        copy = CustomBranching(eval=lambda q: q * q if q > 1e-3 else math.nan)
+        # 0 at 0, which construction checks, and NaN on (0, 1e-3]
+        copy = CustomBranching(eval=lambda q: q * q if q > 1e-3 or q == 0.0 else math.nan)
         with pytest.raises(EvaluationError):
             classify_zero_state(copy, drift(0.5))
 

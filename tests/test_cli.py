@@ -4,59 +4,39 @@ import json
 
 import pytest
 
-from cbizero.cli import (
-    REPORT_DIR_ENV,
-    ExperimentConfig,
-    _dimension_grid,
-    build_parser,
-    main,
-)
+from cbizero.cli import REPORT_DIR_ENV, _dimension_grid, build_parser, main
 
 FELLER = "quadratic:b=0,sigma2=2"
 BROWNIAN_STABLE = "stable:d=1,alpha=2"
 SQRT_IMMIGRATION = "stable:d=1,beta=0.5"
 
 
+# a valid call of each stochastic command, less --T, --eps, --reps, --seed
+STOCHASTIC = {
+    "simulate": ("simulate", "--psi", BROWNIAN_STABLE, "--phi", SQRT_IMMIGRATION,
+                 "--out", "x.csv"),
+    "ou": ("ou", "--alpha", "1.5"),
+}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
 
+def run_stochastic(command, T, eps, reps, *extra):
+    return run_cli(*STOCHASTIC[command], "--T", T, "--eps", eps, "--reps", reps,
+                   "--seed", "1", *extra)
+
+
 class TestConfigValidation:
-    def base(self, **overrides):
-        fields = dict(command="simulate", psi_spec=BROWNIAN_STABLE,
-                      phi_spec=SQRT_IMMIGRATION, T=2.0, eps=0.2, reps=1,
-                      seed=1, out="x.csv")
-        fields.update(overrides)
-        return ExperimentConfig(**fields)
-
-    def test_valid_config_passes(self):
-        cfg = self.base()
-        assert cfg.validate() is cfg
-
-    def test_seed_mandatory_for_stochastic(self):
-        with pytest.raises(ValueError, match="seed is mandatory"):
-            self.base(seed=None).validate()
-
-    def test_reps_at_least_one(self):
-        with pytest.raises(ValueError, match="reps"):
-            self.base(reps=0).validate()
-
-    def test_horizon_positive(self):
-        with pytest.raises(ValueError, match="horizon"):
-            self.base(T=0.0).validate()
-
-    def test_eps_window(self):
-        with pytest.raises(ValueError, match="eps"):
-            self.base(eps=0.0).validate()
-        with pytest.raises(ValueError, match="eps"):
-            self.base(eps=0.2000001).validate()
-        # the boundary eps = T/10 is allowed
-        self.base(eps=0.2).validate()
-
-    def test_deterministic_commands_skip_stochastic_checks(self):
-        cfg = ExperimentConfig(command="classify", psi_spec=BROWNIAN_STABLE,
-                               phi_spec="stable:d=1,beta=1")
-        assert cfg.validate() is cfg
+    def test_seed_mandatory_for_stochastic(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+        for command, call in sorted(STOCHASTIC.items()):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*call, "--T", "2", "--eps", "0.2", "--reps", "1")
+            assert exc.value.code == 1, command
+            assert "--seed" in capsys.readouterr().err, command
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDimensionGrid:
@@ -181,6 +161,45 @@ class TestExitCodes:
                      "--reps", "1", "--seed", "1")
         assert rc == 1
         assert "T/10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(STOCHASTIC))
+    @pytest.mark.parametrize("T, eps, reps, message", [
+        ("0", "0.2", "1", "horizon T must be positive"),
+        ("2", "0", "1", "eps must lie in (0, T/10]"),
+        ("2", "0.2000001", "1", "eps must lie in (0, T/10]"),
+        ("2", "0.2", "0", "reps must be at least 1"),
+    ], ids=["horizon", "eps-zero", "eps-above-tenth", "reps-zero"])
+    def test_stochastic_bounds_are_one(self, command, T, eps, reps, message, capsys,
+                                       monkeypatch, tmp_path):
+        monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+        assert run_stochastic(command, T, eps, reps) == 1
+        assert capsys.readouterr() == ("", f"cbizero: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, mechanism", [
+        ("simulate", ("--psi", "stable:d=1")), ("ou", ("--alpha", "2.5"))],
+        ids=["simulate", "ou"])
+    def test_bounds_are_checked_before_the_mechanism(self, command, mechanism, capsys):
+        assert run_stochastic(command, "2", "0.2", "0", *mechanism) == 1
+        assert capsys.readouterr().err == "cbizero: error: reps must be at least 1\n"
+
+    @pytest.mark.parametrize("command", sorted(STOCHASTIC))
+    def test_eps_of_a_tenth_of_horizon_is_accepted(self, command, monkeypatch, tmp_path):
+        monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
+        assert run_stochastic(command, "2", "0.2", "1") == 0
+
+    @pytest.mark.parametrize("phi", ["stable:d=inf,beta=0.5", "stable:d=nan,beta=0.5"])
+    def test_non_finite_mechanism_parameter_is_one(self, phi, capsys):
+        rc = run_cli("classify", "--psi", BROWNIAN_STABLE, "--phi", phi)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "needs a finite dprime" in err
+
+    def test_nan_initial_level_is_one(self, capsys):
+        rc = run_cli("vflow", "--psi", FELLER, "--t", "1", "--lam", "nan")
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "initial level must be >= 0, got nan" in err
 
     def test_out_of_range_stability_index_is_one(self, capsys):
         rc = run_cli("ou", "--alpha", "2.5", "--T", "2", "--eps", "0.2",

@@ -550,6 +550,18 @@ def _batched_ladder_counts(sampler, T, reps, seed):
     return uncovered, opened
 
 
+def _mark_sweep_counts(sampler, T, reps, seed):
+    """Per replicate through the mark sweep, one seed each: whether T is
+    uncovered and the number of busy periods opening in [0, T], which
+    are the uncovered intervals that end before T."""
+    uncovered, opened = np.zeros(reps, dtype=bool), np.zeros(reps)
+    for i in range(reps):
+        intervals, frontier = _mark_sweep(T, sampler, _rng([seed, i]))
+        uncovered[i] = frontier <= T
+        opened[i] = np.count_nonzero(intervals[:, 1] < T)
+    return uncovered, opened
+
+
 def _uncovered_probability(sampler):
     """p(t) = exp(-rate G(t)), the chance that t is uncovered: G from the
     table up to its last knot, and past it by quadrature of the exact
@@ -581,7 +593,8 @@ class TestBatchedLadderLaw:
     The integral is taken by quadrature: _expected_busy_periods, which
     sizes the ladder's rounds, puts one trapezoid on [0, eps], 7% high
     here for the atom sampler (rate * eps = 1.025), and keeps G flat
-    past the table's last knot, 15% high for the short table at T = 0.3."""
+    past the table's last knot, 15% high for the short table at T = 0.3.
+    The mark sweep is gated on the same identities, one seed per replicate."""
 
     # (replicates, seed) per sampler: at T = 0.3, three times the short
     # table's last knot, most offsets are thinned from the exact tail, one
@@ -589,15 +602,19 @@ class TestBatchedLadderLaw:
     RUNS = {"feller sqrt": (20_000, 34), "atom": (20_000, 34),
             "feller drift": (20_000, 36), "ou 1.8": (20_000, 36),
             "short table": (5_000, 36)}
+    # replicates through the mark sweep, 3,000 unless listed: one call
+    # each, about 80 us at these horizons and 130 us for the short table
+    MARK_REPS = {"short table": 2_000}
+    HORIZONS = [("feller sqrt", 0.2), ("atom", 0.15), ("feller drift", 0.003),
+                ("ou 1.8", 0.003), ("short table", 0.3)]
 
-    @pytest.mark.parametrize("name, T", [("feller sqrt", 0.2), ("atom", 0.15),
-                                         ("feller drift", 0.003), ("ou 1.8", 0.003),
-                                         ("short table", 0.3)])
-    def test_uncovered_fraction_and_busy_period_count(self, name, T):
-        reps, seed = self.RUNS[name]
-        s = _short_table_sampler() if name == "short table" else SAMPLERS[name]()
-        t_max = s._cumulative_tail.t_max
-        uncovered, opened = _batched_ladder_counts(s, T, reps, seed)
+    @staticmethod
+    def _sampler(name):
+        return _short_table_sampler() if name == "short table" else SAMPLERS[name]()
+
+    @staticmethod
+    def _check_identities(s, T, uncovered, opened):
+        reps, t_max = uncovered.size, s._cumulative_tail.t_max
         p = _uncovered_probability(s)
         assert 0.2 < p(T) < 0.5
         assert (abs(uncovered.mean() - p(T))
@@ -608,6 +625,18 @@ class TestBatchedLadderLaw:
             assert count == pytest.approx(_expected_busy_periods(s, T), rel=0.1)
         se = opened.std(ddof=1) / math.sqrt(reps)
         assert abs(opened.mean() - count) < Z_LEVEL_1E6 * se
+
+    @pytest.mark.parametrize("name, T", HORIZONS)
+    def test_uncovered_fraction_and_busy_period_count(self, name, T):
+        reps, seed = self.RUNS[name]
+        s = self._sampler(name)
+        self._check_identities(s, T, *_batched_ladder_counts(s, T, reps, seed))
+
+    @pytest.mark.parametrize("name, T", HORIZONS)
+    def test_mark_sweep_keeps_the_identities(self, name, T):
+        s = self._sampler(name)
+        reps = self.MARK_REPS.get(name, 3_000)
+        self._check_identities(s, T, *_mark_sweep_counts(s, T, reps, 38))
 
     @pytest.mark.parametrize("kernel", [_mark_sweep, _ladder_sweep])
     def test_uncovered_pairs_are_regenerative(self, kernel):

@@ -136,6 +136,20 @@ class TestFlowFromLambda:
         s = solver(FELLER)
         assert s.v_from_lambda(0.5, 1e301) == s.v_from_infinity(0.5)
 
+    # NaN fails a "< 0" test: on the undeclared route it ran the inversion
+    # to "did not converge", on the closed route it answered nan
+    @pytest.mark.parametrize("psi", [FELLER, CustomBranching(eval=lambda q: q * q)],
+                             ids=["closed", "undeclared"])
+    def test_nan_time_rejected(self, psi):
+        with pytest.raises(MechanismDomainError, match="time must be >= 0"):
+            FlowSolver(psi=psi).v_from_lambda(math.nan, 1.0)
+
+    @pytest.mark.parametrize("psi", [FELLER, CustomBranching(eval=lambda q: q * q)],
+                             ids=["closed", "undeclared"])
+    def test_nan_level_rejected(self, psi):
+        with pytest.raises(MechanismDomainError, match="initial level must be >= 0"):
+            FlowSolver(psi=psi).v_from_lambda(1.0, math.nan)
+
     def test_inconsistent_custom_structure_raises(self):
         # positive dip below the detected largest root: not a convex exponent
         wild = CustomBranching(eval=lambda q: q * (q - 1.0) * (q - 2.0) * (q - 3.0),

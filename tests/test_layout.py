@@ -12,7 +12,8 @@ string defines ``values``, its array form over a panel's nodes, so a
 panel of a built-in family calls no ``__call__``.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
 Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
-every scan stream and every bisection.
+every scan stream and every bisection.  Each command-line option lives in
+the parser alone, so ``cli.py`` declares no dataclass.
 Every integral runs on the panel rule and both bracketed root solves
 (``largest_root`` and the sampler's beyond-table inversion) on
 ``quadrature.brent``: no module imports ``scipy``, and importing the
@@ -206,6 +207,14 @@ def test_single_stream_verdicts_take_no_options(verdict):
     fn = next(node for node in TREES["quadrature.py"].body
               if isinstance(node, ast.FunctionDef) and node.name == verdict)
     assert fn.args.kwonlyargs == [] and fn.args.defaults == []
+
+
+def test_cli_declares_no_dataclass():
+    # each option and its default live in the parser, which the handlers read
+    tree = TREES["cli.py"]
+    decorated = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+    assert decorated == [] and "dataclasses" not in set(_imported_modules(tree))
 
 
 def test_flow_solver_holds_only_its_mechanism():

@@ -102,6 +102,40 @@ class TestEvaluation:
     def test_custom_branching_must_vanish_at_zero(self):
         with pytest.raises(MechanismDomainError):
             CustomBranching(eval=lambda q: q + 1.0)
+        # abs(nan) > 1e-9 is False: a NaN at 0 must not pass for a zero
+        with pytest.raises(MechanismDomainError, match="vanish at 0"):
+            CustomBranching(eval=lambda q: math.nan)
+        with pytest.raises(MechanismDomainError, match="vanish at 0"):
+            CustomImmigration(eval=lambda q: math.nan)
+
+    @pytest.mark.parametrize("spec", [
+        "stable:d=inf,alpha=2", "stable:d=inf,beta=0.5", "quadratic:b=nan,sigma2=2",
+        "quadratic:b=0,sigma2=inf", "quadratic:b=-inf,sigma2=2", "gamma:a=inf,b=1",
+        "gamma:a=1,b=inf", "cpp:mass=inf"])
+    def test_non_finite_spec_parameter_rejected(self, spec):
+        with pytest.raises(MechanismParseError, match="needs a finite"):
+            parse_mechanism(spec)
+
+    @pytest.mark.parametrize("family, declared", [
+        (CustomBranching, {"theta": math.inf}),
+        (CustomBranching, {"ind_lower": math.nan}),
+        (CustomBranching, {"ind0_upper": math.inf}),
+        (CustomImmigration, {"drift": math.inf}),
+        (CustomImmigration, {"ind_upper": math.nan}),
+        (CustomImmigration, {"ind0_lower": math.nan}),
+    ])
+    def test_non_finite_declaration_rejected(self, family, declared):
+        name, = declared
+        with pytest.raises(MechanismDomainError, match=f"needs a finite {name}"):
+            family(eval=lambda q: q * q, **declared)
+
+    def test_scaled_copy_of_an_inconclusive_profile_declares_nothing(self):
+        # phi underflows at the probes near 0, so its slope there is NaN
+        phi = CustomImmigration(eval=lambda q: 1e-320 * q)
+        assert phi.profile().inconclusive
+        copy = scale_immigration(phi, 2.0)
+        assert copy.ind_lower is None and copy.ind0_upper is None
+        assert copy.profile().inconclusive
 
 
 # --- evaluation over an array of points ------------------------------------
