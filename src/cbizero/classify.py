@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowError, _ratio, _ratio_func, solver, weight_between
+from .flow import FlowError, _ratio, _ratio_func, solver
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
@@ -70,9 +70,11 @@ METHOD_CLOSED = "ClosedForm"
 # scaling, so an absolute margin on it is scale-free
 _BOUNDARY_MARGIN = 1e-3
 
-# absolute times u of the dimension probes: a time change moves W(u) to
-# W(cu) - W(c), so these are not scale-free (ROADMAP item 1)
-_DIM_PROBES = (1e-4, 1e-6, 1e-8)
+# the dimension slopes are read at the levels theta 2^k: theta is a sign
+# threshold and F(a) Phi(a) is unmoved by a time change (F/c times c Phi),
+# so the levels and the slopes are scale-free, and so is the spread allowed
+_DIM_OCTAVES = (40, 50, 60)
+_DIM_SPREAD = 1e-6
 
 
 class ClassificationError(ValueError):
@@ -273,13 +275,17 @@ def _dims_from_summary(summary: RegVarSummary):
 
 
 def _dims_numeric(psi, phi):
-    """Box-dimension probes 1 - W(u)/log(1/u) at shrinking u."""
-    fs = solver(psi)
-    v1 = fs.v_from_infinity(1.0)
-    samples = {u: 1.0 - weight_between(psi, phi, v1, fs.v_from_infinity(u)) / math.log(1.0 / u)
-               for u in _DIM_PROBES}
-    hi, lo = max(samples.values()), min(samples.values())
-    return _clip_unit(hi), _clip_unit(lo), {"samples": samples, "spread": hi - lo}
+    """(upper, lower) box dimensions from the local slopes 1 - F(a) Phi(a) at
+    a = theta 2^k, with their evidence: at u = F(a) the derivative of W(u) in
+    log(1/u) is u Phi(v_u).  None unless the slopes agree to _DIM_SPREAD."""
+    theta, fs = positivity_threshold(psi), solver(psi)
+    slopes = {}
+    for k in _DIM_OCTAVES:
+        a = theta * 2.0 ** k
+        slopes[k] = 1.0 - fs.tail_time(a) * phi(a)
+    hi, lo = max(slopes.values()), min(slopes.values())
+    evidence = {"theta": theta, "slopes": slopes, "spread": hi - lo}
+    return (_clip_unit(hi), _clip_unit(lo)) if hi - lo <= _DIM_SPREAD else None, evidence
 
 
 def box_dims(psi, phi):
@@ -455,8 +461,8 @@ def classify_zero_state(psi: BranchingMechanism,
         evidence["dims"] = {"rule": "heavy: positive Lebesgue measure, dimension 1"}
     elif zero_class in (TRANSIENT, RECURRENT):
         try:
-            *dims, evidence["dims"] = _dims_numeric(psi, phi)
-        except FlowError as exc:    # W unresolved, as where v_1 rounds onto a root
+            dims, evidence["dims"] = _dims_numeric(psi, phi)
+        except FlowError as exc:    # F unresolved, as where psi overflows at a level
             evidence["dims"] = {"error": str(exc), **exc.evidence}
     return _report(psi, phi, grey, zero_class, heavy, dims, METHOD_NUMERIC, evidence,
                    stationary)

@@ -5,7 +5,8 @@ to the library, and emits machine-readable reports (JSON or CSV, every
 float carrying 12 significant digits).  Each option and its default
 live in ``build_parser`` alone, which names each command's handler.
 Inputs are checked by argparse (presence and type), by ``_check_run``
-(reps >= 1, T > 0 and 0 < eps <= T/10, before any mechanism is parsed)
+(reps >= 1, T > 0 finite and 0 < eps <= T/10, before any mechanism is
+parsed)
 and by the mechanism classes (parameters finite and in range).  Exit
 codes: 0 success, 1 for usage, domain or parse errors (diagnostic on
 stderr), 2 for an honest Inconclusive classification, so harnesses can
@@ -126,6 +127,8 @@ def _check_run(args: argparse.Namespace) -> None:
         raise ValueError("reps must be at least 1")
     if not args.T > 0.0:
         raise ValueError("horizon T must be positive")
+    if math.isinf(args.T):
+        raise ValueError("horizon T must be finite")
     if not 0.0 < args.eps <= args.T / 10.0:
         raise ValueError("eps must lie in (0, T/10]")
 

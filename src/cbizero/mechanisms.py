@@ -164,17 +164,6 @@ def _probe_profile(fn) -> GrowthProfile:
     return GrowthProfile(lo_inf, hi_inf, lo_0, hi_0, inconclusive=inconclusive)
 
 
-def _declared_or_probe(mech) -> GrowthProfile:
-    declared = (mech.ind_lower, mech.ind_upper, mech.ind0_lower, mech.ind0_upper)
-    if all(v is not None for v in declared):
-        return GrowthProfile(*declared, inconclusive=False)
-    probed = _probe_profile(mech)
-    merged = [d if d is not None else p
-              for d, p in zip(declared, (probed.ind_lower_inf, probed.ind_upper_inf,
-                                         probed.ind_lower_0, probed.ind_upper_0))]
-    return GrowthProfile(*merged, inconclusive=probed.inconclusive)
-
-
 _THETA_MAX_EXP = 100
 _THETA_SAMPLES = 50
 
@@ -487,22 +476,12 @@ class QuadraticBranching(BranchingMechanism):
 class CustomBranching(BranchingMechanism):
     """User-supplied branching exponent.
 
-    ``theta`` (positivity threshold) and the four growth indices are
-    optional declarations; anything left None, the largest root and the
-    derivative at 0 are located, probed or differenced numerically.
+    Its positivity threshold, growth profile, largest root and derivative
+    at 0 are probed, located or differenced numerically from the handle.
     """
 
     eval: Callable[[float], float]
-    theta: Optional[float] = None
-    ind_lower: Optional[float] = None
-    ind_upper: Optional[float] = None
-    ind0_lower: Optional[float] = None
-    ind0_upper: Optional[float] = None
     _handle_field = "eval"
-
-    def _check_range(self):
-        if self.theta is not None and not self.theta > 0:
-            raise MechanismDomainError("declared theta must be positive")
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
@@ -512,20 +491,6 @@ class CustomBranching(BranchingMechanism):
             return math.inf
         except Exception as exc:
             raise EvaluationError(f"custom branching handle failed at q={q}") from exc
-
-    def profile(self):
-        return _declared_or_probe(self)
-
-    def probed_threshold(self):
-        if self.theta is None:
-            return super().probed_threshold()
-        theta = 1.0
-        while theta < self.theta:
-            theta *= 2.0
-        if not _positive_beyond(self, theta):
-            raise PositivityError(
-                f"declared threshold {self.theta} fails the positivity probe")
-        return theta
 
 
 @dataclass(frozen=True)
@@ -654,19 +619,15 @@ class LampertiImmigration(ImmigrationMechanism):
 
 @dataclass(frozen=True)
 class CompoundPoissonImmigration(ImmigrationMechanism):
-    """Driftless immigration with finite jump-measure mass.
-
-    ``tail`` is an optional handle for the full exponent (bounded by
-    ``mass``); when omitted, unit-mean exponential jumps are used, i.e.
-    phi(q) = mass * q / (1 + q).
+    """Driftless immigration with finite jump-measure mass and unit-mean
+    exponential jumps: phi(q) = mass * q / (1 + q).  Any other bounded
+    exponent is a ``CustomImmigration``.
     """
 
     mass: float
-    tail: Optional[Callable[[float], float]] = None
 
     spec_family = "cpp"
     spec_keys = {"mass": "mass"}
-    _handle_field = "tail"
 
     def _check_range(self):
         if not self.mass > 0:
@@ -674,39 +635,20 @@ class CompoundPoissonImmigration(ImmigrationMechanism):
 
     def __call__(self, q: float) -> float:
         _check_arg(q)
-        if self.tail is not None:
-            try:
-                return self.tail(q)
-            except Exception as exc:
-                raise EvaluationError(f"compound Poisson handle failed at q={q}") from exc
         return self.mass * q / (1.0 + q)
 
     def values(self, qs):
-        if self.tail is not None:
-            return super().values(qs)
         _check_arg(qs.min())
         return self.mass * qs / (1.0 + qs)
 
     def profile(self):
-        if self.tail is None:
-            return GrowthProfile.power(0.0, self.mass, 1.0, self.mass)
-        return super().profile()
+        return GrowthProfile.power(0.0, self.mass, 1.0, self.mass)
 
     def compound_poisson(self):
         return Verdict.yes({"family": "compound-poisson", "mass": self.mass})
 
     def scaled(self, c):
-        if self.tail is None:
-            return CompoundPoissonImmigration(mass=c * self.mass)
-        base = self.tail
-        return CompoundPoissonImmigration(mass=c * self.mass,
-                                          tail=lambda q: c * base(q))
-
-    def spec(self):
-        if self.tail is not None:
-            raise MechanismDomainError(
-                "compound Poisson with a custom handle has no spec-string form")
-        return super().spec()
+        return CompoundPoissonImmigration(mass=c * self.mass)
 
 
 @dataclass(frozen=True)
@@ -735,7 +677,14 @@ class CustomImmigration(ImmigrationMechanism):
             raise EvaluationError(f"custom immigration handle failed at q={q}") from exc
 
     def profile(self):
-        return _declared_or_probe(self)
+        declared = (self.ind_lower, self.ind_upper, self.ind0_lower, self.ind0_upper)
+        if all(v is not None for v in declared):
+            return GrowthProfile(*declared, inconclusive=False)
+        probed = _probe_profile(self)
+        merged = [d if d is not None else p
+                  for d, p in zip(declared, (probed.ind_lower_inf, probed.ind_upper_inf,
+                                             probed.ind_lower_0, probed.ind_upper_0))]
+        return GrowthProfile(*merged, inconclusive=probed.inconclusive)
 
     def linear_drift(self):
         return self.drift

@@ -95,6 +95,8 @@ def log_weight(psi, phi, t: float) -> float:
     """W(t), the log of the unnormalized last-zero density."""
     if t <= 0.0:
         raise MechanismDomainError("time must be positive")
+    if not math.isfinite(t):
+        raise MechanismDomainError(f"time t must be finite, got {t}")
     machine = _transform_machine(psi, phi)
     return machine.log_weight(t, machine.flow.v_from_infinity(t))
 
@@ -190,6 +192,8 @@ def laplace_exponent(psi, phi, q: float) -> float:
     """
     if q < 0.0:
         raise MechanismDomainError("Laplace argument must be nonnegative")
+    if not math.isfinite(q):
+        raise MechanismDomainError(f"Laplace argument q must be finite, got {q}")
     if _require_subordinator(psi, phi) == RECURRENT and q == 0.0:
         return 0.0                  # an unbounded zero set: int exp(W) diverges
     machine = _transform_machine(psi, phi)
@@ -218,6 +222,8 @@ def gzero_density(psi, phi, t: float) -> float:
     """Density of the last zero g_inf; defined for bounded zero sets."""
     if t <= 0.0:
         raise MechanismDomainError("density argument must be positive")
+    if not math.isfinite(t):
+        raise MechanismDomainError(f"density argument t must be finite, got {t}")
     _, norm = _last_zero_law(psi, phi)
     try:
         return math.exp(log_weight(psi, phi, t)) / norm

@@ -22,8 +22,8 @@ from cbizero.classify import (
     regvar_summary,
     rv_fastpath,
     stationary_exists,
-    weight_between,
 )
+from cbizero.flow import weight_between
 from cbizero.mechanisms import (
     CompoundPoissonImmigration,
     CustomBranching,
@@ -431,6 +431,32 @@ class TestBoxDims:
             if report.zero_class == POLAR:
                 continue
             assert box_dims(psi, phi) == (report.dim_upper, report.dim_lower)
+
+    # the criterion-1 grid, and the quadratic pairs whose W(u) has a constant
+    # term that biased the old probes 1 - W(u)/log(1/u)
+    AGREEMENT = ([(StableBranching(d=d, alpha=alpha), StableImmigration(dprime=dprime, beta=beta))
+                  for alpha, beta, d, dprime in classification_grid()]
+                 + [(QuadraticBranching(b=b, sigma2=2.0), drift(0.5)) for b in (-1.0, 0.0, 1.0)])
+
+    @pytest.mark.parametrize("route", ["family", "custom"])
+    def test_numeric_bracket_holds_the_fast_path_dimensions(self, route):
+        # wherever the fast path gives dimensions, the numeric bracket of the
+        # pair and of its undeclared copy contains them to 1e-6, or is None
+        checked = 0
+        for psi, phi in self.AGREEMENT:
+            fast = classify_zero_state(psi, phi)
+            if fast.dim_upper is None:
+                continue
+            if route == "custom":
+                psi, phi = (CustomBranching(eval=lambda q, f=psi: f(q)),
+                            CustomImmigration(eval=lambda q, f=phi: f(q)))
+            numeric = classify_zero_state(psi, phi, numeric_only=True)
+            if numeric.dim_upper is None:
+                continue
+            for dim in (fast.dim_upper, fast.dim_lower):
+                assert numeric.dim_lower - 1e-6 <= dim <= numeric.dim_upper + 1e-6
+            checked += 1
+        assert checked == 16        # every bracket resolves on these pairs
 
     def test_numeric_probes_track_exact_value(self):
         # numeric fallback on a pair whose exact dimension is 0.75

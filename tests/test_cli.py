@@ -165,10 +165,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", sorted(STOCHASTIC))
     @pytest.mark.parametrize("T, eps, reps, message", [
         ("0", "0.2", "1", "horizon T must be positive"),
+        ("inf", "0.2", "1", "horizon T must be finite"),
         ("2", "0", "1", "eps must lie in (0, T/10]"),
         ("2", "0.2000001", "1", "eps must lie in (0, T/10]"),
         ("2", "0.2", "0", "reps must be at least 1"),
-    ], ids=["horizon", "eps-zero", "eps-above-tenth", "reps-zero"])
+    ], ids=["horizon", "horizon-inf", "eps-zero", "eps-above-tenth", "reps-zero"])
     def test_stochastic_bounds_are_one(self, command, T, eps, reps, message, capsys,
                                        monkeypatch, tmp_path):
         monkeypatch.setenv(REPORT_DIR_ENV, str(tmp_path))
@@ -200,6 +201,17 @@ class TestExitCodes:
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == "" and "initial level must be >= 0, got nan" in err
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("laplace", "--q", "inf", "Laplace argument q must be finite, got inf"),
+        ("laplace", "--q", "nan", "Laplace argument q must be finite, got nan"),
+        ("gzero", "--t", "inf", "density argument t must be finite, got inf"),
+        ("gzero", "--t", "nan", "density argument t must be finite, got nan"),
+    ], ids=["q-inf", "q-nan", "t-inf", "t-nan"])
+    def test_non_finite_law_argument_is_one(self, command, option, value, message, capsys):
+        rc = run_cli(command, "--psi", FELLER, "--phi", SQRT_IMMIGRATION, option, value)
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"cbizero: error: {message}\n")
 
     def test_out_of_range_stability_index_is_one(self, capsys):
         rc = run_cli("ou", "--alpha", "2.5", "--T", "2", "--eps", "0.2",

@@ -152,8 +152,7 @@ class TestFlowFromLambda:
 
     def test_inconsistent_custom_structure_raises(self):
         # positive dip below the detected largest root: not a convex exponent
-        wild = CustomBranching(eval=lambda q: q * (q - 1.0) * (q - 2.0) * (q - 3.0),
-                               theta=4.0)
+        wild = CustomBranching(eval=lambda q: q * (q - 1.0) * (q - 2.0) * (q - 3.0))
         s = FlowSolver(psi=wild)
         with pytest.raises(FlowError):
             s.v_from_lambda(1.0, 2.5)

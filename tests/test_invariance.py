@@ -12,6 +12,8 @@ Three exact relations (Kawazu & Watanabe 1971) must hold on every route:
 * space scaling: (psi(k .)/k, phi(k .)) are the mechanisms of kX, whose
   zero set is that of X, so the zero class and L(q) do not move.
 
+Both keep the box dimensions of the zero set, on every route.
+
 Heaviness, the convergence of int^inf Phi/Psi, keeps its verdict under
 both: the time change leaves R = Phi/Psi as it is, and space scaling
 turns it into k R(k .), whose integral is the same.
@@ -139,6 +141,13 @@ def test_time_change_keeps_the_zero_class(name, route, c):
     want = classify_zero_state(psi, phi)
     scaled = classify_zero_state(_time_scaled(psi, c), _immigration_scaled(phi, c))
     assert (scaled.zero_class, scaled.method) == (want.zero_class, want.method)
+    _same_dims(scaled, want)
+
+
+def _same_dims(got, want):
+    """The box dimensions of the zero set, which both relations keep."""
+    assert (got.dim_upper, got.dim_lower) == pytest.approx((want.dim_upper, want.dim_lower),
+                                                           abs=1e-9)
 
 
 def _same_heaviness(psi, phi, scaled):
@@ -204,7 +213,9 @@ def _space_cases():
 def test_space_scaling_keeps_class_and_exponent(name, route, k):
     psi, phi = _pair(name, route)
     scaled = _space_scaled(psi, phi, k)
-    assert classify_zero_state(*scaled).zero_class == classify_zero_state(psi, phi).zero_class
+    got, want = classify_zero_state(*scaled), classify_zero_state(psi, phi)
+    assert got.zero_class == want.zero_class
+    _same_dims(got, want)
     for q in QS:
         assert laplace_exponent(*scaled, q) == pytest.approx(
             laplace_exponent(psi, phi, q), rel=1e-9)

@@ -11,6 +11,8 @@ tracer wraps evaluations by class name, and every family with a spec
 string defines ``values``, its array form over a panel's nodes, so a
 panel of a built-in family calls no ``__call__``.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
+A custom branching declares nothing beside its handle, and the compound
+Poisson family nothing beside its mass.
 Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
 every scan stream and every bisection.  Each command-line option lives in
 the parser alone, so ``cli.py`` declares no dataclass.
@@ -222,6 +224,15 @@ def test_flow_solver_holds_only_its_mechanism():
                   if isinstance(node, ast.ClassDef) and node.name == "FlowSolver")
     fields = [node.target.id for node in solver.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["psi"]
+
+
+@pytest.mark.parametrize("family, want", [("CustomBranching", ["eval"]),
+                                          ("CompoundPoissonImmigration", ["mass"])])
+def test_probed_facts_are_not_declared(family, want):
+    # a custom branching's threshold and indices are probed from its handle,
+    # and a bounded exponent other than mass q/(1+q) is a CustomImmigration
+    body = _family_classes()[family].body
+    assert [node.target.id for node in body if isinstance(node, ast.AnnAssign)] == want
 
 
 def _imported_modules(tree):

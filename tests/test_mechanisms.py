@@ -117,9 +117,6 @@ class TestEvaluation:
             parse_mechanism(spec)
 
     @pytest.mark.parametrize("family, declared", [
-        (CustomBranching, {"theta": math.inf}),
-        (CustomBranching, {"ind_lower": math.nan}),
-        (CustomBranching, {"ind0_upper": math.inf}),
         (CustomImmigration, {"drift": math.inf}),
         (CustomImmigration, {"ind_upper": math.nan}),
         (CustomImmigration, {"ind0_lower": math.nan}),
@@ -155,7 +152,8 @@ ARRAY_FAMILIES = {
 # families whose values are the pointwise calls bit for bit
 FALLBACK_FAMILIES = {
     "lamperti": LampertiImmigration(beta=0.5),
-    "cpp-tail": CompoundPoissonImmigration(mass=2.0, tail=lambda q: 2.0 * -math.expm1(-q)),
+    # a user-written compound-Poisson exponent is a custom immigration
+    "cpp-tail": CustomImmigration(eval=lambda q: 2.0 * -math.expm1(-q)),
 }
 
 
@@ -225,9 +223,8 @@ class TestArrayEvaluation:
             return str(exc)
 
     @pytest.mark.parametrize("make", [
-        lambda h: CustomBranching(eval=h), lambda h: CustomImmigration(eval=h),
-        lambda h: CompoundPoissonImmigration(mass=1.0, tail=h)],
-        ids=["branching", "immigration", "compound-poisson"])
+        lambda h: CustomBranching(eval=h), lambda h: CustomImmigration(eval=h)],
+        ids=["branching", "immigration"])
     def test_failing_handle_reads_as_pointwise_calls(self, make):
         # a bare handle that raises anywhere hands the array to __call__:
         # the values, or the error naming the first point that fails, are

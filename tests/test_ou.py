@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest, linregress
 
 from cbizero.classify import RECURRENT, TRIVIAL_POINT
-from cbizero.cutout import CutoutError, sample_durations, statistics
-from cbizero.mechanisms import MechanismDomainError
+from cbizero.cutout import CutoutError, DurationSampler, sample_durations, statistics
+from cbizero.mechanisms import MechanismDomainError, QuadraticBranching, StableImmigration
 from cbizero.ou import (
     StableOUSpec,
     cutting_density,
@@ -157,6 +157,20 @@ class TestDurationLaw:
             return 1.0 - np.exp(mass - v - np.log1p(-np.exp(-v)))
 
         assert kstest(d, cdf).statistic < 0.02
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
+    def test_is_the_cutout_of_a_cbi(self, alpha, eps):
+        # psi = q + q^2 has v_t = 1/expm1(t), so phi(q) = q/alpha cuts with the
+        # tail (1/alpha)/(e^z - 1) of the cutting measure
+        want = ou_sampler(alpha, eps)
+        got = DurationSampler.from_mechanisms(QuadraticBranching(b=1.0, sigma2=2.0),
+                                              StableImmigration(dprime=1.0 / alpha, beta=1.0),
+                                              eps)
+        assert got.rate == pytest.approx(want.rate, rel=1e-15, abs=0.0)
+        assert got.atom == want.atom == 0.0
+        assert got.log_tail_rev.size == want.log_tail_rev.size
+        np.testing.assert_allclose(got.log_tail_rev, want.log_tail_rev, rtol=0.0, atol=1e-14)
 
     def test_matches_pushforward_law(self):
         # both pipelines target the truncated normalized cutting measure

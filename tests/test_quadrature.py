@@ -284,9 +284,9 @@ class TestNoNestedQuadrature:
         report = classify_zero_state(FELLER, StableImmigration(dprime=0.5, beta=1.0),
                                      numeric_only=True)
         assert report.zero_class == "Recurrent"
-        assert engine_calls["quad"] == 3               # one per dimension probe
-        # 47 with the cached checks warm, 69 cold
-        assert 47 <= engine_calls["panels"] <= 100
+        assert engine_calls["quad"] == 0               # the family's F(a) is closed
+        # 44 with the cached checks warm, 66 cold
+        assert 44 <= engine_calls["panels"] <= 100
 
 
 class TestFiniteRangeAndRangeEnd:

@@ -134,6 +134,12 @@ class TestLogWeight:
                   for t in (0.1, 1.0, 10.0, 100.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # a NaN passes t <= 0, and an infinite t would read as a flow time
+        with pytest.raises(MechanismDomainError, match=f"time t must be finite, got {t}"):
+            log_weight(FELLER, ROOT_HALF, t)
+
 
 class TestGZeroDensity:
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
