@@ -112,6 +112,8 @@ class UncoveredSet:
             raise CutoutError("intervals must be sorted and disjoint")
         if iv[-1, 1] > self.horizon or np.any(iv < 0.0):
             raise CutoutError("intervals must lie within [0, horizon]")
+        if not np.isfinite(iv).all():   # a NaN fails every comparison above
+            raise CutoutError("interval endpoints must be finite")
         return self
 
 
@@ -622,6 +624,9 @@ def statistics(uncovered: UncoveredSet, grid_sizes: Sequence[float]) -> dict:
     deltas = [float(d) for d in grid_sizes]
     if len(deltas) < 2:
         raise CutoutError("need at least two grid sizes for a dimension fit")
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise CutoutError(f"grid size {delta} is not finite")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise CutoutError("grid sizes must be strictly decreasing")
     if deltas[-1] < uncovered.eps:

@@ -28,7 +28,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -563,21 +563,13 @@ class GammaImmigration(ImmigrationMechanism):
         return GammaImmigration(a=c * self.a, b=self.b)
 
 
-def _lamperti(q: float, beta: float, lgamma_beta: float) -> float:
-    """Gamma(beta + q) / (Gamma(beta) Gamma(q)) at q >= 0, given lgamma(beta)."""
-    if q == 0.0:
-        return 0.0
-    try:
-        if q >= 1e6:
-            # lgamma(beta + q) - lgamma(q) loses ~log10(q lnq) digits to
-            # cancellation; switch to the ratio expansion, exact to machine
-            # precision here since the q**-2 term is below 1e-16
-            log_ratio = (beta * math.log(q)
-                         + math.log1p(beta * (beta - 1.0) / (2.0 * q)))
-            return math.exp(log_ratio - lgamma_beta)
-        return math.exp(math.lgamma(beta + q) - lgamma_beta - math.lgamma(q))
-    except OverflowError:
-        return math.inf
+# Bernoulli numbers B_0 ... B_12, with B_1 = -1/2
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0,
+              -691 / 2730)
+# log Gamma(z + beta) - log Gamma(z) is its asymptotic series from z = 16
+# on; below, Gamma(x + 1) = x Gamma(x) carries the ratio from z = q + 16
+_SHIFT = 16
+_STEPS = np.arange(float(_SHIFT))[:, None]
 
 
 @dataclass(frozen=True)
@@ -599,16 +591,49 @@ class LampertiImmigration(ImmigrationMechanism):
             raise MechanismDomainError(
                 f"lamperti immigration needs beta in (0, 1], got {self.beta}")
 
+    @cached_property
+    def _series(self):
+        """The coefficients a_12 ... a_1 of log Gamma(z + beta) - log Gamma(z)
+        - beta log z = sum_k a_k z**-k (DLMF 5.11.8, whose next term is under
+        1e-17 from z = 16 on), a_k = (-1)**(k+1) (B_{k+1}(beta) - B_{k+1}(0))
+        / (k (k + 1)), and 1/Gamma(beta)."""
+        coefs = [(-1) ** n * sum(math.comb(n, m) * b * self.beta ** (n - m)
+                                 for m, b in enumerate(_BERNOULLI[:n])) / (n * (n - 1))
+                 for n in range(len(_BERNOULLI), 1, -1)]
+        return coefs, 1.0 / math.gamma(self.beta)
+
     def __call__(self, q: float) -> float:
+        # the arithmetic of values, in its order
         _check_arg(q)
-        return _lamperti(q, self.beta, math.lgamma(self.beta))
+        coefs, inv_gamma = self._series
+        z = q + _SHIFT if q < _SHIFT else q
+        w = 1.0 / z
+        series = coefs[0] * w
+        for a in coefs[1:]:
+            series = (series + a) * w
+        value = z ** self.beta * math.exp(series) * inv_gamma
+        if q < _SHIFT:
+            ratio = 1.0
+            for j in range(_SHIFT):
+                ratio *= (q + j) / (q + j + self.beta)
+            value *= ratio
+        return value
 
     def values(self, qs):
-        # numpy has no lgamma: one scalar evaluation per point, with
-        # lgamma(beta) hoisted, so the bits are __call__'s
         _check_arg(qs.min())
-        lgamma_beta = math.lgamma(self.beta)
-        return np.array([_lamperti(q, self.beta, lgamma_beta) for q in qs.tolist()])
+        coefs, inv_gamma = self._series
+        small = qs < _SHIFT
+        z = np.where(small, qs + _SHIFT, qs)
+        w = 1.0 / z
+        series = coefs[0] * w
+        for a in coefs[1:]:     # Horner, in place
+            series += a
+            series *= w
+        out = z ** self.beta * np.exp(series) * inv_gamma
+        if small.any():
+            steps = qs[small] + _STEPS
+            out[small] *= np.multiply.reduce(steps / (steps + self.beta))
+        return out
 
     def profile(self):
         return GrowthProfile.power(self.beta, 1.0 / math.gamma(self.beta), 1.0, 1.0)

@@ -160,9 +160,15 @@ def _lobatto_rule(n):
     return np.array(nodes), np.array(cumulative[-1]), np.array(cumulative)
 
 
-_NODES, _WEIGHTS, _CUMULATIVE = _lobatto_rule(PANEL_ORDER)
-# the nested rule of half the order sits on every other node
-_HALF_WEIGHTS = _lobatto_rule(PANEL_ORDER // 2)[1]
+_NODES, _, _CUMULATIVE = _lobatto_rule(PANEL_ORDER)
+# The nested rule of half the order sits on every other node: its weights
+# there, 0 at the others, are one more row under the cumulative matrix, whose
+# last two rows are then the two rules' weights.  A 0 times an inf or a NaN
+# is NaN, but then the rule's own sum is not finite either, and a panel
+# without a finite value or span carries no error estimate.
+_CUMULATIVE = np.vstack((_CUMULATIVE, np.zeros(PANEL_ORDER + 1)))
+_CUMULATIVE[-1, ::2] = _lobatto_rule(PANEL_ORDER // 2)[1]
+_WEIGHTS = _CUMULATIVE[-2:]
 
 
 def _nodes(lo, hi):
@@ -175,8 +181,11 @@ def _nodes(lo, hi):
     return xs, half
 
 
-# The sums here are np.add.reduce: ndarray.sum's bits without its Python
-# frame, which costs more than a sum over one panel's nodes.
+# The sums here are np.einsum contractions over a panel's nodes, with no
+# broadcast product and no BLAS (einsum's default path calls none).  A row's
+# bits do not depend on how many rows the call holds.  Those of a BLAS
+# product (``@``, ``np.dot``) do, and with them would the bits of a panel
+# read alone, in a block or as a bisected half.
 
 def _block(read, lo, hi, weights):
     """The panels [lo_i, hi_i] read at their nodes by one call of ``read``: half
@@ -194,16 +203,15 @@ def _block(read, lo, hi, weights):
         return _block(read, lo[:len(lo) // 2], hi[:len(lo) // 2], weights)
     spans = {}
     for k in weights:
-        run = half[:, None] * np.add.reduce(_CUMULATIVE * arrays[k][:, None], 2)
-        spans[k] = run, run[:, -1], np.abs(
-            run[:, -1] - half * np.add.reduce(_HALF_WEIGHTS * arrays[k][:, ::2], 1))
+        run = half[:, None] * np.einsum("jk,ik->ij", _CUMULATIVE, arrays[k])
+        spans[k] = run[:, :-1], run[:, -2], np.abs(run[:, -2] - run[:, -1])
     return half, arrays, spans
 
 
 def _integrals(block, stream, j, w_edge, upward):
     """A stream's panels j on of a block entered at W = ``w_edge``, a tuple each:
-    value, error estimate, W at the far edge and W's error estimate.  Sums of
-    products, as a first BLAS dot maps buffers nothing else here needs."""
+    value, error estimate, W at the far edge and W's error estimate, from the
+    rule's and the nested half rule's sums over each panel's nodes."""
     (f, w), (half, arrays, spans) = stream, block
     values = arrays[f]
     if j:
@@ -220,8 +228,8 @@ def _integrals(block, stream, j, w_edge, upward):
         # scale-free: exp(W) times an exact 0 is 0 at any scale of f
         values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
         w_edges, w_errs = w_edges[1:].tolist(), w_err.tolist()
-    value = half * np.add.reduce(_WEIGHTS * values, -1)
-    err = np.abs(value - half * np.add.reduce(_HALF_WEIGHTS * values[:, ::2], -1))
+    value, nested = half * np.einsum("jk,ik->ji", _WEIGHTS, values)
+    err = np.abs(value - nested)
     return list(zip(value.tolist(), err.tolist(), w_edges, w_errs))
 
 

@@ -269,6 +269,26 @@ def test_pair_intersection_properties(xs, ys, a_singles, b_singles):
         assert any(s <= lo and hi <= e for s, e in b)
 
 
+class TestValidate:
+    @pytest.mark.parametrize("intervals, message", [
+        (np.zeros((0, 2)), r"shape \(k, 2\)"),
+        ([[0.5, 1.0]], "0 must be uncovered"),
+        ([[0.0, 0.5], [0.8, 0.7]], "nonnegative length"),
+        ([[0.0, 0.5], [0.5, 0.7]], "sorted and disjoint"),
+        ([[0.0, 1.5]], r"within \[0, horizon\]"),
+        ([[0.0, 0.0], [math.nan, math.nan]], "endpoints must be finite"),
+        ([[0.0, math.nan]], "endpoints must be finite"),
+    ], ids=["empty", "zero-covered", "reversed", "overlapping", "past-horizon", "nan-interval",
+            "nan-end"])
+    def test_each_defect_has_its_message(self, intervals, message):
+        with pytest.raises(CutoutError, match=message):
+            UncoveredSet(1.0, 1e-3, np.array(intervals, dtype=float), None).validate()
+
+    def test_valid_set_passes(self):
+        z = UncoveredSet(1.0, 1e-3, np.array([[0.0, 0.0], [0.25, 1.0]]), None)
+        assert z.validate() is z
+
+
 class TestStatistics:
     GRID = [2.0 ** -k for k in range(1, 11)]
 
@@ -296,6 +316,13 @@ class TestStatistics:
             statistics(z, [0.5])
         with pytest.raises(CutoutError):
             statistics(z, [0.5, 1e-3])
+
+    @pytest.mark.parametrize("grid, bad", [([0.5, math.nan], "nan"), ([math.inf, 0.5], "inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_grid_size_rejected(self, grid, bad):
+        z = UncoveredSet(1.0, 1e-2, np.array([[0.0, 1.0]]), None)
+        with pytest.raises(CutoutError, match=f"grid size {bad} is not finite"):
+            statistics(z, grid)
 
     def test_recurrent_dimension_estimate(self):
         z = sample_cutout(FELLER, HALF_DRIFT, 100.0, 1e-4, 9)

@@ -9,12 +9,15 @@ place.  Every
 family also defines ``__call__`` in its own body, where the benchmark
 tracer wraps evaluations by class name, and every family with a spec
 string defines ``values``, its array form over a panel's nodes, so a
-panel of a built-in family calls no ``__call__``.  The flow solver holds only its mechanism, and every
+panel of a built-in family calls no ``__call__``; no family's ``values``
+loops over its points in Python, as only the base class's fallback for
+user handles does.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
 A custom branching declares nothing beside its handle, and the compound
 Poisson family nothing beside its mass.
 Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
-every scan stream and every bisection.  Each command-line option lives in
+every scan stream and every bisection, and the rule's sums call no BLAS
+product.  Each command-line option lives in
 the parser alone, so ``cli.py`` declares no dataclass.
 Every integral runs on the panel rule and both bracketed root solves
 (``largest_root`` and the sampler's beyond-table inversion) on
@@ -86,6 +89,40 @@ def test_family_defines_its_own_values(family):
     body = _family_classes()[family].body
     assert any(isinstance(node, ast.FunctionDef) and node.name == "values"
                for node in body)
+
+
+def _loops_over_points(fn):
+    """The loops and comprehensions of a ``values`` whose iterable reads its
+    array of points."""
+    points = fn.args.args[1].arg
+    return [node.iter.lineno for node in ast.walk(fn)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and any(isinstance(name, ast.Name) and name.id == points
+                    for name in ast.walk(node.iter))]
+
+
+def test_only_the_fallback_loops_over_points():
+    # a built-in family's values is array arithmetic: a Python loop over a
+    # panel's points costs a frame per point.  The base class's fallback,
+    # which calls a user handle per point, is the one loop the check finds
+    base = next(node for node in TREES["mechanisms.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "Mechanism")
+    fallback = next(node for node in base.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "values")
+    assert _loops_over_points(fallback)
+    offenders = {family: _loops_over_points(node) for family, cls in _family_classes().items()
+                 for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "values"}
+    assert offenders and all(lines == [] for lines in offenders.values()), offenders
+
+
+def test_panel_rule_calls_no_blas_product():
+    # a BLAS product sums one row and eleven rows in different orders, so a
+    # panel read alone, in a block or as a bisected half would differ in bits
+    offenders = [node.lineno for node in ast.walk(TREES["quadrature.py"])
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                 or isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul")]
+    assert offenders == []
 
 
 def _in_a_panel():

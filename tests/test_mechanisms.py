@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import poch
 
 from cbizero.mechanisms import (
     BranchingMechanism,
@@ -70,9 +71,9 @@ class TestEvaluation:
         for q in (1e8, 1e12, 2.0**60):
             target = math.exp(0.999 * math.log(q) - math.lgamma(0.999))
             assert phi(q) == pytest.approx(target, rel=1e-6)
-        # continuity across the evaluation-branch switch
-        lo, hi = LampertiImmigration(beta=0.4)(1e6 * (1 - 1e-9)), \
-            LampertiImmigration(beta=0.4)(1e6 * (1 + 1e-9))
+        # continuity across the switch from the shifted form to the series
+        lo, hi = LampertiImmigration(beta=0.4)(16.0 * (1 - 1e-9)), \
+            LampertiImmigration(beta=0.4)(16.0 * (1 + 1e-9))
         assert lo == pytest.approx(hi, rel=1e-8)
 
     def test_compound_poisson_default_jumps(self):
@@ -148,10 +149,10 @@ ARRAY_FAMILIES = {
     "drift": StableImmigration(dprime=0.5, beta=1.0),
     "gamma": GammaImmigration(a=2.0, b=1e-3),
     "cpp": CompoundPoissonImmigration(mass=2.0),
+    "lamperti": LampertiImmigration(beta=0.5),
 }
 # families whose values are the pointwise calls bit for bit
 FALLBACK_FAMILIES = {
-    "lamperti": LampertiImmigration(beta=0.5),
     # a user-written compound-Poisson exponent is a custom immigration
     "cpp-tail": CustomImmigration(eval=lambda q: 2.0 * -math.expm1(-q)),
 }
@@ -193,14 +194,29 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.999, 1.0])
     def test_lamperti_values_match_calls_on_every_branch(self, beta):
-        # q = 0, the lgamma difference below 1e6 and the ratio expansion
-        # from 1e6 on, with the neighbours of the switch
-        edge = np.array([0.0, 5e-324, 1e6, np.nextafter(1e6, 0.0),
-                         np.nextafter(1e6, 2e6), 1e300, math.inf])
+        # q = 0, the shift to q + 16 below 16 and the series from 16 on,
+        # with the neighbours of the switch
+        edge = np.array([0.0, 5e-324, 16.0, np.nextafter(16.0, 0.0),
+                         np.nextafter(16.0, 32.0), 1e300, math.inf])
         qs = np.concatenate((edge, 10.0 ** np.random.default_rng(45).uniform(
             -300.0, 300.0, 20_000)))
         mech = LampertiImmigration(beta=beta)
-        assert mech.values(qs).tobytes() == np.array([mech(q) for q in qs.tolist()]).tobytes()
+        got, want = mech.values(qs), np.array([mech(q) for q in qs.tolist()])
+        finite = np.isfinite(want)
+        assert got[0] == want[0] == 0.0
+        assert got[~finite].tolist() == want[~finite].tolist() == [math.inf]
+        got, want = got[finite], want[finite]
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9, 1.0])
+    def test_lamperti_matches_the_pochhammer_ratio(self, beta):
+        # Gamma(q + beta) / (Gamma(q) Gamma(beta)), which scipy's poch gives
+        # within 2.7e-11 of 50 digits on this grid
+        qs = np.logspace(-7.0, 14.0, 2101)
+        want = poch(qs, beta) / math.gamma(beta)
+        mech = LampertiImmigration(beta=beta)
+        for got in (mech.values(qs), np.array([mech(q) for q in qs.tolist()])):
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-10
 
     def test_overflow_is_inf(self):
         with np.errstate(over="ignore"):

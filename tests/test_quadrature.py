@@ -26,7 +26,6 @@ from cbizero.mechanisms import (
 )
 from cbizero.quadrature import (
     _CUMULATIVE,
-    _HALF_WEIGHTS,
     _NODES,
     _WEIGHTS,
     EXHAUSTED_FRACTION,
@@ -371,16 +370,17 @@ def _reference_panel(f, weight, lo, hi, w_edge, upward, depth, err_floor=0.0):
             w_far, w_err = w_edge, 0.0
         else:
             rates = np.asarray(weight(xs), dtype=float)
-            run = half * (_CUMULATIVE * rates).sum(axis=1)
-            span = float(run[-1])
-            w_err = abs(span - half * float((_HALF_WEIGHTS * rates[::2]).sum()))
+            # the library's contraction, on one panel: the run, its span
+            # and the nested rule's span
+            run = half * np.einsum("jk,k->j", _CUMULATIVE, rates)
+            run, span, w_err = run[:-1], float(run[-2]), abs(float(run[-2] - run[-1]))
             if upward:
                 w_nodes, w_far = w_edge + run, w_edge + span
             else:
                 w_nodes, w_far = w_edge - (span - run), w_edge - span
             values = np.where(values == 0.0, 0.0, values * np.exp(w_nodes))
-        value = half * float((_WEIGHTS * values).sum())
-        err = abs(value - half * float((_HALF_WEIGHTS * values[::2]).sum()))
+        value, nested = (half * np.einsum("jk,k->j", _WEIGHTS, values)).tolist()
+        err = abs(value - nested)
     if not math.isfinite(value) or not math.isfinite(w_far):
         return value, 0.0, w_far, 0
     resolved = err <= max(REL_TOL * abs(value), err_floor) and w_err <= REL_TOL
