@@ -11,6 +11,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from cbizero import cutout as cutout_module
 from cbizero.cutout import (
     LADDER_MIN_MARKS,
     CutoutError,
@@ -679,6 +680,90 @@ class TestBatchedLadderLaw:
         assert abs(both - want) < Z_LEVEL_1E6 * math.sqrt(want * (1.0 - want) / reps)
 
 
+def _column_stack_uncovered(T, starts, ends, frontier):
+    """The column_stack assembly that ``_uncovered`` must reproduce byte
+    for byte."""
+    starts, ends = list(starts), list(ends)
+    if frontier < T:
+        starts.append(np.array([frontier]))
+        ends.append(np.array([T]))
+    elif frontier == T:
+        starts.append(np.array([T]))
+        ends.append(np.array([T]))
+    if starts:
+        intervals = np.column_stack((np.concatenate(starts),
+                                     np.concatenate(ends)))
+    else:
+        intervals = np.empty((0, 2))
+    if intervals.shape[0] == 0 or intervals[0, 0] > 0.0:
+        intervals = np.vstack(([0.0, 0.0], intervals))
+    return intervals
+
+
+def _assert_interval_array(intervals):
+    assert intervals.dtype == np.float64
+    assert intervals.ndim == 2 and intervals.shape[1] == 2
+    assert intervals.flags.c_contiguous
+
+
+class TestUncoveredAssembly:
+    """``_uncovered`` and the sweeps' outputs against the column_stack
+    assembly."""
+
+    @pytest.mark.parametrize("starts, ends, frontier", [
+        ([[0.0, 1.0]], [[0.5, 2.0]], 2.5),
+        ([[0.0, 1.0]], [[0.5, 2.0]], 3.0),
+        ([[0.0, 1.0]], [[0.5, 2.0]], 3.5),
+        ([[0.0, 1.0]], [[0.5, 2.0]], math.inf),
+        ([], [], 0.0),
+        ([], [], 3.0),
+        ([[]], [[]], 3.5),
+        ([[0.7]], [[1.0]], 3.5),
+        ([[0.0], [], [1.2, 2.0]], [[0.1], [], [1.5, 2.2]], 2.9),
+    ], ids=["below", "at", "past", "inf", "no births", "at, no gaps",
+            "past, no gaps", "birth at 0", "chunks"])
+    def test_layouts(self, starts, ends, frontier):
+        starts = [np.array(s, dtype=float) for s in starts]
+        ends = [np.array(e, dtype=float) for e in ends]
+        ours = cutout_module._uncovered(3.0, list(starts), list(ends), frontier)
+        _assert_interval_array(ours)
+        assert ours.tobytes() == _column_stack_uncovered(
+            3.0, starts, ends, frontier).tobytes()
+
+    def test_zero_rate(self):
+        silent = DurationSampler.from_tail(lambda t: 0.0, 1e-3)
+        intervals, frontier = _mark_sweep(5.0, silent, _rng(0))
+        _assert_interval_array(intervals)
+        assert frontier == 0.0
+        assert intervals.tobytes() == _column_stack_uncovered(
+            5.0, [], [], 0.0).tobytes()
+
+    @pytest.mark.parametrize("kernel, marks", [
+        (_mark_sweep, 750.0), (_mark_sweep, 3e3), (_ladder_sweep, 3e3)])
+    def test_realizations(self, kernel, marks, monkeypatch):
+        sampler = DurationSampler.from_mechanisms(FELLER, ROOT_HALF, 1e-4)
+        T = marks / sampler.rate
+        ours = [kernel(T, sampler, _rng(seed)) for seed in range(20)]
+        monkeypatch.setattr(cutout_module, "_uncovered", _column_stack_uncovered)
+        for seed, (intervals, frontier) in enumerate(ours):
+            _assert_interval_array(intervals)
+            want, want_frontier = kernel(T, sampler, _rng(seed))
+            assert intervals.tobytes() == want.tobytes()
+            assert frontier == want_frontier
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_inverse_leaves_its_argument_alone(name):
+    s = SAMPLERS[name]()
+    u = np.concatenate((_edge_queries(s, np.exp(s.log_tail_rev)),
+                        1.0 - _rng(4).random(2000)))
+    before = u.copy()
+    s._inverse(u)
+    assert u.tobytes() == before.tobytes()
+    draws = s.sample_array(100, _rng(4))
+    assert not np.shares_memory(draws, s.sample_array(100, _rng(4)))
+
+
 def _interp_inverse(self, u):
     """The np.interp inversion: the reference that
     ``DurationSampler._inverse`` must reproduce bit for bit."""
@@ -819,6 +904,57 @@ def test_ladder_realizations_keep_their_bits(name):
     for seed in range(10):
         digest.update(draw(seed).intervals.tobytes())
     assert digest.hexdigest() == LADDER_DIGESTS[name]
+
+
+def _mark_draws(name):
+    """(T, sampler) of each pinned mark-sweep case."""
+    feller = QuadraticBranching(b=0.0, sigma2=2.0)
+    return {
+        "short sqrt(q)": lambda: (30.0, _cached_sampler(
+            feller, StableImmigration(dprime=1.0, beta=0.5), 1e-4)),
+        "short sqrt(q)/4": lambda: (30.0, _cached_sampler(
+            feller, StableImmigration(dprime=0.25, beta=0.5), 1e-4)),
+        "atom": lambda: (30.0, _atom_sampler()),
+        "feller drift": lambda: (10.0, DurationSampler.from_mechanisms(
+            FELLER, HALF_DRIFT, 1e-3)),
+        "ou 1.8": lambda: (10.0, ou_sampler(1.8, 1e-3)),
+        # the first birth lies near 1e-2, past the horizon
+        "before first birth": lambda: (1e-6, DurationSampler.from_mechanisms(
+            FELLER, ROOT_HALF, 1e-4)),
+    }[name]()
+
+
+# SHA-256 of the intervals and frontier of seeds 0-9 of _mark_sweep, one
+# after the other; "chunks of 64" draws "feller drift" 64 marks at a time
+MARK_DIGESTS = {
+    "short sqrt(q)":
+        "bbd116a870c9bb00026677cbaf01edb237c60fcb19dbb7887d6c7f46545e8b85",
+    "short sqrt(q)/4":
+        "ee255a59967d1514d195c5575987737e35c18a17aaedbc58cece00e6d422e321",
+    "atom":
+        "907be467a852c61f58b9a590b5a197e7153d799d2940769a509443113db34bd4",
+    "feller drift":
+        "db5c3fcc28e28ce8d55f1eed088adfa5c93e30ef322911e2bb5e21b84fce927b",
+    "ou 1.8":
+        "24569058fcc85a78530a784bd3f56a959d0d3db25af6d6041df5ae5938207780",
+    "before first birth":
+        "49cb7951a20e5ce73bcdb8a003822b5120e3a1280b9496dcf48ef245fbdd0cdc",
+    "chunks of 64":
+        "26ce23b3a0a73db28adf417071b0e24616388dd3a2159a06b5cb57ff94eb44f8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARK_DIGESTS))
+def test_mark_sweep_realizations_keep_their_bits(name, monkeypatch):
+    if name == "chunks of 64":
+        monkeypatch.setattr(cutout_module, "_CHUNK", 64)
+    T, sampler = _mark_draws("feller drift" if name == "chunks of 64" else name)
+    digest = hashlib.sha256()
+    for seed in range(10):
+        intervals, frontier = _mark_sweep(T, sampler, _rng(seed))
+        digest.update(intervals.tobytes())
+        digest.update(np.float64(frontier).tobytes())
+    assert digest.hexdigest() == MARK_DIGESTS[name]
 
 
 def test_seeded_realizations_match_the_interp_inverse(monkeypatch):
