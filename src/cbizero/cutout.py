@@ -52,16 +52,18 @@ GZERO_TAIL_BOUND = 1e-3
 
 # Expected marks T * rate above which _sweep runs the ladder.  Median ms
 # per realization, eps = 1e-4, ladder / mark sweep, 200 realizations
-# each, one process on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4):
+# each, one process on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), median
+# of 8 such runs:
 #
 #   T * rate            750        3e3        1e4        2e4        5e4
-#   feller sqrt(q)   0.49/0.11  0.49/0.26  0.74/0.63  0.65/1.37  0.82/5.07
-#   feller drift     1.25/0.09  1.70/0.27  2.51/0.75  3.20/1.46  3.06/5.20
-#   stable ou 1.8    1.53/0.13  2.30/0.19  2.68/0.71  2.45/1.37  4.00/4.40
+#   feller sqrt(q)   0.35/0.05  0.37/0.13  0.43/0.50  0.42/0.99  0.47/2.52
+#   feller drift     0.70/0.05  1.06/0.15  1.49/0.43  1.28/0.67  1.54/2.60
+#   stable ou 1.8    0.72/0.05  0.98/0.12  1.14/0.34  1.50/0.67  1.95/2.50
 #
 # Transient pairs cross near 1e4, recurrent ones (longer ladders) near
-# 4e4.  Around 2e4 the slower choice costs at most 2.2x for recurrent
-# pairs (just above it) and 2.1x for transient ones (just below it).
+# 3e4-4e4.  Around 2e4 the slower choice costs at most 2.2x for
+# recurrent pairs (just above it) and 2.4x for transient ones (just
+# below it).
 LADDER_MIN_MARKS = 2e4
 
 _CHUNK = 1 << 18
@@ -106,14 +108,18 @@ class UncoveredSet:
             raise CutoutError("interval array must have shape (k, 2), k >= 1")
         if not (iv[0, 0] == 0.0):
             raise CutoutError("0 must be uncovered")
-        if np.any(iv[:, 1] < iv[:, 0]):
+        if (iv[:, 1] < iv[:, 0]).any():
             raise CutoutError("intervals must have nonnegative length")
-        if np.any(iv[1:, 0] <= iv[:-1, 1]):
+        if (iv[1:, 0] <= iv[:-1, 1]).any():
             raise CutoutError("intervals must be sorted and disjoint")
-        if iv[-1, 1] > self.horizon or np.any(iv < 0.0):
+        if iv[-1, 1] > self.horizon or (iv < 0.0).any():
             raise CutoutError("intervals must lie within [0, horizon]")
         if not np.isfinite(iv).all():   # a NaN fails every comparison above
             raise CutoutError("interval endpoints must be finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise CutoutError(f"horizon {self.horizon} must be finite and positive")
+        if not 0.0 < self.eps < math.inf:
+            raise CutoutError(f"eps {self.eps} must be finite and positive")
         return self
 
 
@@ -346,20 +352,29 @@ def _mark_sweep(T: float, sampler: DurationSampler, rng: np.random.Generator):
                         max(1024.0, 1.25 * expected
                             + 10.0 * math.sqrt(expected + 1.0) + 64.0)))
         while clock <= T and frontier < math.inf:
-            births = clock + np.cumsum(
-                rng.standard_exponential(chunk) / sampler.rate)
+            births = rng.standard_exponential(chunk)
+            births /= sampler.rate
+            births.cumsum(out=births)
+            if clock:
+                births += clock
             clock = float(births[-1])
-            if clock > T:
-                births = births[births <= T]
-            if births.size == 0:
+            if clock > T:                      # births are sorted
+                births = births[:births.searchsorted(T, "right")]
+            n = births.size
+            if n == 0:
                 break
-            cut_ends = births + sampler.sample_array(births.size, rng)
-            prev = np.maximum.accumulate(
-                np.concatenate(([frontier], cut_ends)))[:-1]
-            gap = births > prev
-            starts.append(prev[gap])
-            ends.append(births[gap])
-            frontier = max(float(prev[-1]), float(cut_ends[-1]))
+            durations = sampler.sample_array(n, rng)
+            # run[i] is the frontier before birth i, run[n] the one after;
+            # made after the draws, it reuses their freed temporaries (made
+            # before, a 5e4-mark chunk page-faults twice as often)
+            run = np.empty(n + 1)
+            run[0] = frontier
+            np.add(births, durations, out=run[1:])
+            np.maximum.accumulate(run, out=run)
+            gap = (births > run[:n]).nonzero()[0]
+            starts.append(run.take(gap))
+            ends.append(births.take(gap))
+            frontier = float(run[n])
     return _uncovered(T, starts, ends, frontier), frontier
 
 
@@ -535,20 +550,20 @@ def _uncovered(T: float, starts: list, ends: list,
                frontier: float) -> np.ndarray:
     """Interval array from the gaps before each busy period and the
     frontier after the last one."""
-    if frontier < T:
-        starts.append(np.array([frontier]))
-        ends.append(np.array([T]))
-    elif frontier == T:
-        starts.append(np.array([T]))
-        ends.append(np.array([T]))
-    if starts:
-        intervals = np.column_stack((np.concatenate(starts),
-                                     np.concatenate(ends)))
-    else:
-        intervals = np.empty((0, 2))
-    if intervals.shape[0] == 0 or intervals[0, 0] > 0.0:
-        # a birth at exactly 0.0 cannot cover the point 0 (cuts are open)
-        intervals = np.vstack(([0.0, 0.0], intervals))
+    k = sum(map(len, starts))
+    tail = frontier <= T
+    first = next((s[0] for s in starts if s.size),
+                 frontier if tail else math.inf)
+    # a birth at exactly 0.0 cannot cover the point 0 (cuts are open)
+    row = int(first > 0.0)
+    intervals = np.empty((row + k + tail, 2))
+    intervals[0] = 0.0
+    for s, e in zip(starts, ends):
+        intervals[row:row + s.size, 0] = s
+        intervals[row:row + s.size, 1] = e
+        row += s.size
+    if tail:
+        intervals[row] = frontier, T
     return intervals
 
 
@@ -574,8 +589,8 @@ def _check_marks(T: float, sampler: DurationSampler):
 def cutout_with_sampler(sampler: DurationSampler, T: float,
                         seed) -> UncoveredSet:
     """One cutout realization driven by an externally built sampler."""
-    if T <= 0.0:
-        raise CutoutError("horizon must be positive")
+    if not 0.0 < T < math.inf:
+        raise CutoutError(f"horizon {T} must be finite and positive")
     _check_marks(T, sampler)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     intervals, _ = _sweep(T, sampler, rng)

@@ -289,6 +289,32 @@ class TestValidate:
         z = UncoveredSet(1.0, 1e-3, np.array([[0.0, 0.0], [0.25, 1.0]]), None)
         assert z.validate() is z
 
+    @pytest.mark.parametrize("horizon, eps, message", [
+        (math.nan, 1e-3, "horizon nan must be finite and positive"),
+        (1.0, math.nan, "eps nan must be finite and positive"),
+        (1.0, -1.0, "eps -1.0 must be finite and positive"),
+        (math.inf, 1e-3, "horizon inf must be finite and positive"),
+        (1.0, 0.0, "eps 0.0 must be finite and positive"),
+        (1.0, math.inf, "eps inf must be finite and positive"),
+    ], ids=["nan-horizon", "nan-eps", "negative-eps", "inf-horizon", "zero-eps", "inf-eps"])
+    def test_horizon_and_eps_are_checked(self, horizon, eps, message):
+        with pytest.raises(CutoutError, match=message):
+            UncoveredSet(horizon, eps, np.array([[0.0, 0.5]]), None).validate()
+
+    def test_interval_checks_come_first(self):
+        # a nonpositive horizon keeps the message the intervals give
+        with pytest.raises(CutoutError, match=r"within \[0, horizon\]"):
+            UncoveredSet(-1.0, math.nan, np.array([[0.0, 0.0]]), None).validate()
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.parametrize("sample", [
+        lambda T: sample_cutout(FELLER, ROOT_HALF, T, 1e-4, 1),
+        lambda T: sample_ou_cutout(1.8, T, 1e-3, 1),
+    ], ids=["cbi", "ou"])
+    def test_non_finite_horizon_rejected(self, sample, T):
+        with pytest.raises(CutoutError, match=f"horizon {T} must be finite"):
+            sample(T)
+
 
 class TestStatistics:
     GRID = [2.0 ** -k for k in range(1, 11)]
