@@ -556,7 +556,8 @@ def _uncovered(T: float, starts: list, ends: list,
     tail = frontier <= T
     first = next((s[0] for s in starts if s.size),
                  frontier if tail else math.inf)
-    # a birth at exactly 0.0 cannot cover the point 0 (cuts are open)
+    # a birth at exactly 0.0 cannot cover the point 0 (cuts are open):
+    # row 0 is [0, 0] unless a gap starts at 0
     row = int(first > 0.0)
     intervals = np.empty((row + k + tail, 2))
     intervals[0] = 0.0
