@@ -43,7 +43,6 @@ from .mechanisms import (
 )
 from .ou import (
     OUClassification,
-    StableOUSpec,
     ou_classify,
     pushforward_ks,
     sample_ou_cutout,
@@ -80,7 +79,6 @@ __all__ = [
     "RegVarSummary",
     "StableBranching",
     "StableImmigration",
-    "StableOUSpec",
     "SubordinatorSummary",
     "UncoveredSet",
     "ZeroSetReport",

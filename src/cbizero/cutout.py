@@ -157,8 +157,8 @@ class DurationSampler:
     @classmethod
     def from_tail(cls, tail: Callable[[float], float], eps: float,
                   atom_mass: float = 0.0) -> "DurationSampler":
-        if eps <= 0.0:
-            raise CutoutError("eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise CutoutError(f"eps {eps} must be finite and positive")
         rate = tail(eps)
         if not (0.0 <= rate < math.inf):
             raise CutoutError("decrease ε not possible, tail infinite")

@@ -1,31 +1,35 @@
 """Zero sets of Ornstein-Uhlenbeck processes driven by strictly
 alpha-stable Levy motions.
 
-For stability index alpha in (0, 1] the zero set collapses to the
-single starting point.  For alpha in (1, 2] it is an unbounded random
-cutout set of Hausdorff dimension 1/alpha: after the logarithmic time
-change s = log t, z = log(1 + x/t) the excursion straddles become a
-Poisson rain of cuts with intensity ds times a cutting measure whose
-density in the lag z is (1 - beta) e^z / (e^z - 1)^2, beta = 1 - 1/alpha.
-The mean-reversion rate only rescales the time axis and the cutting
-measure is free of it, so simulations fix the rate to 1.  Only strictly
-stable drivers are modeled; the asymmetric Cauchy case (alpha = 1 with
-drift-like skew) is outside the self-similar framework and excluded.
+The zero set is the cutout of the CBI pair Psi(q) = q + q^2,
+Phi(q) = q/alpha.  After the logarithmic time change s = log t,
+z = log(1 + x/t) the excursion straddles become a Poisson rain of cuts
+with intensity ds times a cutting measure of tail (1/alpha)/(e^z - 1)
+in the lag z, which is Phi(v_z) for the flow v_z = 1/expm1(z) of Psi.
+So the pair classifies and samples it.  For stability index alpha in
+(0, 1] the zero set collapses to the single starting point (the pair is
+polar).  For alpha in (1, 2] it is an unbounded random cutout set of
+Hausdorff dimension 1 - 1/alpha, the dimension of the zero set of an
+alpha-stable process (Blumenthal & Getoor 1962).  The mean-reversion
+rate only rescales the time axis and the cutting measure is free of it,
+so simulations fix the rate to 1.  Only strictly stable drivers are
+modeled; the asymmetric Cauchy case (alpha = 1 with drift-like skew) is
+outside the self-similar framework and excluded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .classify import RECURRENT, TRIVIAL_POINT
+from .classify import TRIVIAL_POINT, classify_zero_state
 from .cutout import CutoutError, DurationSampler, UncoveredSet, \
-    cutout_with_sampler
-from .mechanisms import MechanismDomainError
+    _cached_sampler, cutout_with_sampler
+from .mechanisms import MechanismDomainError, QuadraticBranching, \
+    StableImmigration
 
 PUSHFORWARD_LOG_SPAN = 10.0
 
@@ -46,32 +50,10 @@ def _require_cutout_index(alpha: float) -> float:
     return alpha
 
 
-def _require_lag(z: float) -> float:
-    z = float(z)
-    if math.isnan(z) or z <= 0.0:
-        raise MechanismDomainError("lag must be positive")
-    return z
-
-
-@dataclass(frozen=True)
-class StableOUSpec:
-    """Ornstein-Uhlenbeck process driven by a strictly stable motion.
-
-    The mean-reversion rate only rescales the time axis, so nothing
-    below depends on it and the spec does not carry it.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _require_index(self.alpha)
-
-    @property
-    def beta(self) -> Optional[float]:
-        """1 - 1/alpha, or None when the zero set is a single point."""
-        if self.alpha <= 1.0:
-            return None
-        return 1.0 - 1.0 / self.alpha
+def _pair(alpha: float) -> Tuple[QuadraticBranching, StableImmigration]:
+    """The CBI pair (q + q^2, q/alpha) whose zero set is the OU zero set."""
+    return (QuadraticBranching(b=1.0, sigma2=2.0),
+            StableImmigration(dprime=1.0 / alpha, beta=1.0))
 
 
 @dataclass(frozen=True)
@@ -88,63 +70,27 @@ class OUClassification:
 def ou_classify(alpha: float) -> OUClassification:
     """Dichotomy for the zero set of a stable OU process.
 
-    Index at most 1 leaves only the starting point; above 1 the zero
-    set is unbounded (recurrent) with dimension 1/alpha.
+    Index at most 1 leaves only the starting point; above 1 the class
+    and the dimension 1 - 1/alpha are those of the pair.
     """
     alpha = _require_index(alpha)
     if alpha <= 1.0:
         return OUClassification(zero_class=TRIVIAL_POINT, dim=0.0,
                                 beta=None)
-    return OUClassification(zero_class=RECURRENT, dim=1.0 / alpha,
-                            beta=1.0 - 1.0 / alpha)
+    report = classify_zero_state(*_pair(alpha))
+    return OUClassification(zero_class=report.zero_class,
+                            dim=report.dim_upper, beta=1.0 - 1.0 / alpha)
 
 
-def cutting_density(z: float, alpha: float) -> float:
-    """Density (1 - beta) e^z / (e^z - 1)^2 of the cutting measure."""
-    alpha = _require_cutout_index(alpha)
-    z = _require_lag(z)
-    # e^z/(e^z-1)^2 rewritten from e^{-z} so large lags underflow to 0
-    # instead of overflowing
-    emz = math.exp(-z)
-    one_minus = -math.expm1(-z)
-    return (1.0 / alpha) * emz / (one_minus * one_minus)
-
-
-def cutting_tail(z: float, alpha: float) -> float:
-    """Mass (1 - beta)/(e^z - 1) of the cutting measure on [z, inf)."""
-    alpha = _require_cutout_index(alpha)
-    z = _require_lag(z)
-    return (1.0 / alpha) * math.exp(-z) / (-math.expm1(-z))
-
-
-def levy_tail(x: float, alpha: float, scale: float = 1.0) -> float:
-    """Subordinator Levy tail scale/(e^x - 1)^{1 - beta}.
-
-    The true constant is not pinned down by the gap structure; only the
-    shape matters, so callers pick the scale.
-    """
-    alpha = _require_cutout_index(alpha)
-    x = _require_lag(x)
-    if not scale > 0.0:
-        raise MechanismDomainError("scale must be positive")
-    log_gap = x + math.log1p(-math.exp(-x))
-    return scale * math.exp(-log_gap / alpha)
-
-
-@lru_cache(maxsize=64)
 def ou_sampler(alpha: float, eps: float) -> DurationSampler:
-    """Duration sampler for the cutting measure restricted to [eps, inf)."""
-    alpha = _require_cutout_index(alpha)
-    return DurationSampler.from_tail(lambda z: cutting_tail(z, alpha), eps)
+    """Duration sampler of the pair's cuts on [eps, inf)."""
+    return _cached_sampler(*_pair(_require_cutout_index(alpha)), eps)
 
 
 def sample_ou_cutout(alpha: float, T: float, eps: float,
                      seed) -> UncoveredSet:
-    """One realization of the OU zero set on [0, T] at truncation eps.
-
-    Cuts arrive at rate ``cutting_tail(eps, alpha)`` with durations
-    drawn from the normalized cutting measure; the representation and
-    the statistics are shared with the cutout module.
+    """One realization of the OU zero set on [0, T] at truncation eps,
+    the pair's cutout drawn by the cutout module's sampler and sweep.
     """
     return cutout_with_sampler(ou_sampler(alpha, eps), T, seed)
 
@@ -159,8 +105,8 @@ def pushforward_samples(alpha: float, eps: float, n: int,
     measure, independent of t.
     """
     alpha = _require_cutout_index(alpha)
-    if eps <= 0.0:
-        raise CutoutError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise CutoutError(f"eps {eps} must be finite and positive")
     if n < 1:
         raise CutoutError("need at least one draw")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

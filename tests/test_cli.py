@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cbizero.classify import classify_zero_state
 from cbizero.cli import REPORT_DIR_ENV, _dimension_grid, build_parser, main
+from cbizero.mechanisms import QuadraticBranching, StableImmigration
 
 FELLER = "quadratic:b=0,sigma2=2"
 BROWNIAN_STABLE = "stable:d=1,alpha=2"
@@ -283,7 +285,11 @@ class TestOUCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == "Recurrent"
-        assert payload["dim_theory"] == pytest.approx(1.0 / 1.5, rel=1e-9)
+        # the dimension of the pair (q + q^2, q/alpha), 1 - 1/alpha
+        pair = QuadraticBranching(b=1.0, sigma2=2.0), StableImmigration(dprime=1.0 / 1.5, beta=1.0)
+        want = classify_zero_state(*pair).dim_upper
+        assert want == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-12)
+        assert payload["dim_theory"] == pytest.approx(want, rel=1e-9)
         assert 0.0 <= payload["dim_fit"] <= 1.0
         assert 0.0 <= payload["ks_pushforward"] < 0.05
 

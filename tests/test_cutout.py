@@ -24,6 +24,7 @@ from cbizero.cutout import (
     _ladder_sweep,
     _mark_sweep,
     _sweep,
+    cutout_with_sampler,
     empirical_gzero,
     intersect,
     sample_cutout,
@@ -38,7 +39,7 @@ from cbizero.mechanisms import (
     StableImmigration,
     scale_immigration,
 )
-from cbizero.ou import ou_sampler, sample_ou_cutout
+from cbizero.ou import sample_ou_cutout
 from cbizero.zeroset import least_squares_line
 
 FELLER = StableBranching(d=1.0, alpha=2.0)
@@ -315,6 +316,18 @@ class TestValidate:
         with pytest.raises(CutoutError, match=f"horizon {T} must be finite"):
             sample(T)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda eps: sample_cutout(FELLER, ROOT_HALF, 10.0, eps, 1),
+        lambda eps: sample_ou_cutout(1.8, 10.0, eps, 1),
+        lambda eps: DurationSampler.from_tail(lambda t: t ** -0.5, eps),
+    ], ids=["cbi", "ou", "from_tail"])
+    def test_eps_not_finite_and_positive_rejected(self, build, eps):
+        # an infinite eps gave a rate-0 sampler and a set validate() rejects,
+        # a NaN one an error from the flow
+        with pytest.raises(CutoutError, match=f"eps {eps} must be finite and positive"):
+            build(eps)
+
 
 class TestStatistics:
     GRID = [2.0 ** -k for k in range(1, 11)]
@@ -438,6 +451,13 @@ def _atom_sampler():
                                      atom_mass=0.25)
 
 
+def _ou_sampler():
+    # the stable OU cutting measure at alpha = 1.8 from its closed-form tail
+    # (1/alpha)/(e^z - 1), on whose table the kernels' digests were taken
+    return DurationSampler.from_tail(
+        lambda z: (1.0 / 1.8) * math.exp(-z) / (-math.expm1(-z)), 1e-3)
+
+
 def _short_table_sampler():
     # a table cut one decade above eps, so most offsets and durations
     # fall beyond it and go through the exact tail
@@ -452,7 +472,7 @@ SAMPLERS = {
     "feller sqrt": lambda: DurationSampler.from_mechanisms(
         FELLER, ROOT_HALF, 1e-4),
     "atom": _atom_sampler,
-    "ou 1.8": lambda: ou_sampler(1.8, 1e-3),
+    "ou 1.8": _ou_sampler,
 }
 # tails that are exact power laws make the log-log table exact; the
 # others carry its interpolation error, about 1e-4 of G at 24 knots
@@ -924,7 +944,7 @@ def test_ladder_realizations_keep_their_bits(name):
         "atom": lambda seed: sample_cutout(
             supercritical, ROOT_HALF, 2.0 * LADDER_MIN_MARKS
             / _cached_sampler(supercritical, ROOT_HALF, 1e-3).rate, 1e-3, seed),
-        "ou 1.8": lambda seed: sample_ou_cutout(1.8, 100.0, 1e-3, seed),
+        "ou 1.8": lambda seed, ou=_ou_sampler(): cutout_with_sampler(ou, 100.0, seed),
     }[name]
     digest = hashlib.sha256()
     for seed in range(10):
@@ -943,7 +963,7 @@ def _mark_draws(name):
         "atom": lambda: (30.0, _atom_sampler()),
         "feller drift": lambda: (10.0, DurationSampler.from_mechanisms(
             FELLER, HALF_DRIFT, 1e-3)),
-        "ou 1.8": lambda: (10.0, ou_sampler(1.8, 1e-3)),
+        "ou 1.8": lambda: (10.0, _ou_sampler()),
         # the first birth lies near 1e-2, past the horizon
         "before first birth": lambda: (1e-6, DurationSampler.from_mechanisms(
             FELLER, ROOT_HALF, 1e-4)),

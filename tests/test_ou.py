@@ -1,20 +1,23 @@
-"""Stable OU zero sets: classification, cutting measure, simulation."""
+"""Stable OU zero sets: the CBI pair (q + q^2, q/alpha), its cutting
+measure, simulation."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import ks_2samp, kstest, linregress
+from scipy.stats import ks_2samp, kstest
 
-from cbizero.classify import RECURRENT, TRIVIAL_POINT
-from cbizero.cutout import CutoutError, DurationSampler, sample_durations, statistics
+from cbizero.classify import RECURRENT, TRIVIAL_POINT, classify_zero_state
+from cbizero.cutout import (
+    CutoutError,
+    DurationSampler,
+    sample_cutout,
+    sample_durations,
+    statistics,
+)
 from cbizero.mechanisms import MechanismDomainError, QuadraticBranching, StableImmigration
 from cbizero.ou import (
-    StableOUSpec,
-    cutting_density,
-    cutting_tail,
-    levy_tail,
     ou_classify,
     ou_sampler,
     pushforward_ks,
@@ -22,6 +25,22 @@ from cbizero.ou import (
     sample_ou_cutout,
 )
 from cbizero.zeroset import lamperti_kappa
+
+
+def pair(alpha):
+    # psi = q + q^2 has v_t = 1/expm1(t), so phi(q) = q/alpha cuts with the
+    # tail (1/alpha)/(e^z - 1) of the cutting measure
+    return QuadraticBranching(b=1.0, sigma2=2.0), StableImmigration(dprime=1.0 / alpha, beta=1.0)
+
+
+def cutting_tail(alpha):
+    """Closed-form mass (1/alpha)/(e^z - 1) of the cutting measure on
+    [z, inf), from e^{-z} so that large lags underflow to 0."""
+    return lambda z: (1.0 / alpha) * math.exp(-z) / (-math.expm1(-z))
+
+
+def cutting_density(z, alpha):
+    return (1.0 / alpha) * math.exp(-z) / math.expm1(-z) ** 2
 
 
 class TestClassify:
@@ -39,9 +58,17 @@ class TestClassify:
         assert rep.beta == pytest.approx(0.5)
 
     def test_dim_formula(self):
+        # 1 - 1/alpha, the dimension of the zero set of an alpha-stable process
         rep = ou_classify(1.8)
-        assert rep.dim == pytest.approx(1.0 / 1.8)
+        assert rep.dim == pytest.approx(1.0 - 1.0 / 1.8, rel=1e-12)
         assert rep.beta == pytest.approx(1.0 - 1.0 / 1.8)
+
+    @pytest.mark.parametrize("alpha", [1.0001, 1.05, 1.3, 1.5, 1.8, 1.95, 2.0])
+    def test_reads_the_pair(self, alpha):
+        rep = ou_classify(alpha)
+        report = classify_zero_state(*pair(alpha))
+        assert rep.zero_class == report.zero_class == RECURRENT
+        assert rep.dim == report.dim_upper == report.dim_lower
 
     def test_domain(self):
         for bad in (0.0, -1.0, 2.5, math.nan):
@@ -53,96 +80,59 @@ class TestClassify:
         assert set(d) == {"class", "dim", "beta"}
 
 
-class TestStableOUSpec:
-    def test_beta_property(self):
-        assert StableOUSpec(alpha=0.9).beta is None
-        assert StableOUSpec(alpha=1.0).beta is None
-        assert StableOUSpec(alpha=1.6).beta == pytest.approx(1 - 1 / 1.6)
-
-    def test_validation(self):
-        with pytest.raises(MechanismDomainError):
-            StableOUSpec(alpha=3.0)
-
-
 class TestCuttingMeasure:
+    """The cutting measure is the pair's duration tail; its closed-form
+    values, read through ``ou_sampler(alpha, eps).tail``."""
+
     def test_density_substitution(self):
-        # alpha=2: 0.5 * 2 / (2-1)^2 = 1
-        assert cutting_density(math.log(2.0), 2.0) == pytest.approx(1.0)
+        # alpha=2: 0.5 * 2 / (2-1)^2 = 1, minus the tail's slope at log 2
+        tail, z, h = ou_sampler(2.0, 1e-3).tail, math.log(2.0), 1e-5
+        assert (tail(z - h) - tail(z + h)) / (2.0 * h) == pytest.approx(1.0, rel=1e-8)
 
     def test_tail_antiderivative(self):
-        assert cutting_tail(math.log(2.0), 2.0) == pytest.approx(0.5)
+        assert ou_sampler(2.0, 1e-3).tail(math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_tail_integrates_density(self):
         for alpha, z in ((2.0, 0.3), (1.5, 1.7), (1.2, 0.05)):
             value = quad(lambda v: cutting_density(v, alpha), z, math.inf,
                          epsabs=0.0, epsrel=1e-12, limit=200)[0]
-            assert value == pytest.approx(cutting_tail(z, alpha), rel=1e-9)
+            assert value == pytest.approx(ou_sampler(alpha, 1e-3).tail(z), rel=1e-9)
 
     def test_large_lag_asymptotics(self):
-        beta = 0.5
-        assert cutting_density(40.0, 2.0) == pytest.approx(
-            (1 - beta) * math.exp(-40.0), rel=1e-6)
+        # tail ~ (1-beta) e^{-z}
+        assert ou_sampler(2.0, 1e-3).tail(40.0) == pytest.approx(0.5 * math.exp(-40.0), rel=1e-6)
 
     def test_small_lag_asymptotics(self):
-        # density ~ (1-beta)/z^2, tail ~ (1-beta)/z
-        assert cutting_density(1e-9, 2.0) == pytest.approx(0.5e18, rel=1e-6)
-        assert cutting_tail(1e-9, 2.0) == pytest.approx(0.5e9, rel=1e-6)
+        # tail ~ (1-beta)/z
+        assert ou_sampler(2.0, 1e-3).tail(1e-9) == pytest.approx(0.5e9, rel=1e-6)
 
     def test_huge_lag_underflows_to_zero(self):
-        assert cutting_density(1e4, 1.5) == 0.0
-        assert cutting_tail(1e4, 1.5) == 0.0
+        assert ou_sampler(1.5, 1e-3).tail(1e4) == 0.0
 
     def test_domain(self):
-        with pytest.raises(MechanismDomainError):
-            cutting_density(0.0, 2.0)
-        with pytest.raises(MechanismDomainError):
-            cutting_tail(-1.0, 2.0)
+        with pytest.raises(CutoutError, match="eps 0.0 must be finite and positive"):
+            ou_sampler(2.0, 0.0)
         with pytest.raises(MechanismDomainError, match="single point"):
-            cutting_density(1.0, 1.0)
+            ou_sampler(1.0, 1e-3)
         with pytest.raises(MechanismDomainError):
-            cutting_tail(1.0, 0.8)
+            ou_sampler(0.8, 1e-3)
 
 
 class TestLevyTail:
-    def test_decreasing(self):
-        xs = np.geomspace(1e-4, 10.0, 40)
-        vals = [levy_tail(float(x), 1.7) for x in xs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_small_lag_slope(self):
-        # nu(x, inf) ~ C x^{-(1-beta)} as x -> 0; 1 - beta = 1/alpha
-        xs = np.geomspace(1e-3, 1e-2, 9)
-        for alpha in (1.5, 2.0):
-            ys = [math.log(levy_tail(float(x), alpha)) for x in xs]
-            slope = linregress(np.log(xs), ys).slope
-            assert slope == pytest.approx(-1.0 / alpha, rel=0.02)
-
-    def test_scale_multiplies(self):
-        assert levy_tail(0.7, 1.5, scale=3.0) == pytest.approx(
-            3.0 * levy_tail(0.7, 1.5), rel=1e-12)
-
-    def test_no_overflow_at_huge_lag(self):
-        assert 0.0 <= levy_tail(1000.0, 2.0) < 1e-200
-
-    def test_domain(self):
-        with pytest.raises(MechanismDomainError):
-            levy_tail(0.0, 2.0)
-        with pytest.raises(MechanismDomainError):
-            levy_tail(1.0, 2.0, scale=0.0)
-
     def test_kappa_index_at_infinity(self):
-        # the subordinator exponent grows like gamma^{1-beta}
+        # the pair's L(q) is (1 - e^{-1})^{-1/alpha} Gamma(q + beta)/(Gamma(q) Gamma(beta)),
+        # a constant times lamperti_kappa(q, 1/alpha), which grows like
+        # q^{1 - 1/alpha} = q^beta: the subordinator's Levy tail has index beta at 0
         for alpha in (1.5, 2.0):
-            beta = 1.0 - 1.0 / alpha
-            slope = math.log(lamperti_kappa(2000.0, beta)
-                             / lamperti_kappa(1000.0, beta)) / math.log(2.0)
-            assert slope == pytest.approx(1.0 - beta, rel=0.01)
+            slope = math.log(lamperti_kappa(2000.0, 1.0 / alpha)
+                             / lamperti_kappa(1000.0, 1.0 / alpha)) / math.log(2.0)
+            assert slope == pytest.approx(1.0 - 1.0 / alpha, rel=0.01)
 
 
 class TestDurationLaw:
     def test_rate_matches_tail(self):
         s = ou_sampler(2.0, 1e-3)
-        assert s.rate == pytest.approx(cutting_tail(1e-3, 2.0), rel=1e-12)
+        assert s.rate == pytest.approx(cutting_tail(2.0)(1e-3), rel=1e-12)
         assert s.atom == 0.0
         assert ou_sampler(2, 1e-3) is s          # one cache entry for 2 and 2.0
 
@@ -161,16 +151,23 @@ class TestDurationLaw:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
     def test_is_the_cutout_of_a_cbi(self, alpha, eps):
-        # psi = q + q^2 has v_t = 1/expm1(t), so phi(q) = q/alpha cuts with the
-        # tail (1/alpha)/(e^z - 1) of the cutting measure
-        want = ou_sampler(alpha, eps)
-        got = DurationSampler.from_mechanisms(QuadraticBranching(b=1.0, sigma2=2.0),
-                                              StableImmigration(dprime=1.0 / alpha, beta=1.0),
-                                              eps)
+        # the pair's table against the closed-form cutting measure's
+        want = DurationSampler.from_tail(cutting_tail(alpha), eps)
+        got = ou_sampler(alpha, eps)
         assert got.rate == pytest.approx(want.rate, rel=1e-15, abs=0.0)
         assert got.atom == want.atom == 0.0
         assert got.log_tail_rev.size == want.log_tail_rev.size
         np.testing.assert_allclose(got.log_tail_rev, want.log_tail_rev, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got.log_time_rev, want.log_time_rev)
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.0])
+    @pytest.mark.parametrize("T", [10.0, 100.0], ids=["mark sweep", "ladder"])
+    def test_sample_is_the_pairs_cutout(self, alpha, T):
+        for seed in range(3):
+            ours = sample_ou_cutout(alpha, T, 1e-3, seed)
+            theirs = sample_cutout(*pair(alpha), T, 1e-3, seed)
+            assert ours.intervals.tobytes() == theirs.intervals.tobytes()
+            assert (ours.horizon, ours.eps, ours.seed) == (theirs.horizon, theirs.eps, theirs.seed)
 
     def test_matches_pushforward_law(self):
         # both pipelines target the truncated normalized cutting measure
@@ -207,8 +204,11 @@ class TestPushforward:
                                                                     rel=1e-15, abs=1e-15)
 
     def test_validation(self):
-        with pytest.raises(CutoutError, match="eps"):
-            pushforward_samples(2.0, 0.0, 10, 1)
+        for eps in (0.0, math.inf, math.nan):
+            with pytest.raises(CutoutError, match=f"eps {eps} must be finite and positive"):
+                pushforward_samples(2.0, eps, 10, 1)
+            with pytest.raises(CutoutError, match=f"eps {eps} must be finite and positive"):
+                pushforward_ks(2.0, eps, 100, 1)
         with pytest.raises(CutoutError, match="at least one"):
             pushforward_samples(2.0, 1e-3, 0, 1)
         with pytest.raises(MechanismDomainError):
@@ -228,7 +228,7 @@ class TestSampleOUCutout:
         # truncated cuts straddling t; strong end-to-end engine oracle
         alpha, eps, T = 1.8, 1e-3, 20.0
         c = 1.0 / alpha
-        rate = cutting_tail(eps, alpha)
+        rate = ou_sampler(alpha, eps).rate
 
         def survival(t):
             if t <= eps:
@@ -282,5 +282,6 @@ class TestSampleOUCutout:
             sample_ou_cutout(2.0, 0.0, 1e-3, 1)
         with pytest.raises(CutoutError, match="eps"):
             sample_ou_cutout(2.0, 10.0, -1e-3, 1)
-        with pytest.raises(MechanismDomainError):
-            sample_ou_cutout(0.9, 10.0, 1e-3, 1)
+        for eps in (1e-3, math.inf, math.nan):       # the index is checked first
+            with pytest.raises(MechanismDomainError):
+                sample_ou_cutout(0.9, 10.0, eps, 1)

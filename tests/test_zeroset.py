@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
@@ -212,13 +213,34 @@ class TestPositiveRootOracle:
             assert gzero_density(psi, phi, t / c) == pytest.approx(want, rel=1e-9)
 
 
+def _log_gamma_ratio(x, a):
+    """log Gamma(x + a) - log Gamma(x), within 2e-13 of its value.  Past
+    x = 100 the two lgamma values would each carry an ulp of about x log x,
+    so there their Stirling series are subtracted term by term."""
+    if x < 100.0:
+        return math.lgamma(x + a) - math.lgamma(x)
+
+    def series(z):
+        return 1.0 / (12.0 * z) - 1.0 / (360.0 * z ** 3) + 1.0 / (1260.0 * z ** 5)
+
+    return (x + a - 0.5) * math.log1p(a / x) + a * (math.log(x) - 1.0) + series(x + a) - series(x)
+
+
+def _subcritical_exponent(b, sigma2, d, q):
+    """L(q) of psi = b u + sigma2 u^2/2, phi = d u with gamma = 2d/sigma2 < 1:
+    v_t = (2b/sigma2)/(e^{bt} - 1) and e^{W(t)} = ((1 - e^{-b})/(1 - e^{-bt}))^gamma,
+    so the zero set is unbounded and
+    L(q) = b (1 - e^{-b})^{-gamma} Gamma(q/b + 1 - gamma)/(Gamma(q/b) Gamma(1 - gamma))."""
+    gamma = 2.0 * d / sigma2
+    return b * (-math.expm1(-b)) ** -gamma * math.exp(
+        _log_gamma_ratio(q / b, 1.0 - gamma) - math.lgamma(1.0 - gamma))
+
+
 @pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
 @pytest.mark.parametrize("b", [1.0, 10.0])
 def test_subcritical_oracle(b, copy):
-    # psi = b u + u^2, phi = d u: v_t = b/(e^{bt} - 1) and
-    # e^{W(t)} = ((1 - e^{-b})/(1 - e^{-bt}))^d, so the zero set is unbounded
-    # and L(q) = b/((1 - e^{-b})^d B(q/b, 1 - d)).  Near 0 a level octave
-    # takes log(2)/b of time, and past t = 1/b the flow decays exponentially
+    # near 0 a level octave takes log(2)/b of time, and past t = 1/b the
+    # flow decays exponentially
     d = 0.5
     psi, phi = QuadraticBranching(b=b, sigma2=2.0), StableImmigration(dprime=d, beta=1.0)
     if copy:
@@ -226,9 +248,22 @@ def test_subcritical_oracle(b, copy):
                     CustomImmigration(eval=lambda u, f=phi: f(u)))
     assert laplace_exponent(psi, phi, 0.0) == 0.0
     for q in (1e-6, 1e-4, 0.25, 1.0, 16.0):
-        log_beta = math.lgamma(q / b) + math.lgamma(1.0 - d) - math.lgamma(q / b + 1.0 - d)
-        want = b * (1.0 - math.exp(-b)) ** -d * math.exp(-log_beta)
-        assert laplace_exponent(psi, phi, q) == pytest.approx(want, rel=1e-9)
+        assert laplace_exponent(psi, phi, q) == pytest.approx(
+            _subcritical_exponent(b, 2.0, d, q), rel=1e-9)
+
+
+@pytest.mark.parametrize("b, sigma2, d", [
+    (1.0, 2.0, 1.0 / 1.3), (1.0, 2.0, 1.0 / 1.8), (1.0, 2.0, 0.5), (0.5, 1.0, 0.2),
+    (3.0, 0.5, 0.05), (2.0, 4.0, 1.9), (0.1, 2.0, 0.3), (10.0, 1.0, 0.01),
+], ids=["ou 1.3", "ou 1.8", "ou 2", "gamma 0.4", "gamma 0.2", "gamma 0.95", "slow b",
+        "fast b"])
+def test_subcritical_closed_form_on_a_wide_grid(b, sigma2, d):
+    # b = 1, sigma2 = 2, d = 1/alpha is the stable OU zero set, whose L(q) is
+    # a constant times lamperti_kappa(q, 1/alpha) and grows like q^{1 - 1/alpha}
+    psi, phi = QuadraticBranching(b=b, sigma2=sigma2), StableImmigration(dprime=d, beta=1.0)
+    for q in np.geomspace(1e-2, 1e4, 25):
+        assert laplace_exponent(psi, phi, float(q)) == pytest.approx(
+            _subcritical_exponent(b, sigma2, d, float(q)), rel=1e-10)
 
 
 @pytest.mark.parametrize("copy", [False, True], ids=["family", "custom-copy"])
