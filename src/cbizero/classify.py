@@ -434,6 +434,12 @@ def classify_zero_state(psi: BranchingMechanism,
     outer = _settled(outer)
     evidence = {"theta": theta, "outer": outer.evidence()}
     zero_class = {INFINITE: POLAR, INCONCLUSIVE: INCONCLUSIVE_CLASS}.get(outer.verdict)
+    if zero_class == POLAR and heavy.is_yes:
+        # under Grey a finite int R bounds e^W, so the outer integral is
+        # finite; octave sums that rise for long read as divergent here
+        zero_class = INCONCLUSIVE_CLASS
+        evidence["note"] = ("outer integral read as divergent for a heavy set; "
+                            "a heavy zero set is not polar")
     stationary = None
     if zero_class is None:
         root = largest_root(psi)

@@ -160,6 +160,8 @@ class DurationSampler:
         if not 0.0 < eps < math.inf:
             raise CutoutError(f"eps {eps} must be finite and positive")
         rate = tail(eps)
+        if math.isnan(rate):
+            raise CutoutError(f"tail is NaN at eps = {eps!r}")
         if not (0.0 <= rate < math.inf):
             raise CutoutError("decrease ε not possible, tail infinite")
         atom = atom_mass / rate if rate > 0.0 else 0.0
@@ -170,7 +172,11 @@ class DurationSampler:
             t = eps
             for _ in range(TABLE_POINTS_PER_DECADE * TABLE_MAX_DECADES):
                 t *= step
-                s = tail(t) / rate
+                value = tail(t)
+                if not math.isfinite(value):
+                    raise CutoutError(f"tail is {value!r} at t = {t!r}, "
+                                      "not a finite number")
+                s = value / rate
                 times.append(t)
                 tails.append(s)
                 if s <= stop:

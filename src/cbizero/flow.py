@@ -4,19 +4,21 @@ The flow ``v_t(lam)`` solves dv/dt = -psi(v) from v_0 = lam, or from
 infinity.  It is found by inverting t = int_v^lam dq/psi(q), not by
 stepping the ODE, which is stiff as t -> 0 where the boundary flow blows up.
 
-Each solve first asks the mechanism's closed-form flow hook (``closed_*``;
-one that overflows raises ``FlowError``), else inverts on the panel rule
-with the level written root + s e^w (s = +1 above the largest root, -1
-below).  F(a) = int_a^inf dq/psi is read at the edges theta 2^k off the
-scan of 1/psi that decides Grey's condition (``mechanisms.tail_scan``),
-summed from the top; an edge far below its scan's total, or past its
-range, is scanned afresh.  A scan's range ends where psi overflows, and
-a v_t past it raises ``FlowError``.  v_t lies in the octave whose edge
-values bracket t, or below the first edge, as the flow from it for the
-rest of t.  Newton steps on log time solve in w, each integrating only
-the span from the last iterate, as dT/dw = -e^w/|psi| is exact.  As
-ds = -dv/Psi, ``phi_integral`` takes int_0^t Phi(v_s) ds as Phi(root) t
-plus ``weight_between`` of Phi - Phi(root) from v_t to lam.
+Each solve first asks the mechanism's closed-form flow hook
+(``closed_tail_time``, or ``closed_v_from_lambda``, which takes lam = inf
+for the boundary flow; one that overflows raises ``FlowError``), else
+inverts on the panel rule with the level written root + s e^w (s = +1
+above the largest root, -1 below).  F(a) = int_a^inf dq/psi is read at
+the edges theta 2^k off the scan of 1/psi that decides Grey's condition
+(``mechanisms.tail_scan``), summed from the top; an edge far below its
+scan's total, or past its range, is scanned afresh.  A scan's range ends
+where psi overflows, and a v_t past it raises ``FlowError``.  v_t lies in
+the octave whose edge values bracket t, or below the first edge, as the
+flow from it for the rest of t.  Newton steps on log time solve in w,
+each integrating only the span from the last iterate, as dT/dw =
+-e^w/|psi| is exact.  As ds = -dv/Psi, ``phi_integral`` takes int_0^t
+Phi(v_s) ds as Phi(root) t plus ``weight_between`` of Phi - Phi(root)
+from v_t to lam.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class FlowSolver:
         """Boundary flow level v_t with v_{0+} = infinity; needs Grey."""
         if not t > 0:
             raise MechanismDomainError(f"time must be > 0, got {t}")
-        closed = self._closed(self.psi.closed_v_from_infinity, t)
+        closed = self._closed(self.psi.closed_v_from_lambda, t, math.inf)
         if closed is not None:
             return closed
         root, theta = largest_root(self.psi), positivity_threshold(self.psi)

@@ -259,15 +259,13 @@ class BranchingMechanism(Mechanism):
         return self(h) / h
 
     # Closed-form flow hooks.  None sends FlowSolver to its numeric route;
-    # arguments arrive validated (a > 0; t > 0, and lam > 0 finite).
+    # arguments arrive validated (a > 0; t > 0, and lam > 0, where lam = inf
+    # asks for the boundary flow).
 
     def closed_tail_time(self, a: float) -> Optional[float]:
         return None
 
     def closed_v_from_lambda(self, t: float, lam: float) -> Optional[float]:
-        return None
-
-    def closed_v_from_infinity(self, t: float) -> Optional[float]:
         return None
 
 
@@ -375,10 +373,6 @@ class StableBranching(BranchingMechanism):
         am1 = self.alpha - 1.0
         return (lam ** -am1 + self.d * am1 * t) ** (-1.0 / am1)
 
-    def closed_v_from_infinity(self, t):
-        am1 = self.alpha - 1.0
-        return (self.d * am1 * t) ** (-1.0 / am1)
-
 
 # below the smallest normal float b has lost digits, and dividing by it
 # costs more than its term is worth: the root and the closed flow forms
@@ -441,35 +435,21 @@ class QuadraticBranching(BranchingMechanism):
         return math.log1p(ratio) / self.b
 
     def closed_v_from_lambda(self, t, lam):
-        if self.sigma2 == 0.0:  # pure drift
-            return lam * math.exp(-self.b * t)
-        # 1/v satisfies a linear ODE; this form is stable for either sign of b
-        if abs(self.b) < _NORMAL_MIN:
-            return 1.0 / (1.0 / lam + 0.5 * self.sigma2 * t)
+        if self.sigma2 == 0.0:  # pure drift: from infinity Grey's condition fails
+            return None if math.isinf(lam) else lam * math.exp(-self.b * t)
         try:
             growth = math.exp(self.b * t)
             spread = math.expm1(self.b * t)
         except OverflowError:
             return 0.0  # b > 0 and t huge: level underflows
-        denom = growth / lam + self.sigma2 / (2.0 * self.b) * spread
+        if abs(self.b) < _NORMAL_MIN or spread == 0.0:  # b*t underflowed
+            return 1.0 / (1.0 / lam + 0.5 * self.sigma2 * t)
+        # 1/v satisfies a linear ODE; this form is stable for either sign of b
+        # and at lam = inf is the boundary flow 2b / (sigma2 expm1(bt))
+        denom = growth / lam * (2.0 * self.b) + self.sigma2 * spread
         if math.isinf(denom):
             return 0.0
-        return 1.0 / denom
-
-    def closed_v_from_infinity(self, t):
-        if self.sigma2 == 0.0:
-            return None  # pure drift fails Grey's condition
-        if abs(self.b) < _NORMAL_MIN:
-            return 2.0 / (self.sigma2 * t)
-        try:
-            spread = math.expm1(self.b * t)
-        except OverflowError:
-            return 0.0
-        if math.isinf(spread):
-            return 0.0
-        if spread == 0.0:  # b*t underflowed; b -> 0 limit
-            return 2.0 / (self.sigma2 * t)
-        return 2.0 * self.b / (self.sigma2 * spread)
+        return 2.0 * self.b / denom
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .flow import _ratio, solver
 from .mechanisms import (
     BranchingMechanism,
     ImmigrationMechanism,
+    LampertiImmigration,
     MechanismDomainError,
     Verdict,
     largest_root,
@@ -255,13 +256,14 @@ def selfsimilar_index(alpha: float, d: float, dprime: float) -> float:
 
 
 def lamperti_kappa(gamma_arg: float, beta: float) -> float:
-    """Laplace exponent of the Lamperti-stable subordinator at gamma_arg."""
+    """Laplace exponent of the Lamperti-stable subordinator at gamma_arg,
+    Gamma(1 - beta + q) / (Gamma(1 - beta) Gamma(q)): the Lamperti
+    immigration exponent of index 1 - beta."""
     if gamma_arg <= 0.0:
         raise MechanismDomainError("exponent argument must be positive")
     if not (0.0 < beta < 1.0):
         raise MechanismDomainError("beta must lie in (0, 1)")
-    return math.exp(math.lgamma(1.0 - beta + gamma_arg)
-                    - math.lgamma(1.0 - beta) - math.lgamma(gamma_arg))
+    return LampertiImmigration(beta=1.0 - beta)(gamma_arg)
 
 
 def least_squares_line(xs: Sequence[float],

@@ -358,8 +358,29 @@ class TestNumericAgreement:
         assert numeric.method == METHOD_NUMERIC
         assert numeric.zero_class == fast.zero_class
         assert numeric.heavy.value == fast.heavy.value
+        # a heavy set has positive Lebesgue measure, so it is never polar
+        assert not (numeric.zero_class == POLAR and numeric.heavy.is_yes)
         if "root" in numeric.evidence:
             assert numeric.evidence["supercritical"] == (numeric.evidence["root"] > 0)
+
+    @pytest.mark.parametrize("d", [2.0, 4.0, 8.0])
+    def test_heavy_set_is_not_read_as_polar(self, d):
+        # the outer octave sums of (q + q^2, d q^0.9) rise for about
+        # log2(d^10) octaves before they fall, which the window rules
+        # read as divergence; int R < inf bounds e^W, so it cannot diverge
+        psi, phi = SUBQUAD, StableImmigration(dprime=d, beta=0.9)
+        assert classify_zero_state(psi, phi).zero_class == RECURRENT
+        numeric = classify_zero_state(psi, phi, numeric_only=True)
+        assert numeric.heavy.is_yes
+        assert numeric.zero_class == INCONCLUSIVE_CLASS
+        assert numeric.evidence["outer"]["verdict"] == "infinite"
+        assert "heavy" in numeric.evidence["note"]
+
+    def test_undeclared_heavy_copy_is_not_polar(self):
+        lamperti = LampertiImmigration(beta=0.9)
+        report = classify_zero_state(SUBQUAD, CustomImmigration(eval=lambda q: 5.0 * lamperti(q)))
+        assert report.heavy.is_yes
+        assert report.zero_class == INCONCLUSIVE_CLASS
 
 
 class TestScalingMonotonicity:

@@ -126,6 +126,13 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["zero_class"] == "Inconclusive"
 
+    def test_heavy_outer_divergence_is_two(self, capsys):
+        rc = run_cli("classify", "--psi", "quadratic:b=1,sigma2=2",
+                     "--phi", "stable:d=4,beta=0.9", "--numeric-only")
+        assert rc == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["zero_class"], report["heavy"]) == ("Inconclusive", "Yes")
+
     def test_usage_error_exits_one(self, capsys):
         # argparse would exit 2, which is reserved for Inconclusive
         with pytest.raises(SystemExit) as exc:

@@ -328,6 +328,23 @@ class TestValidate:
         with pytest.raises(CutoutError, match=f"eps {eps} must be finite and positive"):
             build(eps)
 
+    # sqrt(q) that is NaN below level 1: with Feller, v_t = 1/t is below 1 past t = 1
+    NAN_BELOW_ONE = CustomImmigration(eval=lambda q: math.sqrt(q) if q == 0 or q >= 1 else math.nan)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DurationSampler.from_tail(lambda t: 1 / t if t < 0.1 else math.nan, 1e-3),
+        lambda: DurationSampler.from_mechanisms(FELLER, TestValidate.NAN_BELOW_ONE, 1e-7),
+        lambda: sample_cutout(FELLER, TestValidate.NAN_BELOW_ONE, 1.0, 1e-7, 1),
+    ], ids=["from_tail", "from_mechanisms", "sample_cutout"])
+    def test_nan_tail_rejected_at_build(self, build):
+        # a NaN knot would fail the first draw inside the guide's bincount
+        with pytest.raises(CutoutError, match=r"tail is nan at t = (0\.1|1\.0)000\d*, not a finite"):
+            build()
+
+    def test_nan_rate_has_its_own_message(self):
+        with pytest.raises(CutoutError, match=r"tail is NaN at eps = 0\.001$"):
+            DurationSampler.from_tail(lambda t: math.nan if t <= 1e-3 else 1 / t, 1e-3)
+
 
 class TestStatistics:
     GRID = [2.0 ** -k for k in range(1, 11)]

@@ -91,6 +91,71 @@ class TestBoundaryFlow:
             solver(FELLER).v_from_infinity(0.0)
 
 
+# Reference boundary flows in their direct closed forms; the lam = inf
+# case of closed_v_from_lambda keeps their bits.
+def _stable_from_infinity(psi, t):
+    am1 = psi.alpha - 1.0
+    return (psi.d * am1 * t) ** (-1.0 / am1)
+
+
+def _quadratic_from_infinity(psi, t):
+    if abs(psi.b) < 2.0 ** -1022:
+        return 2.0 / (psi.sigma2 * t)
+    try:
+        spread = math.expm1(psi.b * t)
+    except OverflowError:
+        return 0.0
+    if spread == 0.0:
+        return 2.0 / (psi.sigma2 * t)
+    return 2.0 * psi.b / (psi.sigma2 * spread)
+
+
+LOG_TIMES = [10.0 ** (k / 8.0) for k in range(-8 * 320, 8 * 308 + 1)]
+
+
+class TestFlowFromInfinityHook:
+    @pytest.mark.parametrize("psi", [FELLER, STABLE15, StableBranching(d=3.0, alpha=1.1),
+                                     StableBranching(d=0.2, alpha=1.9)],
+                             ids=lambda mech: mech.spec())
+    def test_stable_keeps_its_bits(self, psi):
+        flow = solver(psi)
+        for t in LOG_TIMES:
+            try:
+                want = _stable_from_infinity(psi, t)
+            except OverflowError:
+                with pytest.raises(FlowError, match="closed flow form overflows"):
+                    flow.v_from_infinity(t)
+                continue
+            assert flow.v_from_infinity(t).hex() == want.hex(), t
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 1e-300, 0.5, 1.0])
+    @pytest.mark.parametrize("sigma2", [2.0, 0.9])
+    def test_quadratic_keeps_its_bits(self, b, sigma2):
+        # the lam form's b -> 0 limit 1/(1/lam + sigma2 t/2) differs only
+        # where sigma2 t/2 is subnormal or sigma2 t overflows
+        psi = QuadraticBranching(b=b, sigma2=sigma2)
+        flow, checked = solver(psi), 0
+        for t in LOG_TIMES:
+            if 0.5 * sigma2 * t >= 2.0 ** -1022 and math.isfinite(sigma2 * t):
+                want = _quadratic_from_infinity(psi, t)
+                assert flow.v_from_infinity(t).hex() == want.hex(), t
+                assert psi.closed_v_from_lambda(t, math.inf).hex() == want.hex(), t
+                checked += 1
+        assert checked > 4800
+
+    def test_underflowed_bt_takes_the_b_to_0_limit(self):
+        # b t = 1e-330 rounds to 0, but sigma2 t / 2 = 1e-30 is far above
+        # 1/lam = 1e-299: the level is 1/(1/lam + sigma2 t/2), not lam
+        psi = QuadraticBranching(b=1e-300, sigma2=2.0)
+        assert solver(psi).v_from_lambda(1e-30, 1e299) == 1.0 / (1e-299 + 1e-30)
+
+    def test_pure_drift_has_no_boundary_flow(self):
+        # the solver's GreyConditionError is test_family_errors_reach_the_copy's
+        drift = QuadraticBranching(b=1.0, sigma2=0.0)
+        assert drift.closed_v_from_lambda(1.0, math.inf) is None
+        assert drift.closed_v_from_lambda(1.0, 2.0) == 2.0 * math.exp(-1.0)
+
+
 class TestFlowFromLambda:
     def test_feller_closed_form(self):
         assert solver(FELLER).v_from_lambda(1.0, 1.0) == pytest.approx(0.5)

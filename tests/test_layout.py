@@ -13,6 +13,8 @@ panel of a built-in family calls no ``__call__``; no family's ``values``
 loops over its points in Python, as only the base class's fallback for
 user handles does.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
+The boundary flow is the flow from lam = inf, so a family gives two
+closed flow hooks, ``closed_tail_time`` and ``closed_v_from_lambda``.
 A custom branching declares nothing beside its handle, and the compound
 Poisson family nothing beside its mass.
 Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
@@ -261,6 +263,17 @@ def test_flow_solver_holds_only_its_mechanism():
                   if isinstance(node, ast.ClassDef) and node.name == "FlowSolver")
     fields = [node.target.id for node in solver.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["psi"]
+
+
+def test_two_closed_flow_hooks():
+    # v_from_infinity asks closed_v_from_lambda(t, inf); no class states
+    # the boundary flow a second time
+    defined = {fn.name for node in TREES["mechanisms.py"].body if isinstance(node, ast.ClassDef)
+               for fn in node.body if isinstance(fn, ast.FunctionDef)}
+    assert "closed_v_from_infinity" not in defined
+    read = {node.attr for node in ast.walk(TREES["flow.py"])
+            if isinstance(node, ast.Attribute) and node.attr.startswith("closed_")}
+    assert read == {"closed_tail_time", "closed_v_from_lambda"}
 
 
 @pytest.mark.parametrize("family, want", [("CustomBranching", ["eval"]),

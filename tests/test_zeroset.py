@@ -359,6 +359,18 @@ class TestLampertiKappa:
                   - math.log(lamperti_kappa(1e6, beta))) / math.log(2.0))
         assert slope == pytest.approx(1.0 - beta, abs=0.01)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_matches_mpmath(self, beta):
+        # a difference of two lgamma values is off by 2e-7 relative at 1e8
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            shift = 1 - mpmath.mpf(beta)
+            for q in np.logspace(-2, 8, 41):
+                q = float(q)
+                exact = mpmath.exp(mpmath.loggamma(shift + q) - mpmath.loggamma(shift)
+                                   - mpmath.loggamma(q))
+                assert lamperti_kappa(q, beta) == pytest.approx(float(exact), rel=1e-13)
+
     def test_domain_validation(self):
         with pytest.raises(MechanismDomainError):
             lamperti_kappa(0.0, 0.5)
