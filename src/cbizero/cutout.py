@@ -7,7 +7,8 @@ discarded (the full intensity has infinite mass near 0), which biases
 the uncovered set upward; every estimator therefore reports eps, and
 the tests include eps-sensitivity checks.
 
-Two kernels draw the same law of (uncovered intervals, frontier) exactly:
+Two kernels draw the same law of the uncovered intervals exactly, and a
+frontier past T exactly when T is covered (see `_sweep`):
 
 * The mark sweep streams every birth as exponential spacings and sweeps
   a coverage frontier chunk by chunk.  It draws one duration per mark,
@@ -70,8 +71,8 @@ _CHUNK = 1 << 18
 # Busy periods per ladder batch in empirical_gzero, which fixes the
 # replicates per batch.  At T_max = 30, eps = 1e-4 (a round of 100
 # periods per replicate, so 81 replicates per batch) 500 replicates reach
-# a tracemalloc peak of 1.3 MB; 1 << 14 reaches 2.4 MB for no gain in
-# time, one batch of all 500 8.1 MB.
+# a tracemalloc peak of 1.0 MB; 1 << 14 reaches 2.0 MB for no gain in
+# time, one batch of all 500 6.1 MB.
 _BATCH_PERIODS = 1 << 13
 _MAX_HORIZON_DOUBLINGS = 16
 
@@ -162,8 +163,12 @@ class DurationSampler:
         rate = tail(eps)
         if math.isnan(rate):
             raise CutoutError(f"tail is NaN at eps = {eps!r}")
-        if not (0.0 <= rate < math.inf):
+        if rate < 0.0:
+            raise CutoutError(f"tail is negative at eps = {eps!r}: {rate!r}")
+        if rate == math.inf:
             raise CutoutError("decrease ε not possible, tail infinite")
+        if not 0.0 <= atom_mass <= rate:
+            raise CutoutError(f"atom mass {atom_mass!r} must lie in [0, rate = {rate!r}]")
         atom = atom_mass / rate if rate > 0.0 else 0.0
         times, tails = [eps], [1.0]
         if rate > 0.0:
@@ -311,7 +316,6 @@ class _CumulativeTail:
         self._cum_edges = cum[1:-1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         p = self.segments.take(np.searchsorted(self._knot_edges, x, "right"),
                                axis=0)
         L = np.minimum(np.log(np.maximum(x, self.eps)) - p[..., self.LOG_T],
@@ -387,24 +391,21 @@ def _mark_sweep(T: float, sampler: DurationSampler, rng: np.random.Generator):
 
 
 def _ladder_step(sampler: DurationSampler, lo: np.ndarray, hi: np.ndarray,
-                 skip: Optional[np.ndarray],
                  rng: np.random.Generator) -> np.ndarray:
     """One ladder step for each busy period with frontiers lo < hi.
 
-    Draws the births at offsets x in ]skip, hi - lo[ behind hi (skip 0
-    when None) that end beyond hi: Poisson with mean
-    rate * (G(hi - lo) - G(skip)), each offset by inverting G and each
-    duration from S conditioned past its offset.
+    Draws the births at offsets x in ]0, hi - lo[ behind hi that end
+    beyond hi: Poisson with mean rate * G(hi - lo), each offset by
+    inverting G and each duration from S conditioned past its offset.
     Returns hi plus the largest overshoot, or hi where no birth reaches
     past it.
     """
     table = sampler._cumulative_tail
     delta = hi - lo
     g_hi = table(delta)
-    g_lo = 0.0 if skip is None else table(skip)
     # the births of all periods at once: one Poisson count over the
     # stacked masses, each birth placed uniformly in the stack
-    edges = np.cumsum(sampler.rate * (g_hi - g_lo))
+    edges = np.cumsum(sampler.rate * g_hi)
     top = np.zeros(hi.size)
     births = rng.poisson(edges[-1])
     if births:
@@ -418,9 +419,8 @@ def _ladder_step(sampler: DurationSampler, lo: np.ndarray, hi: np.ndarray,
     # exact tail, which lies below S(t_max) there
     floor = math.exp(sampler.log_tail_rev[0])
     for j in np.nonzero(delta > table.t_max)[0]:
-        a = table.t_max if skip is None else max(float(skip[j]), table.t_max)
-        span = float(delta[j]) - a
-        x = a + span * rng.random(rng.poisson(sampler.rate * floor * span))
+        span = float(delta[j]) - table.t_max
+        x = table.t_max + span * rng.random(rng.poisson(sampler.rate * floor * span))
         tail = np.array([sampler.tail(v) for v in x]) / sampler.rate
         keep = floor * rng.random(x.size) < tail
         if keep.any():
@@ -438,18 +438,14 @@ def _busy_periods(sampler: DurationSampler, gaps: np.ndarray,
 
     Returns the lengths, inf for each period dropped once it or an
     earlier one of its replicate surely ended past T (it cannot change
-    [0, T] any more), and the ladder states (ids, lo, hi) in the order
-    visited, ids flat indices into gaps, so that the state where a
-    period first passes a point can be looked up.
+    [0, T] any more), and each replicate's first such period (n if none).
     """
     R, n = gaps.shape
     reach = sampler.sample_array(gaps.size, rng)   # frontier so far, then length
     ids, lo, hi = np.arange(gaps.size), np.zeros(gaps.size), reach.copy()
     span, cols = reach.reshape(R, n), np.arange(n)
     late = np.ones((R, n + 1), dtype=bool)     # a last column that is always late
-    states = []
     while ids.size:
-        states.append((ids, lo, hi))
         np.greater(_births(clock, gaps, span) + span, T, out=late[:, :n])
         # drop a replicate's first late period (n if none) and every later one
         keep = (cols < late.argmax(axis=1, keepdims=True)).take(ids)
@@ -458,11 +454,12 @@ def _busy_periods(sampler: DurationSampler, gaps: np.ndarray,
             ids, lo, hi = ids[keep], lo[keep], hi[keep]
             if not ids.size:
                 break
-        nxt = _ladder_step(sampler, lo, hi, None, rng)
+        nxt = _ladder_step(sampler, lo, hi, rng)
         going = nxt > hi
         ids, lo, hi = ids[going], hi[going], nxt[going]
         reach[ids] = hi
-    return span, states
+    # no period moved since late was last set, and a dropped one was late
+    return span, late.argmax(axis=1)
 
 
 def _births(clock: np.ndarray, gaps: np.ndarray,
@@ -473,15 +470,6 @@ def _births(clock: np.ndarray, gaps: np.ndarray,
     born.cumsum(axis=1, out=born)
     born += clock[:, None]
     return born
-
-
-def _crossing(states, period: int, point: float):
-    """The first ladder state (lo, hi) of a period (flat id) with hi > point."""
-    for ids, lo, hi in states:
-        k = int(np.searchsorted(ids, period))
-        if k < ids.size and ids[k] == period and hi[k] > point:
-            return float(lo[k]), float(hi[k])
-    raise RuntimeError("busy period never passed the point")
 
 
 def _expected_busy_periods(sampler: DurationSampler, horizon: float) -> float:
@@ -511,46 +499,35 @@ def _ladder(T: float, sampler: DurationSampler, replicates: int,
     busy period ending past T, in rounds of periods with Exp(rate) gaps.
 
     Yields per round the open replicates, their clocks, their periods'
-    births and deaths (replicates x periods), the index of each one's
+    births and deaths (replicates x periods) and the index of each one's
     first period dying past T (the row length if none: it goes on from
-    its last death) and the ladder states.
+    its last death).
     """
     rows, clock = np.arange(replicates), np.zeros(replicates)
     while rows.size:
         n = _round_size(sampler, T - float(clock.min()))
         gaps = rng.standard_exponential((rows.size, n)) / sampler.rate
-        length, states = _busy_periods(sampler, gaps, clock, T, rng)
+        length, j = _busy_periods(sampler, gaps, clock, T, rng)
         born = _births(clock, gaps, length)
         died = born + length
-        late = died > T
-        j = np.where(late.any(axis=1), late.argmax(axis=1), n)
-        yield rows, clock, born, died, j, states
+        yield rows, clock, born, died, j
         going = j == n
         rows, clock = rows[going], died[going, -1]
 
 
 def _ladder_sweep(T: float, sampler: DurationSampler,
                   rng: np.random.Generator):
-    """Frontier-ladder kernel: the ladder of one replicate."""
+    """Frontier-ladder kernel: the ladder of one replicate; its frontier
+    is inf where a busy period covers T."""
     starts, ends = [], []
-    for _, clock, born, died, j, states in _ladder(T, sampler, 1, rng):
+    for _, clock, born, died, j in _ladder(T, sampler, 1, rng):
         born, j = born[0], int(j[0])
         prev = np.concatenate((clock, died[0, :-1]))
         last = j if j == born.size or born[j] > T else j + 1
         gap = born[:last] > prev[:last]
         starts.append(prev[:last][gap])
         ends.append(born[:last][gap])
-    if last == j:
-        frontier = float(prev[j])
-    else:
-        # the period straddling T: its cuts born after T do not
-        # count, so redo its first step past T with births up to T
-        point = T - float(born[j])
-        lo, hi = _crossing(states, j, point)
-        if hi < math.inf:
-            hi = float(_ladder_step(sampler, np.array([lo]), np.array([hi]),
-                                    np.array([hi - point]), rng)[0])
-        frontier = float(born[j]) + hi
+    frontier = float(prev[j]) if last == j else math.inf
     return _uncovered(T, starts, ends, frontier), frontier
 
 
@@ -579,9 +556,10 @@ def _uncovered(T: float, starts: list, ends: list,
 def _sweep(T: float, sampler: DurationSampler, rng: np.random.Generator):
     """Draw the cutout over [0, T]; returns (intervals, frontier).
 
-    ``frontier`` is the supremum of the unclipped covered region; the
-    horizon is covered exactly when frontier > T.  Both kernels draw
-    this law exactly; the ladder wins once T * rate exceeds
+    A frontier at most T starts the uncovered tail [frontier, T]; one
+    past T means T is covered, and is then the supremum of the cuts born
+    by T from the mark sweep and inf from the ladder.  Both kernels draw
+    the intervals' law exactly; the ladder wins once T * rate exceeds
     LADDER_MIN_MARKS.
     """
     if T * sampler.rate > LADDER_MIN_MARKS:
@@ -589,18 +567,13 @@ def _sweep(T: float, sampler: DurationSampler, rng: np.random.Generator):
     return _mark_sweep(T, sampler, rng)
 
 
-def _check_marks(T: float, sampler: DurationSampler):
-    """Raises where [0, T] expects more than MAX_EXPECTED_MARKS marks."""
-    if T * sampler.rate > MAX_EXPECTED_MARKS:
-        raise CutoutError("ε too small for horizon")
-
-
 def cutout_with_sampler(sampler: DurationSampler, T: float,
                         seed) -> UncoveredSet:
     """One cutout realization driven by an externally built sampler."""
     if not 0.0 < T < math.inf:
         raise CutoutError(f"horizon {T} must be finite and positive")
-    _check_marks(T, sampler)
+    if T * sampler.rate > MAX_EXPECTED_MARKS:
+        raise CutoutError("ε too small for horizon")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     intervals, _ = _sweep(T, sampler, rng)
     return UncoveredSet(horizon=T, eps=sampler.eps, intervals=intervals,
@@ -617,11 +590,10 @@ def intersect(sets: Sequence[UncoveredSet]) -> UncoveredSet:
     if not sets:
         raise CutoutError("nothing to intersect")
     first = sets[0]
+    result = first.intervals
     for other in sets[1:]:
         if other.horizon != first.horizon or other.eps != first.eps:
             raise CutoutError("mismatched horizons or truncation lengths")
-    result = first.intervals
-    for other in sets[1:]:
         result = _intersect_pair(result, other.intervals)
     return UncoveredSet(horizon=first.horizon, eps=first.eps,
                         intervals=result, seed=None)
@@ -699,6 +671,8 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     """
     if n_samples < 1:
         raise CutoutError("need at least one replicate")
+    if not 0.0 < T_max < math.inf:
+        raise CutoutError(f"horizon {T_max} must be finite and positive")
     tail = _gzero_tail(psi, phi, T_max)
     if tail >= GZERO_TAIL_BOUND:
         raise CutoutError(
@@ -710,11 +684,12 @@ def empirical_gzero(psi, phi, n_samples: int, T_max: float, eps: float,
     todo = np.arange(n_samples)
     T = T_max
     for _ in range(_MAX_HORIZON_DOUBLINGS):
-        _check_marks(T, sampler)
+        if T * sampler.rate > MAX_EXPECTED_MARKS:
+            raise CutoutError("ε too small for horizon")
         size = max(1, _BATCH_PERIODS // _round_size(sampler, T))
         for batch in np.split(todo, range(size, todo.size, size)):
             rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))
-            for rows, _, born, _, j, _ in _ladder(T, sampler, batch.size, rng):
+            for rows, _, born, _, j in _ladder(T, sampler, batch.size, rng):
                 done = j < born.shape[1]
                 g = born[done, j[done]]
                 values[batch[rows[done]]] = np.where(g <= T, g, math.inf)

@@ -216,6 +216,8 @@ class FlowSolver:
 
     def extinction_prob(self, x: float, t: float) -> float:
         """P[the branching population from mass x dies by time t] = exp(-x v_t)."""
+        if not math.isfinite(x):
+            raise MechanismDomainError(f"mass x must be finite, got {x}")
         if x < 0:
             raise MechanismDomainError(f"mass must be >= 0, got {x}")
         if x == 0.0:
@@ -227,6 +229,8 @@ class FlowSolver:
     def cbi_laplace(self, x: float, q: float, t: float,
                     phi: ImmigrationMechanism) -> float:
         """Marginal transform E_x[exp(-q Y_t)] of the process with immigration."""
+        if not (math.isfinite(x) and math.isfinite(q) and math.isfinite(t)):
+            raise MechanismDomainError(f"x, q and t must be finite, got {x}, {q}, {t}")
         if x < 0 or q < 0:
             raise MechanismDomainError("x and q must be >= 0")
         if not t > 0:

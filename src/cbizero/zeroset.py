@@ -248,6 +248,9 @@ def selfsimilar_index(alpha: float, d: float, dprime: float) -> float:
     self-similar family (branching d q^alpha, immigration d' q^(alpha-1))."""
     if not (1.0 < alpha <= 2.0):
         raise MechanismDomainError("alpha must lie in (1, 2]")
+    for name, value in (("d", d), ("dprime", dprime)):
+        if not math.isfinite(value):
+            raise MechanismDomainError(f"scale parameter {name} must be finite, got {value}")
     if d <= 0.0 or dprime <= 0.0:
         raise MechanismDomainError("scale parameters must be positive")
     if dprime / d >= alpha - 1.0:
@@ -259,6 +262,8 @@ def lamperti_kappa(gamma_arg: float, beta: float) -> float:
     """Laplace exponent of the Lamperti-stable subordinator at gamma_arg,
     Gamma(1 - beta + q) / (Gamma(1 - beta) Gamma(q)): the Lamperti
     immigration exponent of index 1 - beta."""
+    if not math.isfinite(gamma_arg):
+        raise MechanismDomainError(f"exponent argument gamma_arg must be finite, got {gamma_arg}")
     if gamma_arg <= 0.0:
         raise MechanismDomainError("exponent argument must be positive")
     if not (0.0 < beta < 1.0):

@@ -82,6 +82,16 @@ class TestDurationSampler:
                            match="decrease ε not possible, tail infinite"):
             DurationSampler.from_tail(lambda t: math.inf, 1e-3)
 
+    @pytest.mark.parametrize("mass", [math.nan, -0.25, 1e9])
+    def test_atom_mass_outside_the_rate_rejected(self, mass):
+        # the conditional atom mass / rate would be NaN, negative or above 1
+        with pytest.raises(CutoutError, match=rf"atom mass {mass!r} must lie in \[0, rate = 1000\.0\]"):
+            DurationSampler.from_tail(lambda t: 1.0 / t, 1e-3, atom_mass=mass)
+
+    def test_negative_rate_has_its_own_message(self):
+        with pytest.raises(CutoutError, match=r"tail is negative at eps = 0\.001: -1\.0$"):
+            DurationSampler.from_tail(lambda t: -1.0, 1e-3)
+
     def test_supercritical_atom(self):
         # tail with a positive floor: infinite durations appear
         s = DurationSampler.from_tail(lambda t: 0.25 + 1.0 / t, 0.1,
@@ -327,6 +337,11 @@ class TestValidate:
         # a NaN one an error from the flow
         with pytest.raises(CutoutError, match=f"eps {eps} must be finite and positive"):
             build(eps)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_gzero_horizon_checked_before_any_flow_work(self, T):
+        with pytest.raises(CutoutError, match=f"horizon {T} must be finite and positive"):
+            empirical_gzero(FELLER, ROOT_HALF, 10, T, 1e-3, 1)
 
     # sqrt(q) that is NaN below level 1: with Feller, v_t = 1/t is below 1 past t = 1
     NAN_BELOW_ONE = CustomImmigration(eval=lambda q: math.sqrt(q) if q == 0 or q >= 1 else math.nan)
@@ -603,9 +618,11 @@ class TestKernelsAgree:
             draws[kernel] = (
                 [iv[-1, 1] for iv, _ in runs],
                 [iv.shape[0] for iv, _ in runs],
-                [frontier for _, frontier in runs])
+                [min(frontier, T) for _, frontier in runs])
         # three tests per case at level 1e-4 each; interval counts are
-        # discrete, which only makes the KS test conservative
+        # discrete, which only makes the KS test conservative.  Past T the
+        # kernels' frontiers differ (the ladder's is inf), so the third
+        # compares min(frontier, T), the part [0, T] shows
         for ladder, mark in zip(draws[_ladder_sweep], draws[_mark_sweep]):
             assert stats.ks_2samp(ladder, mark, method="asymp").pvalue > 1e-4
 
@@ -634,7 +651,7 @@ def _batched_ladder_counts(sampler, T, reps, seed):
     """Per replicate of one batch through the ladder: whether T is
     uncovered and the number of busy periods opening in [0, T]."""
     uncovered, opened = np.zeros(reps, dtype=bool), np.zeros(reps)
-    for rows, _, born, _, j, _ in _ladder(T, sampler, reps, _rng(seed)):
+    for rows, _, born, _, j in _ladder(T, sampler, reps, _rng(seed)):
         opened[rows] += (born <= T).sum(axis=1)
         done = j < born.shape[1]
         uncovered[rows[done]] = born[done, j[done]] > T
@@ -734,13 +751,48 @@ class TestBatchedLadderLaw:
         # a cut born before s that covers t > s also covers s, so the
         # uncovered set starts afresh at s: P(s and t uncovered) is
         # p(s) p(t - s), which is 0.44 here where independence gives 0.28.
-        # t is the horizon, so the ladder's straddling period is redone
+        # t is the horizon, where the ladder stops
         s = SAMPLERS["feller sqrt"]()
         p, points, reps = _uncovered_probability(s), np.array([0.1, 0.11]), 3000
         both = np.mean([_uncovered_at(kernel(points[1], s, _rng([37, i]))[0], points).all()
                         for i in range(reps)])
         want = p(points[0]) * p(points[1] - points[0])
         assert abs(both - want) < Z_LEVEL_1E6 * math.sqrt(want * (1.0 - want) / reps)
+
+
+class TestLadderStopsAtHorizon:
+    """The ladder draws nothing once the period straddling T is known,
+    and both kernels report a covered horizon by a frontier past T."""
+
+    @pytest.mark.parametrize("name, T", TestBatchedLadderLaw.HORIZONS)
+    def test_sweep_draws_only_the_ladder(self, name, T):
+        # the generator leaves _ladder_sweep where it leaves the bare
+        # ladder, at a covered and at an uncovered horizon
+        s = TestBatchedLadderLaw._sampler(name)
+        seen = set()
+        for seed in range(40):
+            sweep, ladder = _rng([39, seed]), _rng([39, seed])
+            _, frontier = _ladder_sweep(T, s, sweep)
+            for _ in _ladder(T, s, 1, ladder):
+                pass
+            assert sweep.bit_generator.state == ladder.bit_generator.state
+            seen.add(frontier > T)
+            if len(seen) == 2:
+                break
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("kernel", [_ladder_sweep, _mark_sweep])
+    @pytest.mark.parametrize("name, T", TestBatchedLadderLaw.HORIZONS)
+    def test_frontier_past_T_exactly_when_T_is_covered(self, name, T, kernel):
+        s = TestBatchedLadderLaw._sampler(name)
+        covered = []
+        for seed in range(40):
+            intervals, frontier = kernel(T, s, _rng([40, seed]))
+            assert (frontier > T) == (intervals[-1, 1] < T)
+            if kernel is _ladder_sweep and frontier > T:
+                assert frontier == math.inf
+            covered.append(frontier > T)
+        assert 0 < sum(covered) < len(covered)
 
 
 def _column_stack_uncovered(T, starts, ends, frontier):

@@ -259,6 +259,12 @@ class TestExtinction:
         probs = [s.extinction_prob(1.0, t) for t in (0.1, 1.0, 10.0, 100.0)]
         assert all(p <= r for p, r in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, x):
+        # a NaN mass passed the sign check and answered nan
+        with pytest.raises(MechanismDomainError, match=f"mass x must be finite, got {x}"):
+            solver(FELLER).extinction_prob(x, 1.0)
+
 
 class TestMarginalTransform:
     def test_drift_immigration_oracle(self):
@@ -311,6 +317,15 @@ class TestMarginalTransform:
         v_t = 1.0 / (math.exp(t) / lam + math.expm1(t)) if t < 700.0 else 0.0
         want = math.exp(-x * v_t) * ((1.0 + v_t) / (1.0 + lam)) ** d
         assert solver(SUBCRIT).cbi_laplace(x, lam, t, phi) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x, q, t", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                         (1.0, math.inf, 1.0), (1.0, 1.0, math.inf)])
+    def test_non_finite_argument_rejected(self, x, q, t):
+        # each answered nan or, for an infinite mass, 0
+        phi = StableImmigration(dprime=1.0, beta=0.5)
+        with pytest.raises(MechanismDomainError,
+                           match=f"x, q and t must be finite, got {x}, {q}, {t}"):
+            solver(FELLER).cbi_laplace(x, q, t, phi)
 
     def test_nonincreasing_in_q_and_x(self):
         s = solver(SUBCRIT)

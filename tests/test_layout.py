@@ -15,6 +15,8 @@ user handles does.  The flow solver holds only its mechanism, and every
 numeric flow inversion goes through one solve, ``FlowSolver._invert``.
 The boundary flow is the flow from lam = inf, so a family gives two
 closed flow hooks, ``closed_tail_time`` and ``closed_v_from_lambda``.
+The cutout's frontier ladder stops at the horizon: a ladder step takes
+only its frontiers and generator, and no step is redone past it.
 A custom branching declares nothing beside its handle, and the compound
 Poisson family nothing beside its mass.
 Every panel is integrated and resolved by ``quadrature._rows``: ``quad``,
@@ -318,3 +320,14 @@ def test_import_leaves_scipy_unloaded():
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]", package
+
+
+def test_ladder_stops_at_the_horizon():
+    # a ladder step draws every birth behind its frontier, and no step is
+    # redone for the period that straddles the horizon
+    functions = {node.name: node for node in TREES["cutout.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    step = functions["_ladder_step"].args
+    assert [a.arg for a in step.args] == ["sampler", "lo", "hi", "rng"]
+    assert step.kwonlyargs == [] and step.vararg is None and step.kwarg is None
+    assert "_crossing" not in functions

@@ -336,6 +336,15 @@ class TestSelfSimilarIndex:
         with pytest.raises(MechanismDomainError):
             selfsimilar_index(2.0, -1.0, 0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["d", "dprime"])
+    def test_non_finite_scale_rejected(self, name, value):
+        # a NaN passes the sign check, and an infinite d read as gamma = 1
+        args = {"d": 1.0, "dprime": 0.1, name: value}
+        with pytest.raises(MechanismDomainError,
+                           match=f"scale parameter {name} must be finite, got {value}"):
+            selfsimilar_index(1.5, args["d"], args["dprime"])
+
     @pytest.mark.parametrize("alpha,d", [(1.5, 1.0), (2.0, 2.0)])
     def test_monotone_in_immigration_scale(self, alpha, d):
         top = d * (alpha - 1.0)
@@ -352,6 +361,12 @@ class TestLampertiKappa:
 
     def test_small_argument_limit(self):
         assert lamperti_kappa(1e-8, 0.5) == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, q):
+        with pytest.raises(MechanismDomainError,
+                           match=f"exponent argument gamma_arg must be finite, got {q}"):
+            lamperti_kappa(q, 0.5)
 
     def test_large_argument_slope(self):
         beta = 0.4
